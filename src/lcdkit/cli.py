@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from . import construct, fixtures, gf, orthogen
 from .codes import EXACT, CodeRecord, LinearCode, RecordStore
-from .errors import LcdError, UnsupportedShape
+from .errors import LcdError, ParseError, UnsupportedShape
 from .matfq import MatrixFq
 
 KNOWN_TABLES = (1, 2, 3, 4, 5)
@@ -67,8 +67,21 @@ class RunConfig:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
         if self.n < 0 or self.k < 0:
             raise ValueError("dimensions must be positive")
+        if self.k > self.n:
+            raise ValueError(f"--k {self.k} exceeds --n {self.n}")
         if self.field is not None:
             gf.parse_field(self.field)
+
+
+def _int_list(text: Optional[str], option: str) -> Optional[list[int]]:
+    """Comma-separated integers of an option value; None when absent."""
+    if text is None:
+        return None
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ParseError(f"--{option.replace('_', '-')} wants comma-separated "
+                         f"integers, got {text!r}") from None
 
 
 def _bool(v: bool) -> str:
@@ -163,14 +176,13 @@ def _store_and_report(cfg: RunConfig, records: Sequence[CodeRecord]) -> None:
     _store_records(cfg, records)
 
 
-def cmd_extend(cfg: RunConfig, path: str, lambdas: Optional[str],
-               pair: Optional[str], grow: bool) -> int:
+def cmd_extend(cfg: RunConfig, path: str, lambdas: Optional[list[int]],
+               pair: Optional[list[int]], grow: bool) -> int:
     code = LinearCode.from_generator(MatrixFq.from_text(
         Path(path).read_text()))
     ctx = code.ctx
-    lam = ([int(v) for v in lambdas.split(",")] if lambdas
-           else [1] * code.k)
-    pr = tuple(int(v) for v in pair.split(",")) if pair else None
+    lam = lambdas or [1] * code.k
+    pr = tuple(pair) if pair else None
     ext = construct.extend_by_two(code, lam, pr)
     used_pair = pr
     if used_pair is None:
@@ -196,17 +208,12 @@ def cmd_extend(cfg: RunConfig, path: str, lambdas: Optional[str],
     return 0
 
 
-def cmd_product(cfg: RunConfig, base_path: str, scalars: str,
+def cmd_product(cfg: RunConfig, base_path: str, lam: list[int],
                 component_paths: Sequence[str],
-                blocks: Optional[str]) -> int:
+                blk: Optional[list[tuple[int, ...]]]) -> int:
     base = MatrixFq.from_text(Path(base_path).read_text())
     comps = [LinearCode.from_generator(MatrixFq.from_text(
         Path(p).read_text())) for p in component_paths]
-    lam = [int(v) for v in scalars.split(",")]
-    blk = None
-    if blocks:
-        blk = [tuple(int(v) for v in part.split(","))
-               for part in blocks.split(";")]
     code = construct.mplcd_build(comps, base, lam, blk)
     a_bar = base
     if blk is not None:
@@ -222,13 +229,13 @@ def cmd_product(cfg: RunConfig, base_path: str, scalars: str,
     return 0
 
 
-def cmd_project(cfg: RunConfig, path: str, basis: Optional[str]) -> int:
+def cmd_project(cfg: RunConfig, path: str,
+                basis: Optional[list[int]]) -> int:
     code = LinearCode.from_generator(MatrixFq.from_text(
         Path(path).read_text()))
     ctx = code.ctx
-    if basis:
-        codes = [int(v) for v in basis.split(",")]
-    else:
+    codes = basis
+    if codes is None:
         found = ctx.self_dual_basis()
         if found is None:
             print(f"no self-dual basis over GF({ctx.descriptor})")
@@ -245,10 +252,9 @@ def cmd_project(cfg: RunConfig, path: str, basis: Optional[str]) -> int:
     return 0
 
 
-def cmd_rs_pipeline(cfg: RunConfig, k_primes: Optional[str]) -> int:
+def cmd_rs_pipeline(cfg: RunConfig, k_primes: Optional[list[int]]) -> int:
     ctx = gf.parse_field(cfg.field)
-    kp = [int(v) for v in k_primes.split(",")] if k_primes else None
-    records = construct.rs_pipeline(ctx, cfg.n, cfg.k, kp)
+    records = construct.rs_pipeline(ctx, cfg.n, cfg.k, k_primes)
     _store_and_report(cfg, records)
     return 0
 
@@ -462,6 +468,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                 orthogen.DEFAULT_WALK_LENGTH),
             store=getattr(args, "store", None),
         )
+        # option lists are parsed here so a malformed one is a usage error
+        ints = {name: _int_list(getattr(args, name, None), name)
+                for name in ("lambdas", "pair", "scalars", "basis",
+                             "k_primes")}
+        blocks = getattr(args, "blocks", None)
+        if blocks is not None:
+            blocks = [tuple(_int_list(part, "blocks"))
+                      for part in blocks.split(";")]
     except (ValueError, LcdError) as exc:
         print(f"lcdkit: {exc}", file=sys.stderr)
         return 2
@@ -477,15 +491,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.verb == "search":
             return cmd_search(cfg)
         if args.verb == "extend":
-            return cmd_extend(cfg, args.matrix, args.lambdas, args.pair,
-                              args.grow)
+            return cmd_extend(cfg, args.matrix, ints["lambdas"],
+                              ints["pair"], args.grow)
         if args.verb == "product":
-            return cmd_product(cfg, args.base, args.scalars,
-                               args.components.split(","), args.blocks)
+            return cmd_product(cfg, args.base, ints["scalars"],
+                               args.components.split(","), blocks)
         if args.verb == "project":
-            return cmd_project(cfg, args.matrix, args.basis)
+            return cmd_project(cfg, args.matrix, ints["basis"])
         if args.verb == "rs-pipeline":
-            return cmd_rs_pipeline(cfg, args.k_primes)
+            return cmd_rs_pipeline(cfg, ints["k_primes"])
         raise AssertionError(args.verb)
     except LcdError as exc:
         print(f"lcdkit: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ against.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -295,52 +296,75 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
                                 budget: int) -> tuple[int, bool]:
     """Smallest number of linearly dependent parity-check columns.
 
-    Scans subset sizes upward, lexicographically within a size.  Returns
+    Iterative deepening over the subset size w; within a size, a depth-first
+    walk visits the subsets in ``itertools.combinations`` order.  A node holds
+    the columns after its prefix reduced modulo the prefix's span, pivot
+    coordinates dropped, so its children reuse its elimination: choosing a
+    column costs one scaled-row subtraction per later column, and a leaf is
+    dependent exactly when its reduced column is zero.  Each size-w subset is
+    charged rows(H) * w^2 against the budget before it is tested.  Returns
     (d, True) when certified; (w, False) means only d >= w was certified
-    before the cost budget ran out.
+    before the budget ran out.
     """
-    from itertools import combinations
-
     rows_h = H.r
     if rows_h == 0:
         return 1, True
     ctx = H.ctx
+    q = ctx.q
+    if q <= gf._FLAT_MAX:
+        add, mul = ctx.tables()
+        mulrow = [None] * q         # row c of the mul table, cut on first use
+
+        def scaled(c, v):
+            row = mulrow[c]
+            if row is None:
+                row = mulrow[c] = mul[c * q:c * q + q]
+            return tuple(map(row.__getitem__, v))
+
+        def plus(u, v):
+            return tuple([add[x * q + y] for x, y in zip(u, v)])
+    else:
+        def scaled(c, v):
+            return tuple(ctx.mul(c, x) for x in v)
+
+        def plus(u, v):
+            return tuple(map(ctx.add, u, v))
+
+    def scan(rest, need: int):
+        """True at the first dependent leaf, False when the budget runs
+        out first, None when neither happens below this node."""
+        nonlocal ops
+        if need == 1:
+            # each leaf is charged before its test: the first `allowed` fit
+            allowed = (budget - ops) // cost
+            if zero in rest and rest.index(zero) < allowed:
+                return True
+            if len(rest) > allowed:
+                return False
+            ops += len(rest) * cost
+            return None
+        for i in range(len(rest) - need + 1):
+            # rest[i] is nonzero: smaller sets than size w are independent
+            v = rest[i]
+            p = next(j for j, x in enumerate(v) if x)
+            vt = scaled(ctx.neg(ctx.inv(v[p])), v[p + 1:])    # -v / v[p]
+            later = [b[:p] + (plus(b[p + 1:], scaled(b[p], vt)) if b[p]
+                              else b[p + 1:]) for b in rest[i + 1:]]
+            found = scan(later, need - 1)
+            if found is not None:
+                return found
+        return None
+
     cols = [H.col(j) for j in range(n)]
     ops = 0
-    for w in range(1, n + 1):
-        if w > rows_h:
-            # every size-w subset is dependent once w exceeds rank(H)
-            return w, True
-        for subset in combinations(range(n), w):
-            ops += rows_h * w * w
-            if ops > budget:
-                return w, False
-            if _cols_dependent(ctx, [cols[j] for j in subset], rows_h):
-                return w, True
-    return n + 1, True
-
-
-def _cols_dependent(ctx: gf.FieldCtx, cols: list[tuple[int, ...]],
-                    height: int) -> bool:
-    """Rank of the column set, compared against its size."""
-    w = len(cols)
-    rows = [[col[i] for col in cols] for i in range(height)]
-    rank = 0
-    for col in range(w):
-        pivot = next((i for i in range(rank, height) if rows[i][col]), None)
-        if pivot is None:
-            return True
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ctx.inv(rows[rank][col])
-        for i in range(rank + 1, height):
-            if rows[i][col]:
-                f = ctx.mul(rows[i][col], inv)
-                rows[i] = [ctx.sub(a, ctx.mul(f, b))
-                           for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == w:
-            return False
-    return rank < w
+    for w in range(1, min(n, rows_h) + 1):
+        cost = rows_h * w * w
+        zero = (0,) * (rows_h - w + 1)
+        found = scan(cols, w)
+        if found is not None:
+            return w, found
+    # any rows(H) + 1 columns are dependent
+    return min(n, rows_h) + 1, True
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +447,8 @@ class RecordStore:
     """JSONL store keyed on (field, n, k), keeping the best record per key.
 
     ``save`` rewrites the whole file with keys sorted, so equal runs
-    produce equal bytes.
+    produce equal bytes.  It writes a sibling temp file and moves it over
+    the store, so a write that fails part-way leaves the old file whole.
     """
 
     def __init__(self, path: str | Path):
@@ -452,4 +477,9 @@ class RecordStore:
     def save(self) -> None:
         lines = [self.records[key].to_json()
                  for key in sorted(self.records)]
-        self.path.write_text("\n".join(lines) + ("\n" if lines else ""))
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        try:
+            tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
+            os.replace(tmp, self.path)
+        finally:
+            tmp.unlink(missing_ok=True)

@@ -286,7 +286,10 @@ class MatrixFq:
             raise ParseError(f"expected {r} rows, got {len(lines) - 1}")
         rows = []
         for ln in lines[1:]:
-            row = [int(tok) for tok in ln.split()]
+            try:
+                row = [int(tok) for tok in ln.split()]
+            except ValueError:
+                raise ParseError(f"non-integer entry in {ln!r}") from None
             if len(row) != c:
                 raise ParseError(f"expected {c} columns in {ln!r}")
             rows.append(row)

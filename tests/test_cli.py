@@ -74,6 +74,34 @@ def test_usage_errors_exit_2(capsys):
                  "--target-d", "0"]) == 2
 
 
+def test_k_above_n_is_a_usage_error(capsys):
+    assert main(["search", "--field", "7", "--n", "3", "--k", "5",
+                 "--target-d", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lcdkit: ") and err.count("\n") == 1
+    assert "--k 5 exceeds --n 3" in err
+
+
+def test_verify_non_integer_entry_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("7 1 3\n1 x 2\n")
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lcdkit: ") and err.count("\n") == 1
+    assert "non-integer entry" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--lambdas", "--pair"])
+def test_extend_non_integer_option_is_a_usage_error(tmp_path, capsys,
+                                                    option):
+    src = tmp_path / "c.txt"
+    src.write_text("5 1 4\n1 2 3 4\n")
+    assert main(["extend", str(src), option, "1,x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lcdkit: ") and err.count("\n") == 1
+    assert f"{option} wants comma-separated integers" in err
+
+
 def test_sample_deterministic(capsys):
     code, first = run(capsys, "sample", "--field", "7", "--n", "4",
                       "--seed", "5")

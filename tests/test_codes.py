@@ -2,11 +2,12 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 from lcdkit import (EXACT, LOWER_BOUND, CodeRecord, LinearCode, MatrixFq,
-                    RecordStore, field_create)
+                    RecordStore, field_create, parse_field)
 from lcdkit.errors import (DistanceNotExact, EmptyResult, ParseError,
                            ZeroMatrix)
 
@@ -83,6 +84,81 @@ def test_distance_strategies_agree(F5, rng):
         H = C.dual().G
         by_cols, exact = _distance_by_column_subsets(H, C.n, 1 << 26)
         assert exact and by_enum == by_cols
+
+
+def _subsets_oracle(H, n, budget):
+    """The from-scratch column-subset scan: every subset in
+    ``combinations`` order, each eliminated on its own."""
+    ctx, rows_h = H.ctx, H.r
+    if rows_h == 0:
+        return 1, True
+    cols = [H.col(j) for j in range(n)]
+    ops = 0
+    for w in range(1, n + 1):
+        if w > rows_h:
+            return w, True
+        for subset in combinations(range(n), w):
+            ops += rows_h * w * w
+            if ops > budget:
+                return w, False
+            if _cols_dependent(ctx, [cols[j] for j in subset], rows_h):
+                return w, True
+    return n + 1, True
+
+
+def _cols_dependent(ctx, cols, height):
+    w = len(cols)
+    rows = [[col[i] for col in cols] for i in range(height)]
+    rank = 0
+    for col in range(w):
+        pivot = next((i for i in range(rank, height) if rows[i][col]), None)
+        if pivot is None:
+            return True
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = ctx.inv(rows[rank][col])
+        for i in range(rank + 1, height):
+            if rows[i][col]:
+                f = ctx.mul(rows[i][col], inv)
+                rows[i] = [ctx.sub(a, ctx.mul(f, b))
+                           for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return False
+
+
+@pytest.mark.parametrize("desc", ["2", "5", "13", "4", "8", "16", "9", "25",
+                                  "1031"])
+def test_column_subsets_match_from_scratch_oracle(desc):
+    # 1031 > 2^10 has no flat tables: the ctx.add/mul fallback path
+    from lcdkit.codes import (DEFAULT_DISTANCE_BUDGET,
+                              _distance_by_column_subsets)
+    ctx = parse_field(desc)
+    rng = random.Random(f"subsets:{desc}")
+    for trial in range(40):
+        n = rng.randrange(2, 11)
+        r = rng.randrange(1, n + 1)
+        rows = [[rng.randrange(ctx.q) if rng.random() < 0.8 else 0
+                 for _ in range(n)] for _ in range(r)]
+        # a zero column, a repeated row (rank below r) or a scaled column
+        # in three of four trials; the fourth is left as drawn
+        kind = trial % 4
+        if kind == 0:
+            zero = rng.randrange(n)
+            for row in rows:
+                row[zero] = 0
+        elif kind == 1 and r > 1:
+            rows[-1] = list(rows[0])
+        elif kind == 2:
+            a, b = rng.sample(range(n), 2)
+            c = rng.randrange(1, ctx.q)
+            for row in rows:
+                row[b] = ctx.mul(c, row[a])
+        H = MatrixFq.from_rows(ctx, rows)
+        # budgets from none at all to past the whole scan, so many stop
+        # part-way through a size
+        for budget in (DEFAULT_DISTANCE_BUDGET, 0, r, rng.randrange(1, 100),
+                       rng.randrange(100, 1000), rng.randrange(1000, 10000)):
+            assert (_distance_by_column_subsets(H, n, budget)
+                    == _subsets_oracle(H, n, budget)), (rows, budget)
 
 
 def test_distance_budget_degrades_to_bound(F2):
@@ -178,3 +254,31 @@ def test_store_sorted_output(tmp_path):
     store.save()
     ns = [json.loads(line)["n"] for line in path.read_text().splitlines()]
     assert ns == sorted(ns)
+
+
+def test_store_save_failing_part_way_keeps_old_records(tmp_path,
+                                                        monkeypatch):
+    path = tmp_path / "r.jsonl"
+    store = RecordStore(path)
+    store.add(CodeRecord(field="2", n=3, k=1, d=3, d_status=EXACT,
+                         tag="rows", provenance={}, matrix="2 1 3\n1 1 1\n"))
+    store.save()
+    before = path.read_bytes()
+    store.add(CodeRecord(field="2", n=4, k=1, d=4, d_status=EXACT,
+                         tag="rows", provenance={},
+                         matrix="2 1 4\n1 1 1 1\n"))
+
+    def torn_write(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(type(path), "write_text", torn_write)
+    with pytest.raises(OSError):
+        store.save()
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert len(RecordStore(path)) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+    store.save()
+    assert len(RecordStore(path)) == 2
