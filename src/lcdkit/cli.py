@@ -69,6 +69,8 @@ class RunConfig:
             raise ValueError("dimensions must be positive")
         if self.k > self.n:
             raise ValueError(f"--k {self.k} exceeds --n {self.n}")
+        if self.verb == "search" and self.k < 1:
+            raise ValueError("--k must be positive")
         if self.field is not None:
             gf.parse_field(self.field)
 

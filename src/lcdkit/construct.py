@@ -415,6 +415,8 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
     """
     if budget < 1:
         raise ValueError("budget must be positive")
+    if not 1 <= k <= n:
+        raise ValueError(f"k = {k} is outside 1..n = {n}")
     gens = orthogen.generator_set(ctx, n)
     for trial in range(budget):
         walk_seed = seed * 1_000_003 + trial

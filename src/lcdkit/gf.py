@@ -684,7 +684,8 @@ class FieldElem:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.code, self.ctx))
+        # equal to the hash of the int it compares equal to
+        return hash(self.code)
 
     def __repr__(self) -> str:
         return f"GF({self.ctx.descriptor}):{self.code}"

@@ -17,10 +17,12 @@ The generating set for n x n matrices is
     closure orders for q in {3, 5} correspond to; dropping it shrinks
     the n = 4 closures from 384 to 48.
 
-Closure enumeration works on flat entry tuples with one specialised
-right-multiplication routine per generator kind, since each generator
-only touches a few columns; this keeps the per-state cost linear in the
-matrix size instead of cubic.
+Right multiplication maps each row on its own, so closure enumeration
+works on the orbit of the unit rows (about q^(n-1) vectors): a matrix is
+the tuple of its n row ids, a generator one image table over the orbit,
+and a capped call stops early once the orbit alone exceeds the cap.  The
+random walk keeps flat entry tuples and one specialised routine per
+generator kind.
 """
 
 from __future__ import annotations
@@ -115,8 +117,9 @@ class OrthoGenSet:
         return [self.swap, self.cycle] + [m for m in extras if m is not None]
 
     def ops(self) -> list[_Op]:
-        """One fast right-multiplication closure per generator, in the
-        same order as matrices()."""
+        """One fast right-multiplication closure on flat entry tuples per
+        generator, in the same order as matrices(); they serve the random
+        walk only, the closure BFS uses the row orbit."""
         ctx, n = self.ctx, self.n
         out = [_perm_op(n, _swap_sigma(n)),
                _perm_op(n, tuple((i + 1) % n for i in range(n)))]
@@ -238,30 +241,67 @@ def _transvection_op(ctx: gf.FieldCtx, n: int, theta: int) -> _Op:
 
 # ---------------------------------------------------------------------------
 
+def _row_orbit(gens: OrthoGenSet, cap: int
+               ) -> Optional[tuple[list[_State], list[list[int]]]]:
+    """The orbit of the unit rows under the generators, ids in discovery
+    order (e_i has id i), and per generator of matrices() an image table:
+    images[g][i] is the id of vecs[i] * g.  None as soon as the orbit has
+    more than cap vectors."""
+    ctx, n, q = gens.ctx, gens.n, gens.ctx.q
+    tabled = q <= 1 << 10
+    at, mt = ctx.tables() if tabled else (None, None)
+    # generator columns as nonzero (row, entry) pairs, entry as mul-table row
+    gcols = [[[(i, mt[c * q:(c + 1) * q] if tabled else c)
+               for i, c in enumerate(M.col(j)) if c] for j in range(n)]
+             for M in gens.matrices()]
+    vecs = MatrixFq.identity(ctx, n).rows()
+    ids = {v: i for i, v in enumerate(vecs)}
+    images: list[list[int]] = [[] for _ in gcols]
+    for v in vecs:                      # vecs grows while it is walked
+        for cols, table in zip(gcols, images):
+            row = []
+            for col in cols:
+                s = 0
+                for i, c in col:
+                    s = (at[s * q + c[v[i]]] if tabled
+                         else ctx.add(s, ctx.mul(v[i], c)))
+                row.append(s)
+            w = tuple(row)
+            j = ids.get(w)
+            if j is None:
+                if len(vecs) >= cap:
+                    return None
+                j = ids[w] = len(vecs)
+                vecs.append(w)
+            table.append(j)
+    return vecs, images
+
+
 def group_closure_order(gens: OrthoGenSet,
                         cap: int = DEFAULT_CLOSURE_CAP) -> tuple[int, bool]:
-    """Size of the group generated by the set, by BFS from the identity.
+    """Size of the group generated by the set, by BFS from the identity
+    over states of n row ids (see _row_orbit).
 
-    Returns (order, True) when the closure finished, or (cap, False) the
-    moment one more state would push past the cap.
+    Returns (order, True) when the closure finished, or (cap, False)
+    exactly when the order exceeds the cap: the moment one more state
+    would push past it, or before the BFS when the orbit alone has more
+    than cap vectors (the n-cycle makes it one orbit, and |G| >= |orbit|).
     """
-    n = gens.n
-    ops = gens.ops()
-    ident = tuple(MatrixFq.identity(gens.ctx, n).entries)
-    # bytes keys keep the visited set small; entries fit a byte for the
-    # table sizes this enumeration is realistic for
-    pack = bytes if gens.ctx.q <= 0x100 else tuple
-    seen = {pack(ident)}
+    action = _row_orbit(gens, cap)
+    if action is None:
+        return cap, False
+    steps = [table.__getitem__ for table in action[1]]
+    ident = tuple(range(gens.n))
+    seen = {ident}
     frontier = deque([ident])
     while frontier:
         state = frontier.popleft()
-        for op in ops:
-            nxt = op(state)
-            key = pack(nxt)
-            if key not in seen:
+        for step in steps:
+            nxt = tuple(map(step, state))
+            if nxt not in seen:
                 if len(seen) >= cap:
                     return cap, False
-                seen.add(key)
+                seen.add(nxt)
                 frontier.append(nxt)
     return len(seen), True
 

@@ -82,6 +82,13 @@ def test_k_above_n_is_a_usage_error(capsys):
     assert "--k 5 exceeds --n 3" in err
 
 
+def test_search_k_zero_is_a_usage_error(capsys):
+    assert main(["search", "--field", "7", "--n", "3", "--k", "0",
+                 "--target-d", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "lcdkit: --k must be positive\n"
+
+
 def test_verify_non_integer_entry_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("7 1 3\n1 x 2\n")

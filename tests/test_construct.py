@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from lcdkit import orthogen
 from lcdkit import (EXACT, LinearCode, MatrixFq, cyclic_mds_self_orthogonal,
                     extend_by_two, extend_dimension, field_create,
                     generator_set, lcd_from_rows, matrix_product_code,
@@ -346,6 +347,16 @@ def test_search_finds_and_replays(F7):
 def test_search_none_when_impossible(F2):
     # Singleton: no [4,2,4] binary code
     assert search_random_lcd(F2, 4, 2, 4, budget=50, seed=0) is None
+
+
+@pytest.mark.parametrize("n,k", [(3, 5), (3, 0), (4, -1)])
+def test_search_rejects_k_outside_1_to_n(F7, monkeypatch, n, k):
+    def walk(*args, **kwargs):
+        raise AssertionError("a trial ran before the arguments were checked")
+
+    monkeypatch.setattr(orthogen, "random_orthogonal", walk)
+    with pytest.raises(ValueError):
+        search_random_lcd(F7, n, k, 2, budget=200, seed=0)
 
 
 def test_search_deterministic(F11):

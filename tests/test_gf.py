@@ -176,3 +176,12 @@ def test_element_wrapper_arithmetic():
     assert (-x).code == 4
     assert (x / x).code == 1
     assert (x ** 6).code == 1
+
+
+def test_element_hash_agrees_with_eq():
+    F7, F5 = field_create(7), field_create(5)
+    assert F7(3) == 3 and hash(F7(3)) == hash(3)
+    assert 3 in {F7(3)} and F7(3) in {3}
+    assert {F7(3): "x"}[3] == "x"
+    # same code, different fields: equal hashes, still unequal elements
+    assert F7(3) != F5(3) and len({F7(3), F5(3)}) == 2

@@ -1,12 +1,15 @@
 """Orthogonal generators, closure enumeration, classical group orders."""
 
+from collections import deque
+
 import pytest
 
 from lcdkit import (MatrixFq, classical_orthogonal_order, field_create,
-                    generator_set, group_closure_order, random_orthogonal)
+                    generator_set, group_closure_order, parse_field,
+                    random_orthogonal)
 from lcdkit.errors import DimensionTooSmall, UnsupportedShape
 from lcdkit.fixtures import group_orders
-from lcdkit.orthogen import (half_turn_matrix, rotation_matrix,
+from lcdkit.orthogen import (_row_orbit, half_turn_matrix, rotation_matrix,
                              transvection_matrix)
 
 
@@ -71,12 +74,13 @@ CLOSURES = [
     ("5", 4, 384),
     ("2", 4, 48),
     ("3", 5, 103680),
+    ("7", 4, 225792),
+    ("8", 4, 258048),
 ]
 
 
 @pytest.mark.parametrize("field,n,expected", CLOSURES)
 def test_closure_orders(field, n, expected):
-    from lcdkit import parse_field
     gens = generator_set(parse_field(field), n)
     order, complete = group_closure_order(gens)
     assert complete and order == expected
@@ -84,15 +88,80 @@ def test_closure_orders(field, n, expected):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("field,n,expected", [
-    ("7", 4, 225792),
-    ("8", 4, 258048),
     ("4", 5, 979200),
 ])
 def test_closure_orders_large(field, n, expected):
-    from lcdkit import parse_field
     gens = generator_set(parse_field(field), n)
     order, complete = group_closure_order(gens, cap=1 << 21)
     assert complete and order == expected
+
+
+def flat_closure_order(gens, cap):
+    """Oracle: BFS over flat n*n entry tuples through the specialised
+    right-multiplication ops, with the same cap semantics."""
+    ops = gens.ops()
+    ident = MatrixFq.identity(gens.ctx, gens.n).entries
+    pack = bytes if gens.ctx.q <= 0x100 else tuple
+    seen = {pack(ident)}
+    frontier = deque([ident])
+    while frontier:
+        state = frontier.popleft()
+        for op in ops:
+            nxt = op(state)
+            key = pack(nxt)
+            if key not in seen:
+                if len(seen) >= cap:
+                    return cap, False
+                seen.add(key)
+                frontier.append(nxt)
+    return len(seen), True
+
+
+SMALL_ORDER = 10 ** 4
+
+
+@pytest.mark.parametrize("field", ["2", "3", "4", "5", "7", "8", "9"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closure_matches_flat_bfs(field, n):
+    gens = generator_set(parse_field(field), n)
+    order, complete = flat_closure_order(gens, SMALL_ORDER)
+    if not complete:
+        assert group_closure_order(gens, SMALL_ORDER) == (SMALL_ORDER, False)
+        return
+    assert group_closure_order(gens) == (order, True)
+    for cap in (1, n - 1, order - 1, order, order + 1):
+        assert group_closure_order(gens, cap) == flat_closure_order(gens, cap)
+
+
+@pytest.mark.parametrize("field", ["2", "3", "4", "5", "7", "8", "9"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_row_orbit_is_a_unit_norm_permutation_action(field, n):
+    ctx = parse_field(field)
+    gens = generator_set(ctx, n)
+    vecs, images = _row_orbit(gens, SMALL_ORDER)
+    assert vecs[:n] == MatrixFq.identity(ctx, n).rows()
+    # the guard gives up exactly when a vector past the cap turns up
+    assert _row_orbit(gens, len(vecs))[0] == vecs
+    if len(vecs) > n:
+        assert _row_orbit(gens, len(vecs) - 1) is None
+    for v in vecs:
+        norm = 0
+        for x in v:
+            norm = ctx.add(norm, ctx.mul(x, x))
+        assert norm == 1
+    for M, table in zip(gens.matrices(), images):
+        assert sorted(table) == list(range(len(vecs)))
+        for i, v in enumerate(vecs):
+            image = MatrixFq(ctx, 1, n, v) @ M
+            assert image.entries == vecs[table[i]]
+
+
+def test_closure_orbit_guard():
+    # the orbit of GF(16)^7 unit rows has far more than 1000 vectors, so
+    # the call gives up before any BFS state is expanded
+    gens = generator_set(field_create(2, 4), 7)
+    assert _row_orbit(gens, 1000) is None
+    assert group_closure_order(gens, cap=1000) == (1000, False)
 
 
 def test_closure_cap_semantics():
