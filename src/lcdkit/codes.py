@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from operator import getitem
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -146,10 +147,17 @@ class LinearCode:
 
     # -- minimum distance --------------------------------------------------
 
-    def distance(self, budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
+    def distance(self, budget: int = DEFAULT_DISTANCE_BUDGET,
+                 at_least: int = 0) -> DistanceResult:
         """Exact d by message enumeration when q^k <= budget, else by
         parity-check column subsets; a budget blow-up there degrades to a
-        certified lower bound plus a generator-row upper bound."""
+        certified lower bound plus a generator-row upper bound.
+
+        ``at_least = t`` asks only whether d >= t: enumeration stops at the
+        first codeword of weight w < t and returns (1, lower_bound, w),
+        which is not cached.  When d >= t the enumeration runs to the end
+        and the result is the exact d.  Only enumeration reads t: the
+        subset scan's iterative deepening already stops at d."""
         if self.k == 0:
             raise EmptyResult("zero code has no minimum distance")
         if self._dist is not None and self._dist.status == EXACT:
@@ -157,9 +165,11 @@ class LinearCode:
         if self.k == self.n:
             result = DistanceResult(1, EXACT)
         elif self.ctx.q ** self.k <= budget:
-            result = DistanceResult(
-                _distance_by_enumeration(self.G.rows(), self.ctx, self.n),
-                EXACT)
+            w = _distance_by_enumeration(self.G.rows(), self.ctx, self.n,
+                                         at_least)
+            if w < at_least:
+                return DistanceResult(1, LOWER_BOUND, w)
+            result = DistanceResult(w, EXACT)
         else:
             H = self.dual().G
             value, exact = _distance_by_column_subsets(H, self.n, budget)
@@ -258,37 +268,57 @@ def _span_iter(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
     yield from rec(0, (0,) * n)
 
 
+class _Below(Exception):
+    """Raised inside the enumeration at a codeword lighter than at_least."""
+
+
 def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
-                             n: int) -> int:
+                             n: int, at_least: int = 0) -> int:
     """Minimum weight over one representative per scalar class: messages are
-    scanned with their first nonzero coefficient pinned to 1."""
+    scanned with their first nonzero coefficient pinned to 1, and at each
+    leaf the last row's q - 1 multiples are tried in one loop.  Stops at
+    the first codeword of weight w < at_least and returns w; any other
+    return is the exact minimum."""
     q = ctx.q
     k = len(rows)
-    add_flat = mul_flat = None
-    if ctx.q <= 1 << 10:
-        add_flat, _ = ctx.tables()
-    scaled = [[tuple(ctx.mul(c, v) for v in row) for c in range(q)]
-              for row in rows]
+    if q <= gf._FLAT_MAX:
+        # c * row as the add-table rows of its entries, so that adding it
+        # to a vector is one map of getitem
+        mt, adds = ctx.tables()[1], ctx.add_rows()
+        scaled = [[[adds[mt[c * q + x]] for x in row] for c in range(1, q)]
+                  for row in rows]
+        combine = getitem
+    else:
+        scaled = [[tuple(ctx.mul(c, v) for v in row) for c in range(1, q)]
+                  for row in rows]
+        combine = ctx.add
     best = n + 1
 
     def rec(i: int, vec):
         nonlocal best
-        if i == k:
-            w = n - vec.count(0)
-            if w < best:
-                best = w
+        if i < k - 1:
+            rec(i + 1, vec)
+            for srow in scaled[i]:
+                rec(i + 1, tuple(map(combine, srow, vec)))
             return
-        rec(i + 1, vec)
-        for c in range(1, q):
-            srow = scaled[i][c]
-            if add_flat is not None:
-                nxt = tuple(add_flat[a * q + b] for a, b in zip(vec, srow))
-            else:
-                nxt = tuple(ctx.add(a, b) for a, b in zip(vec, srow))
-            rec(i + 1, nxt)
+        zeros = vec.count(0)
+        if i < k:
+            for srow in scaled[i]:
+                z = list(map(combine, srow, vec)).count(0)
+                if z > zeros:
+                    zeros = z
+                    if n - z < at_least:
+                        break
+        if n - zeros < best:
+            best = n - zeros
+            if best < at_least:
+                raise _Below
 
-    for lead in range(k):
-        rec(lead + 1, scaled[lead][1])
+    try:
+        for lead in range(k):
+            rec(lead + 1, tuple(rows[lead]))
+    except _Below:
+        pass
     return best
 
 

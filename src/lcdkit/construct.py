@@ -426,7 +426,7 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
         for subset in combinations(range(n), k):
             code = LinearCode.from_basis(A.take_rows(subset),
                                          verify_rank=False)
-            dist = code.distance()
+            dist = code.distance(at_least=target_d)
             if dist.status != EXACT or dist.value < target_d:
                 continue
             rng = random.Random(walk_seed * 2 + 1)
@@ -460,27 +460,17 @@ def replay_record(record: CodeRecord) -> MatrixFq:
     prov = record.provenance
     kind = prov.get("kind")
     ctx = gf.parse_field(record.field)
-    if kind == "search":
+    if kind in ("search", "rows"):
+        walk_seed = (prov["walk_seed"] if kind == "rows"
+                     else prov["seed"] * 1_000_003 + prov["trial"])
         gens = orthogen.generator_set(ctx, record.n)
-        walk_seed = prov["seed"] * 1_000_003 + prov["trial"]
         A = orthogen.random_orthogonal(gens, prov["walk_length"], walk_seed)
         G = A.take_rows(prov["row_indices"])
         blocks = prov.get("blocks") or []
         if blocks:
             G = rotation_block_diagonal(ctx, blocks, G.r) @ G
-        return G.scale_rows(prov["lambdas"])
-    if kind == "rows":
-        gens = orthogen.generator_set(ctx, record.n)
-        A = orthogen.random_orthogonal(gens, prov["walk_length"],
-                                       prov["walk_seed"])
-        G = A.take_rows(prov["row_indices"])
         lam = prov.get("lambdas")
-        blocks = prov.get("blocks") or []
-        if blocks:
-            G = rotation_block_diagonal(ctx, blocks, G.r) @ G
-        if lam:
-            G = G.scale_rows(lam)
-        return G
+        return G.scale_rows(lam) if lam else G
     if kind == "extended":
         base = LinearCode.from_basis(MatrixFq.from_text(prov["base"]),
                                      verify_rank=False)

@@ -166,7 +166,8 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "m", "q", "base", "degree", "modulus", "g",
-                 "exp", "log", "_add_flat", "_mul_flat", "_key", "_hash")
+                 "exp", "log", "_add_flat", "_mul_flat", "_add_rows", "_key",
+                 "_hash")
 
     def __init__(self, p: int, base: Optional["FieldCtx"], degree: int,
                  modulus: Optional[Sequence[int]]):
@@ -202,6 +203,7 @@ class FieldCtx:
         self.g = self._find_generator()
         self.exp, self.log = self._build_explog()
         self._add_flat = None
+        self._add_rows = None
         self._mul_flat = None
 
     # -- construction helpers -------------------------------------------
@@ -374,6 +376,14 @@ class FieldCtx:
             self._add_flat = [self.add(a, b) for a in range(q) for b in range(q)]
             self._mul_flat = [self.mul(a, b) for a in range(q) for b in range(q)]
         return self._add_flat, self._mul_flat
+
+    def add_rows(self) -> list[list[int]]:
+        """The flat add table cut into rows: add_rows()[a][b] = a + b."""
+        if self._add_rows is None:
+            at, _ = self.tables()
+            q = self.q
+            self._add_rows = [at[a * q:(a + 1) * q] for a in range(q)]
+        return self._add_rows
 
     # -- squares, roots of unity ------------------------------------------
 

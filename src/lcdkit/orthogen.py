@@ -21,12 +21,13 @@ Right multiplication maps each row on its own, so closure enumeration
 works on the orbit of the unit rows (about q^(n-1) vectors): a matrix is
 the tuple of its n row ids, a generator one image table over the orbit,
 and a capped call stops early once the orbit alone exceeds the cap.  The
-random walk keeps flat entry tuples and one specialised routine per
-generator kind.
+random walk holds its matrix as n column tuples and folds runs of steps
+before it applies them (see random_orthogonal).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ DEFAULT_CLOSURE_CAP = 1 << 21
 DEFAULT_WALK_LENGTH = 64
 
 _State = tuple[int, ...]
-_Op = Callable[[_State], _State]
+_ColOp = Callable[[list], None]
 
 
 def transvection_matrix(ctx: gf.FieldCtx, n: int) -> MatrixFq:
@@ -116,20 +117,27 @@ class OrthoGenSet:
         extras = (self.transvection, self.rotation, self.half_turn)
         return [self.swap, self.cycle] + [m for m in extras if m is not None]
 
-    def ops(self) -> list[_Op]:
-        """One fast right-multiplication closure on flat entry tuples per
-        generator, in the same order as matrices(); they serve the random
-        walk only, the closure BFS uses the row orbit."""
-        ctx, n = self.ctx, self.n
-        out = [_perm_op(n, _swap_sigma(n)),
-               _perm_op(n, tuple((i + 1) % n for i in range(n)))]
+    @functools.cached_property
+    def _walk_steps(self) -> list[tuple[int, Callable[[int], _ColOp]]]:
+        """(order m, j -> column op of the j-th power) per generator past
+        the permutations, in matrices() order; built at the first walk."""
+        ctx = self.ctx
+        steps = []
         if self.transvection is not None:
-            out.append(_transvection_op(ctx, n, self.theta))
-        if self.unit_pair is not None:
-            out.append(_rotation_op(ctx, n, *self.unit_pair))
-        if self.half_turn is not None:
-            out.append(_rotation_op(ctx, n, ctx.neg(1), 0))
-        return out
+            op = _transvection_cols(ctx, self.theta)
+            steps.append((2, lambda j: op))
+        if self.rotation is not None or self.half_turn is not None:
+            a, b = (self.unit_pair if self.rotation is not None
+                    else (ctx.neg(1), 0))
+            powers = [(1, 0)]           # (x, y) = (a + b i)^j, i^2 = -1
+            x, y = a, b
+            while (x, y) != (1, 0):
+                powers.append((x, y))
+                x, y = (ctx.sub(ctx.mul(x, a), ctx.mul(y, b)),
+                        ctx.add(ctx.mul(x, b), ctx.mul(y, a)))
+            steps.append((len(powers), functools.cache(
+                lambda j: _plane_cols(ctx, *powers[j]))))
+        return steps
 
 
 def _swap_sigma(n: int) -> tuple[int, ...]:
@@ -158,83 +166,51 @@ def generator_set(ctx: gf.FieldCtx, n: int) -> OrthoGenSet:
 
 
 # ---------------------------------------------------------------------------
-# specialised right-multiplication ops on flat entry tuples
+# right-multiplication ops on a list of column tuples, rewritten in place
 
-def _perm_op(n: int, sigma: tuple[int, ...]) -> _Op:
-    """Right multiply by the matrix with P[i][sigma[i]] = 1, i.e. column j
-    of the product is column sigma^-1(j) of the input."""
-    inv = [0] * n
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    gather = tuple(i * n + inv[j] for i in range(n) for j in range(n))
-
-    def op(state: _State) -> _State:
-        return tuple(state[g] for g in gather)
-
-    return op
-
-
-def _rotation_op(ctx: gf.FieldCtx, n: int, a: int, b: int) -> _Op:
-    """Right multiply by the rotation block: only columns 0 and 1 move."""
-    q = ctx.q
-    if q <= 1 << 10:
+def _plane_cols(ctx: gf.FieldCtx, a: int, b: int) -> _ColOp:
+    """Right multiply by [[a,-b],[b,a]] on coordinates 0 and 1: columns
+    x, y become a x + b y and a y - b x."""
+    q, nb = ctx.q, ctx.neg(b)
+    tabled = q <= gf._FLAT_MAX
+    if tabled:
         at, mt = ctx.tables()
-        ma = mt[a * q:(a + 1) * q]
-        mb = mt[b * q:(b + 1) * q]
-        nb = ctx.neg(b)
-        mnb = mt[nb * q:(nb + 1) * q]
+        ma, mb, mnb = (mt[c * q:(c + 1) * q] for c in (a, b, nb))
+    add, mul = ctx.add, ctx.mul
 
-        def op(state: _State) -> _State:
-            out = list(state)
-            for r in range(0, n * n, n):
-                x, y = state[r], state[r + 1]
-                out[r] = at[ma[x] * q + mb[y]]
-                out[r + 1] = at[mnb[x] * q + ma[y]]
-            return tuple(out)
-    else:
-        nb = ctx.neg(b)
-
-        def op(state: _State) -> _State:
-            out = list(state)
-            for r in range(0, n * n, n):
-                x, y = state[r], state[r + 1]
-                out[r] = ctx.add(ctx.mul(x, a), ctx.mul(y, b))
-                out[r + 1] = ctx.add(ctx.mul(x, nb), ctx.mul(y, a))
-            return tuple(out)
+    def op(cols: list) -> None:
+        x, y = cols[0], cols[1]
+        if tabled:
+            cols[0] = tuple([at[ma[u] * q + mb[v]] for u, v in zip(x, y)])
+            cols[1] = tuple([at[mnb[u] * q + ma[v]] for u, v in zip(x, y)])
+        else:
+            cols[0] = tuple([add(mul(u, a), mul(v, b)) for u, v in zip(x, y)])
+            cols[1] = tuple([add(mul(u, nb), mul(v, a)) for u, v in zip(x, y)])
 
     return op
 
 
-def _transvection_op(ctx: gf.FieldCtx, n: int, theta: int) -> _Op:
-    """Right multiply by I + theta * ones(4): row i gains theta times the
-    sum of its first four entries, on those same four columns."""
+def _transvection_cols(ctx: gf.FieldCtx, theta: int) -> _ColOp:
+    """Right multiply by I + theta * ones(4): each row gains theta times
+    the sum of its first four entries, on those same four columns."""
     q = ctx.q
-    if q <= 1 << 10:
+    tabled = q <= gf._FLAT_MAX
+    if tabled:
         at, mt = ctx.tables()
         mth = mt[theta * q:(theta + 1) * q]
+    add, mul = ctx.add, ctx.mul
 
-        def op(state: _State) -> _State:
-            out = list(state)
-            for r in range(0, n * n, n):
-                s = at[at[state[r] * q + state[r + 1]] * q
-                       + at[state[r + 2] * q + state[r + 3]]]
-                t = mth[s]
-                if t:
-                    for j in range(4):
-                        out[r + j] = at[state[r + j] * q + t]
-            return tuple(out)
-    else:
-        def op(state: _State) -> _State:
-            out = list(state)
-            for r in range(0, n * n, n):
-                s = 0
-                for j in range(4):
-                    s = ctx.add(s, state[r + j])
-                t = ctx.mul(theta, s)
-                if t:
-                    for j in range(4):
-                        out[r + j] = ctx.add(state[r + j], t)
-            return tuple(out)
+    def op(cols: list) -> None:
+        four = cols[:4]
+        if tabled:
+            ts = [mth[at[at[a * q + b] * q + at[c * q + d]]]
+                  for a, b, c, d in zip(*four)]
+            cols[:4] = [tuple([at[x * q + t] for x, t in zip(col, ts)])
+                        for col in four]
+        else:
+            ts = [mul(theta, add(add(a, b), add(c, d)))
+                  for a, b, c, d in zip(*four)]
+            cols[:4] = [tuple(map(add, col, ts)) for col in four]
 
     return op
 
@@ -334,21 +310,44 @@ def random_orthogonal(gens: OrthoGenSet,
                       walk_length: int = DEFAULT_WALK_LENGTH,
                       seed: int = 0) -> MatrixFq:
     """Random walk over the generated group: each step right-multiplies by
-    a fresh uniform permutation, the involution, or (when available) the
-    rotation.  Same seed, same matrix."""
-    ctx, n = gens.ctx, gens.n
+    a fresh uniform permutation or by one of the generators past the two
+    fixed permutations.  Same seed, same matrix.
+
+    Each step draws rng.randrange(kinds), then for a permutation
+    rng.shuffle(sigma), so the rng order does not depend on the folding:
+    back-to-back permutations compose into one gather, and a run of one
+    other generator becomes its power modulo its order (involutions cancel
+    in pairs; j rotations by a + b i make one by (a + b i)^j).  What is
+    left acts on n column tuples: a permutation gathers them, the plane
+    maps rewrite columns 0 and 1, the transvection columns 0..3."""
+    n = gens.n
     rng = random.Random(seed)
-    extras = gens.ops()[2:]
-    kinds = 1 + len(extras)
-    state = tuple(MatrixFq.identity(ctx, n).entries)
+    steps = gens._walk_steps
+    kinds = 1 + len(steps)
+    folded: list[list] = []             # [kind, gather or exponent]
     for _ in range(walk_length):
         kind = rng.randrange(kinds)
+        top = folded[-1] if folded and folded[-1][0] == kind else None
         if kind == 0:
             sigma = list(range(n))
-            for i in range(n - 1, 0, -1):
-                j = rng.randrange(i + 1)
-                sigma[i], sigma[j] = sigma[j], sigma[i]
-            state = _perm_op(n, tuple(sigma))(state)
+            rng.shuffle(sigma)
+            gather = [0] * n            # column j of the product is
+            for i, s in enumerate(sigma):   # column gather[j] of the input
+                gather[s] = i
+            if top is None:
+                folded.append([0, gather])
+            else:
+                top[1] = [top[1][j] for j in gather]
+        elif top is None:
+            folded.append([kind, 1])
         else:
-            state = extras[kind - 1](state)
-    return MatrixFq(ctx, n, n, state)
+            top[1] = (top[1] + 1) % steps[kind - 1][0]
+            if not top[1]:
+                folded.pop()
+    cols = MatrixFq.identity(gens.ctx, n).rows()
+    for kind, arg in folded:
+        if kind:
+            steps[kind - 1][1](arg)(cols)
+        else:
+            cols = [cols[j] for j in arg]
+    return MatrixFq(gens.ctx, n, n, [x for row in zip(*cols) for x in row])

@@ -161,6 +161,42 @@ def test_column_subsets_match_from_scratch_oracle(desc):
                     == _subsets_oracle(H, n, budget)), (rows, budget)
 
 
+@pytest.mark.parametrize("desc", ["2", "5", "16", "25", "1031"])
+def test_distance_at_least(desc):
+    # 1031 > 2^10 has no flat tables: the ctx.add/mul enumeration path
+    from lcdkit.codes import DEFAULT_DISTANCE_BUDGET
+    ctx = parse_field(desc)
+    rng = random.Random(f"at_least:{desc}")
+    k_max = 1
+    while ctx.q ** (k_max + 1) <= DEFAULT_DISTANCE_BUDGET and k_max < 4:
+        k_max += 1
+    for _ in range(12):
+        n = rng.randrange(2, 10)
+        G = random_code(ctx, n, rng.randrange(1, min(n - 1, k_max) + 1),
+                        rng).G
+        exact = LinearCode.from_basis(G).distance()
+        d = exact.value
+        assert exact.status == EXACT
+        for t in range(n + 2):
+            C = LinearCode.from_basis(G)
+            res = C.distance(at_least=t)
+            if d >= t:
+                assert res == exact
+            else:
+                assert res.status == LOWER_BOUND and res.value == 1
+                assert d <= res.upper < t
+                # the early answer is not cached; the exact one still comes
+                assert C._dist is None and C.distance() == exact
+            # a cached exact distance answers every threshold unchanged
+            assert C.distance(at_least=t) == exact == C._dist
+        # the column-subset path ignores the threshold
+        budget = ctx.q ** G.r - 1
+        if G.r < n:
+            by_subsets = LinearCode.from_basis(G).distance(budget)
+            assert LinearCode.from_basis(G).distance(
+                budget, at_least=n + 1) == by_subsets
+
+
 def test_distance_budget_degrades_to_bound(F2):
     C = ham74(F2)
     res = C.distance(budget=1)

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from lcdkit import orthogen
-from lcdkit import (EXACT, LinearCode, MatrixFq, cyclic_mds_self_orthogonal,
+from lcdkit import (EXACT, CodeRecord, LinearCode, MatrixFq,
+                    cyclic_mds_self_orthogonal, parse_field,
                     extend_by_two, extend_dimension, field_create,
                     generator_set, lcd_from_rows, matrix_product_code,
                     matrix_product_generator, mds_lcd_from_self_orthogonal,
@@ -370,3 +371,53 @@ def test_search_binary_fallback_twist(F2):
     assert rec is not None
     assert rec.tag == "scaled" and rec.provenance["blocks"] == []
     assert replay_record(rec).to_text() == rec.matrix
+
+
+# Records as an earlier, step-by-step version of the walk wrote them: the
+# folded column walk must reproduce them byte for byte.
+PINNED_SEARCHES = [
+    (("11", 5, 3, 3, 200, 9),
+     '{"d":3,"d_status":"exact","field":"11","k":3,"matrix":"11 3 5\\n'
+     '5 6 9 6 5\\n5 3 6 3 10\\n5 0 6 10 3\\n","n":5,"provenance":'
+     '{"blocks":[[10,2]],"kind":"search","lambdas":[10,4,4],'
+     '"row_indices":[0,2,3],"seed":9,"trial":0,"walk_length":64},'
+     '"tag":"rotated","timestamp":0}'),
+    (("16", 7, 2, 6, 500, 8),
+     '{"d":6,"d_status":"exact","field":"2^4","k":2,"matrix":"2^4 2 7\\n'
+     '4 9 12 15 6 7 11\\n1 0 1 8 5 8 11\\n","n":7,"provenance":'
+     '{"blocks":[[8,11]],"kind":"search","lambdas":[13,11],'
+     '"row_indices":[0,2],"seed":8,"trial":12,"walk_length":64},'
+     '"tag":"rotated","timestamp":0}'),
+]
+
+
+@pytest.mark.parametrize("args,expected", PINNED_SEARCHES)
+def test_search_records_are_pinned(args, expected):
+    desc, n, k, d, budget, seed = args
+    rec = search_random_lcd(parse_field(desc), n, k, d, budget, seed)
+    assert rec.to_json() == expected
+    assert replay_record(rec).to_text() == rec.matrix
+
+
+@pytest.mark.parametrize("n,prov,matrix", [
+    (6, {"kind": "rows", "walk_seed": 12345, "walk_length": 40,
+         "row_indices": [5, 1, 3], "lambdas": [2, 7, 11], "blocks": [[3, 4]]},
+     "13 3 6\n2 2 1 10 12 9\n8 12 10 3 6 12\n11 7 4 5 12 0\n"),
+    (5, {"kind": "rows", "walk_seed": 77, "walk_length": 64,
+         "row_indices": [0, 2]},
+     "13 2 5\n7 6 11 9 0\n7 12 12 8 4\n"),
+])
+def test_hand_made_rows_record_replays(F13, n, prov, matrix):
+    # a "rows" record names its walk seed directly; lambdas and blocks
+    # are optional, and the matrices are pinned from an earlier version
+    rec = CodeRecord(field="13", n=n, k=len(prov["row_indices"]), d=None,
+                     d_status="lower_bound", tag="rows", provenance=prov,
+                     matrix=matrix)
+    assert replay_record(rec).to_text() == matrix
+    G = sample_orthogonal(F13, n, prov["walk_seed"], prov["walk_length"]
+                          ).take_rows(prov["row_indices"])
+    if prov.get("blocks"):
+        G = rotation_block_diagonal(F13, prov["blocks"], G.r) @ G
+    if prov.get("lambdas"):
+        G = G.scale_rows(prov["lambdas"])
+    assert G.to_text() == matrix

@@ -1,5 +1,6 @@
 """Orthogonal generators, closure enumeration, classical group orders."""
 
+import random
 from collections import deque
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lcdkit import (MatrixFq, classical_orthogonal_order, field_create,
                     generator_set, group_closure_order, parse_field,
                     random_orthogonal)
+from lcdkit.cli import main
 from lcdkit.errors import DimensionTooSmall, UnsupportedShape
 from lcdkit.fixtures import group_orders
 from lcdkit.orthogen import (_row_orbit, half_turn_matrix, rotation_matrix,
@@ -96,10 +98,147 @@ def test_closure_orders_large(field, n, expected):
     assert complete and order == expected
 
 
+# ---------------------------------------------------------------------------
+# oracle: right-multiplication ops on flat n*n entry tuples, one per
+# generator, and the step-by-step walk over them
+
+def _perm_op(n, sigma):
+    """Right multiply by the matrix with P[i][sigma[i]] = 1, i.e. column j
+    of the product is column sigma^-1(j) of the input."""
+    inv = [0] * n
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    gather = tuple(i * n + inv[j] for i in range(n) for j in range(n))
+    return lambda state: tuple(state[g] for g in gather)
+
+
+def _rotation_op(ctx, n, a, b):
+    """Right multiply by the rotation block: only columns 0 and 1 move."""
+    nb = ctx.neg(b)
+
+    def op(state):
+        out = list(state)
+        for r in range(0, n * n, n):
+            x, y = state[r], state[r + 1]
+            out[r] = ctx.add(ctx.mul(x, a), ctx.mul(y, b))
+            out[r + 1] = ctx.add(ctx.mul(x, nb), ctx.mul(y, a))
+        return tuple(out)
+
+    return op
+
+
+def _transvection_op(ctx, n, theta):
+    """Right multiply by I + theta * ones(4): row i gains theta times the
+    sum of its first four entries, on those same four columns."""
+    def op(state):
+        out = list(state)
+        for r in range(0, n * n, n):
+            s = 0
+            for j in range(4):
+                s = ctx.add(s, state[r + j])
+            t = ctx.mul(theta, s)
+            if t:
+                for j in range(4):
+                    out[r + j] = ctx.add(state[r + j], t)
+        return tuple(out)
+
+    return op
+
+
+def flat_ops(gens):
+    """One op per generator, in the same order as gens.matrices()."""
+    ctx, n = gens.ctx, gens.n
+    out = [_perm_op(n, (1, 0) + tuple(range(2, n)) if n >= 2 else (0,)),
+           _perm_op(n, tuple((i + 1) % n for i in range(n)))]
+    if gens.transvection is not None:
+        out.append(_transvection_op(ctx, n, gens.theta))
+    if gens.rotation is not None:
+        out.append(_rotation_op(ctx, n, *gens.unit_pair))
+    if gens.half_turn is not None:
+        out.append(_rotation_op(ctx, n, ctx.neg(1), 0))
+    return out
+
+
+def flat_walk(gens, walk_length, seed):
+    """The walk one step at a time, with a hand-written Fisher-Yates
+    shuffle: (entries, longest run of the last generator in matrices())."""
+    n = gens.n
+    rng = random.Random(seed)
+    extras = flat_ops(gens)[2:]
+    kinds = 1 + len(extras)
+    state = MatrixFq.identity(gens.ctx, n).entries
+    run = longest = 0
+    for _ in range(walk_length):
+        kind = rng.randrange(kinds)
+        run = run + 1 if kind == kinds - 1 else 0
+        longest = max(longest, run)
+        if kind == 0:
+            sigma = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = rng.randrange(i + 1)
+                sigma[i], sigma[j] = sigma[j], sigma[i]
+            state = _perm_op(n, tuple(sigma))(state)
+        else:
+            state = extras[kind - 1](state)
+    return state, longest
+
+
+WALK_FIELDS = ["2", "3", "4", "5", "7", "8", "9", "11", "13", "16", "17",
+               "25", "27", "29", "32", "1031", "2048"]
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS)
+def test_walk_matches_flat_oracle(field):
+    ctx = parse_field(field)
+    for n in range(2, 9):
+        gens = generator_set(ctx, n)
+        for walk_length in (0, 1, 2, 5, 64):
+            for seed in range(20):
+                A = random_orthogonal(gens, walk_length, seed)
+                assert A.entries == flat_walk(gens, walk_length, seed)[0]
+
+
+def rotation_order(gens):
+    R = gens.rotation
+    P, order = R, 1
+    while P != MatrixFq.identity(gens.ctx, gens.n):
+        P, order = P @ R, order + 1
+    return order
+
+
+@pytest.mark.parametrize("field", ["4", "7", "9", "17", "25"])
+def test_walk_folds_rotation_runs_past_their_order(field):
+    # n = 2 draws the rotation on half the steps, so 600 steps hold runs
+    # longer than the rotation's order (2 over GF(4), 8 or 3 elsewhere);
+    # the rotation is the last generator, so flat_walk reports its runs
+    ctx = parse_field(field)
+    wrapped = 0
+    for n in (2, 5):
+        gens = generator_set(ctx, n)
+        order = rotation_order(gens)
+        for seed in range(5):
+            entries, longest = flat_walk(gens, 600, seed)
+            assert random_orthogonal(gens, 600, seed).entries == entries
+            wrapped += longest >= order
+    assert wrapped
+
+
+def test_walk_with_one_coordinate(capsys):
+    # a unit-circle pair exists over GF(7), but no rotation fits in n = 1
+    gens = generator_set(field_create(7), 1)
+    assert gens.unit_pair is not None and gens.rotation is None
+    for seed in range(5):
+        assert random_orthogonal(gens, 64, seed).rows() == [(1,)]
+    assert main(["sample", "--field", "7", "--n", "1"]) == 0
+    assert capsys.readouterr().out == "7 1 1\n1\n"
+    assert main(["search", "--field", "7", "--n", "1", "--k", "1",
+                 "--target-d", "1"]) == 0
+
+
 def flat_closure_order(gens, cap):
-    """Oracle: BFS over flat n*n entry tuples through the specialised
-    right-multiplication ops, with the same cap semantics."""
-    ops = gens.ops()
+    """Oracle: BFS over flat n*n entry tuples through the flat ops, with
+    the same cap semantics."""
+    ops = flat_ops(gens)
     ident = MatrixFq.identity(gens.ctx, gens.n).entries
     pack = bytes if gens.ctx.q <= 0x100 else tuple
     seen = {pack(ident)}
