@@ -20,7 +20,6 @@ from .codes import (
     RecordStore,
 )
 from .construct import (
-    RotationBlock,
     apply_row_scaling,
     apply_rotation_blocks,
     cyclic_mds_self_orthogonal,
@@ -37,7 +36,7 @@ from .construct import (
     search_random_lcd,
     systematic_parity_part,
 )
-from .gf import FieldCtx, FieldElem, field_create, parse_field, tower_create
+from .gf import FieldCtx, field_create, parse_field, tower_create
 from .matfq import MatrixFq
 from .orthogen import (
     OrthoGenSet,
@@ -55,12 +54,10 @@ __all__ = [
     "CodeRecord",
     "DistanceResult",
     "FieldCtx",
-    "FieldElem",
     "LinearCode",
     "MatrixFq",
     "OrthoGenSet",
     "RecordStore",
-    "RotationBlock",
     "apply_row_scaling",
     "apply_rotation_blocks",
     "classical_orthogonal_order",

@@ -182,14 +182,10 @@ def cmd_extend(cfg: RunConfig, path: str, lambdas: Optional[list[int]],
                pair: Optional[list[int]], grow: bool) -> int:
     code = LinearCode.from_generator(MatrixFq.from_text(
         Path(path).read_text()))
-    ctx = code.ctx
     lam = lambdas or [1] * code.k
     pr = tuple(pair) if pair else None
     ext = construct.extend_by_two(code, lam, pr)
-    used_pair = pr
-    if used_pair is None:
-        found = ctx.isotropic_pair()
-        used_pair = (found[0].code, found[1].code)
+    used_pair = pr or code.ctx.isotropic_pair()
     added_row = None
     if grow:
         grown = construct.extend_dimension(ext)
@@ -217,41 +213,46 @@ def cmd_product(cfg: RunConfig, base_path: str, lam: list[int],
     comps = [LinearCode.from_generator(MatrixFq.from_text(
         Path(p).read_text())) for p in component_paths]
     code = construct.mplcd_build(comps, base, lam, blk)
-    a_bar = base
-    if blk is not None:
-        a_bar = construct.rotation_block_diagonal(base.ctx, blk, base.r) @ a_bar
-    a_bar = a_bar.scale_rows(lam)
+    _store_and_report(cfg, [_product_record(code, comps, base, lam, blk)])
+    return 0
+
+
+def _product_record(code: LinearCode, comps: Sequence[LinearCode],
+                    base: MatrixFq, lam: Sequence[int],
+                    blk: Optional[list[tuple[int, ...]]] = None) -> CodeRecord:
+    """The record of code = mplcd_build(comps, base, lam, blk)."""
+    a_bar = construct.scaled_orthogonal(base, lam, blk)
     provenance = {
         "kind": "matrix_product",
         "components": [c.G.to_text() for c in comps],
         "a_bar": a_bar.to_text(),
     }
-    rec = CodeRecord.from_code(code, "matrix_product", provenance)
-    _store_and_report(cfg, [rec])
-    return 0
+    return CodeRecord.from_code(code, "matrix_product", provenance)
 
 
 def cmd_project(cfg: RunConfig, path: str,
                 basis: Optional[list[int]]) -> int:
     code = LinearCode.from_generator(MatrixFq.from_text(
         Path(path).read_text()))
-    ctx = code.ctx
-    codes = basis
-    if codes is None:
-        found = ctx.self_dual_basis()
-        if found is None:
-            print(f"no self-dual basis over GF({ctx.descriptor})")
+    if basis is None:
+        basis = code.ctx.self_dual_basis()
+        if basis is None:
+            print(f"no self-dual basis over GF({code.ctx.descriptor})")
             return 1
-        codes = [e.code for e in found]
-    projected = construct.project_to_subfield(code, codes)
+    projected = construct.project_to_subfield(code, basis)
+    _store_and_report(cfg, [_projection_record(code, projected, basis)])
+    return 0
+
+
+def _projection_record(source: LinearCode, projected: LinearCode,
+                       basis: list[int]) -> CodeRecord:
+    """The record of projected = project_to_subfield(source, basis)."""
     provenance = {
         "kind": "projection",
-        "source": code.G.to_text(),
-        "basis": codes,
+        "source": source.G.to_text(),
+        "basis": basis,
     }
-    rec = CodeRecord.from_code(projected, "projection", provenance)
-    _store_and_report(cfg, [rec])
-    return 0
+    return CodeRecord.from_code(projected, "projection", provenance)
 
 
 def cmd_rs_pipeline(cfg: RunConfig, k_primes: Optional[list[int]]) -> int:
@@ -311,14 +312,8 @@ def _tables_3(cfg: RunConfig) -> int:
           f"{'match' if ok else 'MISMATCH'}")
     if not ok:
         return 1
-    a_bar = ex["base"].scale_rows(ex["scalars"])
-    provenance = {
-        "kind": "matrix_product",
-        "components": [c.G.to_text() for c in ex["components"]],
-        "a_bar": a_bar.to_text(),
-    }
-    _store_and_report(cfg, [CodeRecord.from_code(code, "matrix_product",
-                                                 provenance)])
+    _store_and_report(cfg, [_product_record(code, ex["components"],
+                                            ex["base"], ex["scalars"])])
     return 0
 
 
@@ -327,12 +322,10 @@ def _projection_demo(cfg: RunConfig, descriptor: str, n: int, k: int,
     """Search an LCD [n,k,d] code over the tower, project it, and chase
     the published projected distance across derived sub-seeds."""
     ctx = gf.parse_field(descriptor)
-    base_q = ctx.base.q
     basis = ctx.self_dual_basis()
     if basis is None:
         print(f"no self-dual basis over GF({ctx.descriptor})")
         return 1
-    codes = [e.code for e in basis]
     best = None
     for offset in range(seed_tries):
         rec = construct.search_random_lcd(ctx, n, k, d, cfg.budget,
@@ -340,11 +333,12 @@ def _projection_demo(cfg: RunConfig, descriptor: str, n: int, k: int,
                                           cfg.walk_length)
         if rec is None:
             continue
-        projected = construct.project_to_subfield(rec.code(), codes)
+        source = rec.code()
+        projected = construct.project_to_subfield(source, basis)
         dist = projected.distance()
         if dist.status != EXACT:
             continue
-        entry = (dist.value, offset, rec, projected)
+        entry = (dist.value, offset, rec, source, projected)
         if best is None or entry[0] > best[0]:
             best = entry
         if dist.value >= target:
@@ -352,18 +346,12 @@ def _projection_demo(cfg: RunConfig, descriptor: str, n: int, k: int,
     if best is None:
         print(f"no [{n},{k},{d}]_F{ctx.q} found")
         return 1
-    value, offset, rec, projected = best
+    value, offset, rec, source, projected = best
     verdict = "match" if value >= target else "below target"
     print(f"[{n},{k},{rec.d}]_F{ctx.q} -> "
-          f"[{projected.n},{projected.k},{value}]_F{base_q} "
+          f"[{projected.n},{projected.k},{value}]_F{ctx.base.q} "
           f"target={target} {verdict} seed_offset={offset}")
-    provenance = {
-        "kind": "projection",
-        "source": rec.code().G.to_text(),
-        "basis": codes,
-    }
-    _store_and_report(cfg, [CodeRecord.from_code(projected, "projection",
-                                                 provenance)])
+    _store_and_report(cfg, [_projection_record(source, projected, basis)])
     return 0
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import gf, orthogen
 from .codes import EXACT, CodeRecord, LinearCode
@@ -36,6 +36,7 @@ from .errors import (
     ContextMismatch,
     DegenerateBlock,
     DimensionTooLarge,
+    InvalidValue,
     MixedLengths,
     NoIsotropicPair,
     NoSystematicForm,
@@ -50,23 +51,24 @@ from .errors import (
 )
 from .matfq import MatrixFq
 
-ElemLike = Union[int, gf.FieldElem]
+def _elements(ctx: gf.FieldCtx, values: Sequence[int], what: str) -> list[int]:
+    """values as a list of field codes, each checked to lie in [0, q)."""
+    out = [int(v) for v in values]
+    for v in out:
+        if not 0 <= v < ctx.q:
+            raise InvalidValue(f"{what} {v} is outside the codes [0, {ctx.q}) "
+                               f"of GF({ctx.descriptor})")
+    return out
 
 
-class RotationBlock(NamedTuple):
-    """One 2 x 2 block [[a, b], [-b, a]]; valid when a, b are nonzero and
-    a^2 + b^2 is nonzero."""
-
-    a: int
-    b: int
-
-
-def _code(x: ElemLike) -> int:
-    return x.code if isinstance(x, gf.FieldElem) else int(x)
-
-
-def _codes(xs: Sequence[ElemLike]) -> list[int]:
-    return [_code(x) for x in xs]
+def _scalars(ctx: gf.FieldCtx, values: Sequence[int], count: int) -> list[int]:
+    """count nonzero field codes, checked."""
+    lam = _elements(ctx, values, "scalar")
+    if len(lam) != count:
+        raise InvalidValue(f"need {count} scalars, got {len(lam)}")
+    if any(v == 0 for v in lam):
+        raise ZeroScalar("scalars must be nonzero")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -79,29 +81,29 @@ def lcd_from_rows(A: MatrixFq, row_indices: Sequence[int]) -> LinearCode:
         raise NotOrthogonal("row source must satisfy A A^T = I")
     idx = list(row_indices)
     if len(set(idx)) != len(idx):
-        raise ValueError("row indices must be distinct")
+        raise InvalidValue("row indices must be distinct")
     code = LinearCode.from_basis(A.take_rows(idx), verify_rank=False)
     assert code.is_lcd()
     return code
 
 
-def apply_row_scaling(C: LinearCode, scalars: Sequence[ElemLike]) -> LinearCode:
+def apply_row_scaling(C: LinearCode, scalars: Sequence[int]) -> LinearCode:
     """diag(scalars) G: same code, reshaped generator; all scalars nonzero."""
-    lam = _codes(scalars)
-    if len(lam) != C.k:
-        raise ValueError(f"need {C.k} scalars, got {len(lam)}")
-    if any(v == 0 for v in lam):
-        raise ZeroScalar("scaling entries must be nonzero")
+    lam = _scalars(C.ctx, scalars, C.k)
     return LinearCode.from_basis(C.G.scale_rows(lam), verify_rank=False)
 
 
-def rotation_block_diagonal(ctx: gf.FieldCtx, blocks: Sequence[tuple], k: int) -> MatrixFq:
-    """blockdiag(D_1, ..., D_{k//2}[, 1]) with D = [[a, b], [-b, a]]."""
+def rotation_block_diagonal(ctx: gf.FieldCtx, blocks: Sequence[Sequence[int]],
+                            k: int) -> MatrixFq:
+    """blockdiag(D_1, ..., D_{k//2}[, 1]) with D = [[a, b], [-b, a]]; each
+    block is given as its pair (a, b)."""
     if len(blocks) != k // 2:
         raise BlockCountMismatch(f"need {k // 2} blocks for k={k}")
     m = [[0] * k for _ in range(k)]
     for i, blk in enumerate(blocks):
-        a, b = _code(blk[0]), _code(blk[1])
+        if len(blk) != 2:
+            raise InvalidValue(f"block {i} needs 2 entries, got {len(blk)}")
+        a, b = _elements(ctx, blk, "block entry")
         if a == 0 or b == 0:
             raise DegenerateBlock("block entries must be nonzero")
         if ctx.add(ctx.mul(a, a), ctx.mul(b, b)) == 0:
@@ -115,17 +117,13 @@ def rotation_block_diagonal(ctx: gf.FieldCtx, blocks: Sequence[tuple], k: int) -
 
 
 def apply_rotation_blocks(A: MatrixFq, row_indices: Sequence[int],
-                          scalars: Sequence[ElemLike],
-                          blocks: Sequence[tuple]) -> LinearCode:
+                          scalars: Sequence[int],
+                          blocks: Sequence[Sequence[int]]) -> LinearCode:
     """diag(scalars) blockdiag(D_i) A_k.  Each D_i mixes two neighbouring
     rows; odd k leaves the last row alone.  Still LCD: the Gram is block
     diagonal with invertible blocks."""
     base = lcd_from_rows(A, row_indices)
-    lam = _codes(scalars)
-    if len(lam) != base.k:
-        raise ValueError(f"need {base.k} scalars, got {len(lam)}")
-    if any(v == 0 for v in lam):
-        raise ZeroScalar("scaling entries must be nonzero")
+    lam = _scalars(A.ctx, scalars, base.k)
     D = rotation_block_diagonal(A.ctx, blocks, base.k)
     G = (D @ base.G).scale_rows(lam)
     code = LinearCode.from_basis(G, verify_rank=False)
@@ -136,8 +134,8 @@ def apply_rotation_blocks(A: MatrixFq, row_indices: Sequence[int],
 # ---------------------------------------------------------------------------
 # extension by two coordinates
 
-def extend_by_two(C: LinearCode, lambdas: Sequence[ElemLike],
-                  pair: Optional[tuple[ElemLike, ElemLike]] = None) -> LinearCode:
+def extend_by_two(C: LinearCode, lambdas: Sequence[int],
+                  pair: Optional[Sequence[int]] = None) -> LinearCode:
     """Append two coordinates using an isotropic pair a^2 + b^2 = 0.
 
     Row i (1-indexed) gains the suffix (lam_i a, lam_i b) when i is odd
@@ -154,14 +152,16 @@ def extend_by_two(C: LinearCode, lambdas: Sequence[ElemLike],
         if found is None:
             raise NoIsotropicPair(
                 f"no nonzero a, b with a^2 + b^2 = 0 over GF({ctx.descriptor})")
-        a, b = found[0].code, found[1].code
+        a, b = found
     else:
-        a, b = _code(pair[0]), _code(pair[1])
+        if len(pair) != 2:
+            raise InvalidValue(f"pair needs 2 entries, got {len(pair)}")
+        a, b = _elements(ctx, pair, "pair entry")
         if a == 0 or b == 0 or ctx.add(ctx.mul(a, a), ctx.mul(b, b)) != 0:
-            raise ValueError("pair must be nonzero with a^2 + b^2 = 0")
-    lam = _codes(lambdas)
+            raise InvalidValue("pair must be nonzero with a^2 + b^2 = 0")
+    lam = _elements(ctx, lambdas, "lambda")
     if len(lam) != C.k:
-        raise ValueError(f"need {C.k} lambdas, got {len(lam)}")
+        raise InvalidValue(f"need {C.k} lambdas, got {len(lam)}")
     neg_b = ctx.neg(b)
     rows = []
     for i, row in enumerate(C.G.rows()):
@@ -200,7 +200,7 @@ def matrix_product_generator(codes: Sequence[LinearCode],
                              A: MatrixFq) -> MatrixFq:
     """Block generator with (i, j) block a_ij G_i, stacked over i."""
     if not codes:
-        raise ValueError("need at least one component code")
+        raise InvalidValue("need at least one component code")
     ctx = A.ctx
     n = codes[0].n
     for c in codes:
@@ -231,26 +231,31 @@ def matrix_product_code(codes: Sequence[LinearCode], A: MatrixFq) -> LinearCode:
     return LinearCode.from_basis(gen, verify_rank=False)
 
 
-def mplcd_build(codes: Sequence[LinearCode], base: MatrixFq,
-                scalars: Sequence[ElemLike],
-                blocks: Optional[Sequence[tuple]] = None) -> LinearCode:
-    """[C_1, ..., C_l] A-bar with A-bar = diag(scalars) [blockdiag(D_i)]
-    base, base orthogonal.  LCD if and only if every component is; the
-    failing component's index rides on the error."""
+def scaled_orthogonal(base: MatrixFq, scalars: Sequence[int],
+                      blocks: Optional[Sequence[Sequence[int]]] = None
+                      ) -> MatrixFq:
+    """A-bar = diag(scalars) [blockdiag(D_i)] base, for an orthogonal base
+    and nonzero scalars: the inner matrix of mplcd_build."""
     if not base.is_orthogonal():
         raise NotOrthogonal("base must satisfy A A^T = I")
-    lam = _codes(scalars)
-    if len(lam) != base.r:
-        raise ValueError(f"need {base.r} scalars, got {len(lam)}")
-    if any(v == 0 for v in lam):
-        raise ZeroScalar("scalars must be nonzero")
-    for i, c in enumerate(codes):
-        if not c.is_lcd():
-            raise ComponentNotLCD(i)
+    lam = _scalars(base.ctx, scalars, base.r)
     a_bar = base
     if blocks is not None:
         a_bar = rotation_block_diagonal(base.ctx, blocks, base.r) @ a_bar
-    a_bar = a_bar.scale_rows(lam)
+    return a_bar.scale_rows(lam)
+
+
+def mplcd_build(codes: Sequence[LinearCode], base: MatrixFq,
+                scalars: Sequence[int],
+                blocks: Optional[Sequence[Sequence[int]]] = None
+                ) -> LinearCode:
+    """[C_1, ..., C_l] A-bar with A-bar = scaled_orthogonal(base, scalars,
+    blocks).  LCD if and only if every component is; the failing
+    component's index rides on the error."""
+    a_bar = scaled_orthogonal(base, scalars, blocks)
+    for i, c in enumerate(codes):
+        if not c.is_lcd():
+            raise ComponentNotLCD(i)
     out = matrix_product_code(codes, a_bar)
     assert out.is_lcd()
     return out
@@ -259,10 +264,9 @@ def mplcd_build(codes: Sequence[LinearCode], base: MatrixFq,
 # ---------------------------------------------------------------------------
 # projection along a self-dual basis
 
-def _checked_basis(ctx: gf.FieldCtx,
-                   basis: Sequence[ElemLike]) -> list[int]:
+def _checked_basis(ctx: gf.FieldCtx, basis: Sequence[int]) -> list[int]:
     ell = ctx.degree
-    bs = _codes(basis)
+    bs = _elements(ctx, basis, "basis element")
     if len(bs) != ell:
         raise NotSelfDualBasis(f"basis needs {ell} elements")
     for i in range(ell):
@@ -280,8 +284,7 @@ def expand_symbol(ctx: gf.FieldCtx, basis_codes: Sequence[int],
     return tuple(ctx.trace_code(ctx.mul(e, x)) for e in basis_codes)
 
 
-def project_to_subfield(C: LinearCode,
-                        basis: Sequence[ElemLike]) -> LinearCode:
+def project_to_subfield(C: LinearCode, basis: Sequence[int]) -> LinearCode:
     """Image of the code under coordinate-wise basis expansion: an
     [n*l, k*l] code over the base field, LCD exactly when C is."""
     ctx = C.ctx
@@ -313,7 +316,7 @@ def cyclic_mds_self_orthogonal(ctx: gf.FieldCtx, n: int, k: int) -> LinearCode:
         raise NotADivisor(f"need n | q - 1; got n={n}, q={ctx.q}")
     if not 1 <= k <= (n - 1) // 2:
         raise DimensionTooLarge(f"need 1 <= k <= {(n - 1) // 2}, got {k}")
-    zeta = ctx.primitive_nth_root(n).code
+    zeta = ctx.primitive_nth_root(n)
     # g(x) = prod_{i=1..k} (x - zeta^i), ascending coefficients
     g = [1]
     for i in range(1, k + 1):
@@ -414,9 +417,9 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
     so trials are independent and any schedule replays identically.
     """
     if budget < 1:
-        raise ValueError("budget must be positive")
+        raise InvalidValue("budget must be positive")
     if not 1 <= k <= n:
-        raise ValueError(f"k = {k} is outside 1..n = {n}")
+        raise InvalidValue(f"k = {k} is outside 1..n = {n}")
     gens = orthogen.generator_set(ctx, n)
     for trial in range(budget):
         walk_seed = seed * 1_000_003 + trial

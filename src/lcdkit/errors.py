@@ -11,6 +11,11 @@ class LcdError(Exception):
 
 # field contexts and element arithmetic
 
+class InvalidValue(LcdError, ValueError):
+    """An argument has a bad value: an element code outside [0, q), the
+    wrong number of scalars, or a pair or block of the wrong shape."""
+
+
 class NotPrime(LcdError):
     """Claimed characteristic is not a prime number."""
 

@@ -1,28 +1,32 @@
 """Exact arithmetic in GF(p^m), including extensions over an explicit base
 field, trace maps, and small solvers for distinguished elements.
 
-Elements are plain Python ints in [0, q).  For a context built over a base
-field of order b, the base-b digits of the code (little-endian) are the
-coefficients of the element's polynomial representation over that base; for
-a prime field the code is the residue itself.  0 and 1 are always the
-additive and multiplicative identities.  Contexts are immutable and safe to
-share between threads; every table is built once at construction or on
-first use.
+Elements are plain Python ints in [0, q) everywhere in the package: there
+is no element wrapper, and every function takes and returns these codes.
+For a context built over a base field of order b, the base-b digits of the
+code (little-endian) are the coefficients of the element's polynomial
+representation over that base; for a prime field the code is the residue
+itself.  0 and 1 are always the additive and multiplicative identities.
+Contexts are immutable and safe to share between threads; every table is
+built once at construction or on first use.
 
 Each context carries a fixed multiplicative generator g (the smallest code
 of order q - 1) plus exp/log tables for fields of desk scale, so products,
 inverses, and square roots cost one or two list lookups.
+
+The module also holds the package's one Gaussian-elimination kernel
+(_rref_rows, _nullspace_rows, _det_rows), which MatrixFq wraps.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
-    ContextMismatch,
     DivisionByZero,
+    InvalidValue,
     NotADivisor,
     NotATower,
     NotPrime,
@@ -413,14 +417,14 @@ class FieldCtx:
                 break
         return best
 
-    def primitive_nth_root(self, n: int) -> "FieldElem":
+    def primitive_nth_root(self, n: int) -> int:
         if n < 1 or (self.q - 1) % n != 0:
             raise NotADivisor(f"{n} does not divide q - 1 = {self.q - 1}")
-        return FieldElem(self.power(self.g, (self.q - 1) // n), self)
+        return self.power(self.g, (self.q - 1) // n)
 
     # -- distinguished pairs ------------------------------------------------
 
-    def unit_circle_pair(self) -> Optional[tuple["FieldElem", "FieldElem"]]:
+    def unit_circle_pair(self) -> Optional[tuple[int, int]]:
         """First (a, b) in lexicographic code order with a, b nonzero and
         a^2 + b^2 = 1, or None when no such pair exists."""
         for a in range(1, self.q):
@@ -429,10 +433,10 @@ class FieldCtx:
                 continue
             r = self.sqrt_min(t)
             if r is not None:
-                return FieldElem(a, self), FieldElem(r, self)
+                return a, r
         return None
 
-    def isotropic_pair(self) -> Optional[tuple["FieldElem", "FieldElem"]]:
+    def isotropic_pair(self) -> Optional[tuple[int, int]]:
         """First (a, b) in lexicographic code order with a, b nonzero and
         a^2 + b^2 = 0; None exactly when -1 is a non-square (so never for
         characteristic 2, where (1, 1) works)."""
@@ -440,7 +444,7 @@ class FieldCtx:
             t = self.neg(self.mul(a, a))
             r = self.sqrt_min(t)
             if r is not None and r != 0:
-                return FieldElem(a, self), FieldElem(r, self)
+                return a, r
         return None
 
     # -- trace and subfield structure --------------------------------------
@@ -463,11 +467,11 @@ class FieldCtx:
         if self.base is None:
             raise NotATower("prime field has no base")
         if not 0 <= a < self.base.q:
-            raise ValueError("code outside the base field")
+            raise InvalidValue("code outside the base field")
         return a
 
     def self_dual_basis(self, seed: int = 1, retries: int = 64,
-                        exhaustive: bool = True) -> Optional[list["FieldElem"]]:
+                        exhaustive: bool = True) -> Optional[list[int]]:
         """Basis e_0..e_{l-1} over the base with Tr(e_i e_j) = delta_ij.
 
         Randomized greedy orthonormalization under a fixed seed, with a
@@ -487,37 +491,30 @@ class FieldCtx:
 
         gram_pow = [[form(powers[t], powers[s]) for s in range(ell)]
                     for t in range(ell)]
-        det = _det_rows(base, [row[:] for row in gram_pow])
+        det = _det_rows(base, gram_pow)
         assert det != 0, "trace form must be non-degenerate"
         if qb % 2 == 1 and not base.is_square(det):
             return None
 
-        def to_field(coords: Sequence[int]) -> int:
+        def combine(coeffs: Sequence[int], elems: Sequence[int]) -> int:
+            # base codes embed as themselves, so this is sum c_i e_i
             out = 0
-            for c, w in zip(coords, powers):
+            for c, e in zip(coeffs, elems):
                 if c:
-                    out = self.add(out, self.mul(c, w))
+                    out = self.add(out, self.mul(c, e))
             return out
 
-        def complement(chosen: list[int]) -> list[list[int]]:
+        def complement(chosen: list[int]) -> list[int]:
+            """The elements orthogonal to every chosen one, as a basis."""
             rows = [[form(powers[t], e) for t in range(ell)] for e in chosen]
-            return _nullspace_rows(base, rows, ell)
+            return [combine(vec, powers)
+                    for vec in _nullspace_rows(base, rows, ell)]
 
-        def combine(null: list[list[int]], coeffs: Sequence[int]) -> int:
-            coords = [0] * ell
-            for c, vec in zip(coeffs, null):
-                if c:
-                    for t in range(ell):
-                        if vec[t]:
-                            coords[t] = base.add(coords[t],
-                                                 base.mul(c, vec[t]))
-            return to_field(coords)
-
-        def finish(chosen: list[int]) -> list["FieldElem"]:
+        def finish(chosen: list[int]) -> list[int]:
             for i, u in enumerate(chosen):
                 for j, v in enumerate(chosen):
                     assert form(u, v) == (1 if i == j else 0)
-            return [FieldElem(c, self) for c in chosen]
+            return chosen
 
         rng = random.Random(seed)
         for _ in range(retries):
@@ -529,7 +526,7 @@ class FieldCtx:
                     coeffs = [rng.randrange(qb) for _ in null]
                     if not any(coeffs):
                         continue
-                    cand = combine(null, coeffs)
+                    cand = combine(coeffs, null)
                     if form(cand, cand) == 1:
                         found = cand
                         break
@@ -553,7 +550,7 @@ class FieldCtx:
                 for _ in range(len(null)):
                     rest, c = divmod(rest, qb)
                     coeffs.append(c)
-                cand = combine(null, coeffs)
+                cand = combine(coeffs, null)
                 if form(cand, cand) == 1:
                     res = dfs(chosen + [cand])
                     if res is not None:
@@ -563,32 +560,6 @@ class FieldCtx:
         found = dfs([])
         return finish(found) if found is not None else None
 
-    # -- element plumbing ----------------------------------------------------
-
-    def element(self, x) -> "FieldElem":
-        if isinstance(x, FieldElem):
-            if x.ctx != self:
-                raise ContextMismatch("element belongs to a different field")
-            return x
-        code = int(x)
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} outside [0, {self.q})")
-        return FieldElem(code, self)
-
-    def __call__(self, x) -> "FieldElem":
-        return self.element(x)
-
-    @property
-    def zero(self) -> "FieldElem":
-        return FieldElem(0, self)
-
-    @property
-    def one(self) -> "FieldElem":
-        return FieldElem(1, self)
-
-    def elements(self) -> Iterator["FieldElem"]:
-        return (FieldElem(c, self) for c in range(self.q))
-
     @property
     def descriptor(self) -> str:
         if self.base is None:
@@ -596,9 +567,6 @@ class FieldCtx:
         if self.base.base is None:
             return f"{self.p}^{self.m}"
         return f"{self.base.q}^{self.degree}/{self.base.descriptor}"
-
-    def modulus_text(self) -> str:
-        return ",".join(str(c) for c in self.modulus)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldCtx) and self._key == other._key
@@ -610,102 +578,16 @@ class FieldCtx:
         return f"GF({self.descriptor})"
 
 
-class FieldElem:
-    """A field element: an integer code bound to its context."""
-
-    __slots__ = ("code", "ctx")
-
-    def __init__(self, code: int, ctx: FieldCtx):
-        self.code = code
-        self.ctx = ctx
-
-    def _peer(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.ctx != self.ctx:
-                raise ContextMismatch("operands from different fields")
-            return other.code
-        if isinstance(other, int):
-            if not 0 <= other < self.ctx.q:
-                raise ValueError("integer operand outside [0, q)")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._peer(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.ctx.add(self.code, c), self.ctx)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._peer(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.ctx.sub(self.code, c), self.ctx)
-
-    def __rsub__(self, other):
-        c = self._peer(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.ctx.sub(c, self.code), self.ctx)
-
-    def __mul__(self, other):
-        c = self._peer(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.ctx.mul(self.code, c), self.ctx)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._peer(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.ctx.div(self.code, c), self.ctx)
-
-    def __rtruediv__(self, other):
-        c = self._peer(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.ctx.div(c, self.code), self.ctx)
-
-    def __neg__(self):
-        return FieldElem(self.ctx.neg(self.code), self.ctx)
-
-    def __pow__(self, e: int):
-        return FieldElem(self.ctx.power(self.code, e), self.ctx)
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.ctx.inv(self.code), self.ctx)
-
-    def trace(self) -> "FieldElem":
-        """Trace into the immediate base field, as a base-field element."""
-        return FieldElem(self.ctx.trace_code(self.code), self.ctx.base)
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElem):
-            return self.ctx == other.ctx and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # equal to the hash of the int it compares equal to
-        return hash(self.code)
-
-    def __repr__(self) -> str:
-        return f"GF({self.ctx.descriptor}):{self.code}"
-
-
 # ---------------------------------------------------------------------------
-# small exact linear algebra over a context, used by the basis solver
+# Gaussian elimination on lists of rows: the one kernel behind
+# MatrixFq.rref/det/nullspace and the self-dual basis solver.  Each routine
+# rewrites the rows it is given and pivots on the first nonzero entry of
+# the column, which makes the reduced form canonical.
 
-def _rref_rows(base: FieldCtx, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    rows = [row[:] for row in rows]
+def _rref_rows(ctx: FieldCtx, rows: list[list[int]]) -> list[int]:
+    """Reduce rows in place to reduced row echelon form and return the
+    pivot columns; the rows past the last pivot end up zero."""
+    inv, mul, sub = ctx.inv, ctx.mul, ctx.sub
     ncols = len(rows[0]) if rows else 0
     pivots, r = [], 0
     for col in range(ncols):
@@ -713,36 +595,42 @@ def _rref_rows(base: FieldCtx, rows: list[list[int]]) -> tuple[list[list[int]], 
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = base.inv(rows[r][col])
-        rows[r] = [base.mul(inv, v) for v in rows[r]]
+        s = inv(rows[r][col])
+        if s != 1:
+            rows[r] = [mul(s, v) for v in rows[r]]
+        prow = rows[r]
         for i in range(len(rows)):
             if i != r and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [base.sub(a, base.mul(f, b))
-                           for a, b in zip(rows[i], rows[r])]
+                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return rows[:r], pivots
+    return pivots
 
 
-def _nullspace_rows(base: FieldCtx, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    if not rows:
-        return [[1 if t == s else 0 for t in range(ncols)] for s in range(ncols)]
-    red, pivots = _rref_rows(base, rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def _nullspace_rows(ctx: FieldCtx, rows: list[list[int]],
+                    ncols: int) -> list[list[int]]:
+    """Vectors x with row . x = 0 for every row: one per free column of the
+    reduced rows, in column order, with a 1 there."""
+    pivots = _rref_rows(ctx, rows)
+    pivot_set = set(pivots)
     out = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         vec = [0] * ncols
         vec[f] = 1
-        for i, p in enumerate(pivots):
-            vec[p] = base.neg(red[i][f])
+        for row, p in zip(rows, pivots):
+            vec[p] = ctx.neg(row[f])
         out.append(vec)
     return out
 
 
-def _det_rows(base: FieldCtx, rows: list[list[int]]) -> int:
+def _det_rows(ctx: FieldCtx, rows: list[list[int]]) -> int:
+    """Determinant of a square list of rows, by forward elimination."""
+    inv, mul, sub = ctx.inv, ctx.mul, ctx.sub
     n = len(rows)
     det = 1
     for col in range(n):
@@ -751,14 +639,14 @@ def _det_rows(base: FieldCtx, rows: list[list[int]]) -> int:
             return 0
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = base.neg(det)
-        det = base.mul(det, rows[col][col])
-        inv = base.inv(rows[col][col])
+            det = ctx.neg(det)
+        det = mul(det, rows[col][col])
+        s = inv(rows[col][col])
+        prow = rows[col]
         for i in range(col + 1, n):
             if rows[i][col]:
-                f = base.mul(rows[i][col], inv)
-                rows[i] = [base.sub(a, base.mul(f, b))
-                           for a, b in zip(rows[i], rows[col])]
+                f = mul(rows[i][col], s)
+                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
     return det
 
 

@@ -1,10 +1,10 @@
 """Exact dense matrices over a field context.
 
 Matrices are immutable value types: entries are a flat tuple of element
-codes in row-major order, so matrices hash and compare cheaply (the closure
-enumeration keys on exactly this tuple).  All elimination routines use
-deterministic first-nonzero pivoting, which makes reduced row echelon form
-canonical for code comparison.
+codes in row-major order, so matrices hash and compare cheaply.  rref, det
+and nullspace are thin wrappers around the row-list elimination kernel in
+gf, whose first-nonzero pivoting makes reduced row echelon form canonical
+for code comparison.
 
 Text serialization is one header line "<field> <rows> <cols>" followed by
 one line of space-separated codes per row; parsing with the same default
@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from . import gf
-from .errors import ContextMismatch, ParseError, ShapeMismatch, Singular
+from .errors import (ContextMismatch, InvalidValue, ParseError,
+                     ShapeMismatch, Singular)
 
 
 class MatrixFq:
@@ -45,7 +46,7 @@ class MatrixFq:
             for v in row:
                 v = int(v)
                 if not 0 <= v < ctx.q:
-                    raise ValueError(f"code {v} outside [0, {ctx.q})")
+                    raise InvalidValue(f"code {v} outside [0, {ctx.q})")
                 flat.append(v)
         return cls(ctx, r, c, flat)
 
@@ -70,7 +71,7 @@ class MatrixFq:
         """Matrix sending coordinate i to sigma[i] under right action x -> xP."""
         n = len(sigma)
         if sorted(sigma) != list(range(n)):
-            raise ValueError("not a permutation")
+            raise InvalidValue("not a permutation")
         flat = [0] * (n * n)
         for i, s in enumerate(sigma):
             flat[i * n + s] = 1
@@ -186,30 +187,16 @@ class MatrixFq:
 
     # -- elimination ----------------------------------------------------------
 
+    def _row_lists(self) -> list[list[int]]:
+        return [list(self.row(i)) for i in range(self.r)]
+
     def rref(self) -> tuple["MatrixFq", tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns."""
-        ctx = self.ctx
-        rows = [list(self.row(i)) for i in range(self.r)]
-        pivots, r = [], 0
-        for col in range(self.c):
-            pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = ctx.inv(rows[r][col])
-            if inv != 1:
-                rows[r] = [ctx.mul(inv, v) for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [ctx.sub(a, ctx.mul(f, b))
-                               for a, b in zip(rows[i], rows[r])]
-            pivots.append(col)
-            r += 1
-            if r == len(rows):
-                break
+        """Reduced row echelon form, zero rows at the bottom, and its pivot
+        columns."""
+        rows = self._row_lists()
+        pivots = gf._rref_rows(self.ctx, rows)
         flat = [v for row in rows for v in row]
-        return MatrixFq(ctx, self.r, self.c, flat), tuple(pivots)
+        return MatrixFq(self.ctx, self.r, self.c, flat), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -217,25 +204,7 @@ class MatrixFq:
     def det(self) -> int:
         if self.r != self.c:
             raise ShapeMismatch("determinant needs a square matrix")
-        ctx = self.ctx
-        n = self.r
-        rows = [list(self.row(i)) for i in range(n)]
-        det = 1
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if rows[i][col]), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = ctx.neg(det)
-            det = ctx.mul(det, rows[col][col])
-            inv = ctx.inv(rows[col][col])
-            for i in range(col + 1, n):
-                if rows[i][col]:
-                    f = ctx.mul(rows[i][col], inv)
-                    rows[i] = [ctx.sub(a, ctx.mul(f, b))
-                               for a, b in zip(rows[i], rows[col])]
-        return det
+        return gf._det_rows(self.ctx, self._row_lists())
 
     def inverse(self) -> "MatrixFq":
         if self.r != self.c:
@@ -248,18 +217,9 @@ class MatrixFq:
 
     def nullspace(self) -> "MatrixFq":
         """Basis rows h with self @ h^T = 0; (c - rank) rows, deterministic."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.c) if j not in pivot_set]
-        ctx = self.ctx
-        flat = []
-        for f in free:
-            vec = [0] * self.c
-            vec[f] = 1
-            for i, p in enumerate(pivots):
-                vec[p] = ctx.neg(red[i, f])
-            flat.extend(vec)
-        return MatrixFq(ctx, len(free), self.c, flat)
+        null = gf._nullspace_rows(self.ctx, self._row_lists(), self.c)
+        return MatrixFq(self.ctx, len(null), self.c,
+                        [v for row in null for v in row])
 
     # -- serialization ---------------------------------------------------------
 

@@ -78,7 +78,7 @@ def rotation_matrix(ctx: gf.FieldCtx, n: int) -> Optional[MatrixFq]:
     pair = ctx.unit_circle_pair()
     if pair is None:
         return None
-    a, b = pair[0].code, pair[1].code
+    a, b = pair
     m = MatrixFq.identity(ctx, n)
     entries = list(m.entries)
     entries[0] = a
@@ -146,7 +146,10 @@ def _swap_sigma(n: int) -> tuple[int, ...]:
     return (1, 0) + tuple(range(2, n))
 
 
+@functools.lru_cache(maxsize=None)
 def generator_set(ctx: gf.FieldCtx, n: int) -> OrthoGenSet:
+    """The generating set for (ctx, n).  It is immutable, so one instance
+    per (ctx, n) is built and shared, walk ops included."""
     if n < 1:
         raise DimensionTooSmall("n must be positive")
     swap = MatrixFq.permutation(ctx, _swap_sigma(n))
@@ -161,8 +164,7 @@ def generator_set(ctx: gf.FieldCtx, n: int) -> OrthoGenSet:
                        if n >= 4 else None,
                        rotation=rotation, half_turn=half,
                        theta=_theta(ctx),
-                       unit_pair=None if pair is None
-                       else (pair[0].code, pair[1].code))
+                       unit_pair=pair)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,46 @@ def test_extend_non_integer_option_is_a_usage_error(tmp_path, capsys,
     assert f"{option} wants comma-separated integers" in err
 
 
+def _malformed_value_args(tmp_path):
+    """The six malformed-value commands, keyed by case name."""
+    bad = tmp_path / "g7.txt"
+    bad.write_text("7 1 3\n1 9 2\n")
+    g5 = tmp_path / "g5.txt"
+    g5.write_text("5 2 4\n1 0 1 0\n0 1 0 1\n")   # Gram 2 I: LCD
+    g4 = tmp_path / "g4.txt"
+    g4.write_text(MatrixFq.from_rows(field_create(2, 2),
+                                     [[1, 2, 3, 1]]).to_text())
+    ex = product_example()
+    base = tmp_path / "base.txt"
+    base.write_text(ex["base"].to_text())
+    comps = []
+    for i, c in enumerate(ex["components"]):
+        p = tmp_path / f"c{i}.txt"
+        p.write_text(c.G.to_text())
+        comps.append(str(p))
+    product = ["product", "--base", str(base), "--components",
+               ",".join(comps)]
+    return {
+        "entry_outside_field": ["verify", str(bad)],
+        "lambda_count": ["extend", str(g5), "--lambdas", "1,2,3"],
+        "lambda_outside_field": ["extend", str(g5), "--lambdas", "1,9"],
+        "basis_outside_field": ["project", str(g4), "--basis", "99,1"],
+        "scalar_outside_field": product + ["--scalars", "1,13,1,1"],
+        "one_entry_block": product + ["--scalars", "2,3,6,4",
+                                      "--blocks", "1;2,3"],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "entry_outside_field", "lambda_count", "lambda_outside_field",
+    "basis_outside_field", "scalar_outside_field", "one_entry_block"])
+def test_malformed_value_exits_1(tmp_path, capsys, case):
+    assert main(_malformed_value_args(tmp_path)[case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lcdkit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sample_deterministic(capsys):
     code, first = run(capsys, "sample", "--field", "7", "--n", "4",
                       "--seed", "5")

@@ -17,7 +17,8 @@ from lcdkit import (EXACT, CodeRecord, LinearCode, MatrixFq,
 from lcdkit.construct import (apply_row_scaling, apply_rotation_blocks,
                               rotation_block_diagonal)
 from lcdkit.errors import (BlockCountMismatch, ComponentNotLCD,
-                           DegenerateBlock, DimensionTooLarge, MixedLengths,
+                           DegenerateBlock, DimensionTooLarge, InvalidValue,
+                           LcdError, MixedLengths,
                            NoIsotropicPair, NotADivisor, NotLCD,
                            NotOrthogonal, NotSelfDualBasis, RankDeficient,
                            ZeroScalar)
@@ -105,6 +106,28 @@ def test_extend_rejects_bad_inputs(F5, F7):
     hull = LinearCode.from_basis(MatrixFq.from_rows(F5, [[1, 2, 0]]))
     with pytest.raises(NotLCD):
         extend_by_two(hull, [1])
+
+
+def test_values_outside_the_field_raise_invalid_value(F5):
+    C = lcd_from_rows(MatrixFq.identity(F5, 3), [0, 1])
+    ex = product_example()
+    T = tower_create(field_create(2), 2)
+    bad_calls = [
+        lambda: extend_by_two(C, [1, 9]),             # lambda outside GF(5)
+        lambda: extend_by_two(C, [1, 1], (2, 6)),     # pair entry outside
+        lambda: extend_by_two(C, [1, 1], (2,)),       # one-entry pair
+        lambda: apply_row_scaling(C, [1, -1]),
+        lambda: rotation_block_diagonal(F5, [(1,)], 2),
+        lambda: rotation_block_diagonal(F5, [(1, 7)], 2),
+        lambda: mplcd_build(ex["components"], ex["base"], [1, 13, 1, 1]),
+        lambda: project_to_subfield(LinearCode.full(T, 2), [99, 1]),
+        lambda: MatrixFq.from_rows(F5, [[1, 5]]),
+    ]
+    for call in bad_calls:
+        with pytest.raises(InvalidValue) as exc:
+            call()
+        assert isinstance(exc.value, LcdError)
+        assert isinstance(exc.value, ValueError)
 
 
 def test_extend_explicit_pair_row_pattern(F13):

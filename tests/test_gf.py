@@ -117,7 +117,7 @@ def test_trace_needs_tower():
 
 def test_primitive_nth_root():
     F13 = field_create(13)
-    z = F13.primitive_nth_root(12).code
+    z = F13.primitive_nth_root(12)
     seen = {F13.power(z, i) for i in range(12)}
     assert len(seen) == 12
     with pytest.raises(NotADivisor):
@@ -129,14 +129,14 @@ def test_unit_circle_and_isotropic_pairs():
     F5 = field_create(5)
     iso = F5.isotropic_pair()
     assert iso is not None
-    a, b = iso[0].code, iso[1].code
+    a, b = iso
     assert a and b and F5.add(F5.mul(a, a), F5.mul(b, b)) == 0
     # q = 7: -1 is not a square, no isotropic pair, but a unit circle pair
     F7 = field_create(7)
     assert F7.isotropic_pair() is None
     uc = F7.unit_circle_pair()
     assert uc is not None
-    a, b = uc[0].code, uc[1].code
+    a, b = uc
     assert a and b and F7.add(F7.mul(a, a), F7.mul(b, b)) == 1
     # q = 3, 5: no unit circle pair with both entries nonzero
     assert field_create(3).unit_circle_pair() is None
@@ -152,7 +152,7 @@ def test_self_dual_basis_exists_and_checks():
         for i, e in enumerate(basis):
             for j, f in enumerate(basis):
                 want = 1 if i == j else 0
-                assert T.trace_code(T.mul(e.code, f.code)) == want
+                assert T.trace_code(T.mul(e, f)) == want
 
 
 def test_self_dual_basis_none_for_gf9_over_gf3():
@@ -168,20 +168,25 @@ def test_embed_identity_on_codes():
     assert [F4.embed(a) for a in range(2)] == [0, 1]
 
 
-def test_element_wrapper_arithmetic():
-    F7 = field_create(7)
-    x = F7(3)
-    assert (x + x).code == 6
-    assert (x * x).code == 2
-    assert (-x).code == 4
-    assert (x / x).code == 1
-    assert (x ** 6).code == 1
+# self_dual_basis is seeded and greedy, so the default basis of `project`
+# and of tables 4 and 5 depends on its exact output: these lists pin it
+PINNED_SELF_DUAL_BASES = [
+    ("4/2", [3, 2]),
+    ("8/2", [3, 5, 7]),
+    ("27/3", [11, 21, 24]),
+    ("16/4", [6, 7]),
+]
 
 
-def test_element_hash_agrees_with_eq():
-    F7, F5 = field_create(7), field_create(5)
-    assert F7(3) == 3 and hash(F7(3)) == hash(3)
-    assert 3 in {F7(3)} and F7(3) in {3}
-    assert {F7(3): "x"}[3] == "x"
-    # same code, different fields: equal hashes, still unequal elements
-    assert F7(3) != F5(3) and len({F7(3), F5(3)}) == 2
+@pytest.mark.parametrize("desc,basis", PINNED_SELF_DUAL_BASES)
+def test_self_dual_basis_pinned(desc, basis):
+    assert parse_field(desc).self_dual_basis() == basis
+
+
+def test_distinguished_elements_are_plain_ints():
+    F5, F7, F13 = field_create(5), field_create(7), field_create(13)
+    values = [*F7.unit_circle_pair(), *F5.isotropic_pair(),
+              F13.primitive_nth_root(4)]
+    for desc, _ in PINNED_SELF_DUAL_BASES:
+        values += parse_field(desc).self_dual_basis()
+    assert all(type(v) is int for v in values)

@@ -1,10 +1,11 @@
 """Exact matrix algebra: hand-checked products, rref, duality plumbing."""
 
+import itertools
 import random
 
 import pytest
 
-from lcdkit import MatrixFq, field_create
+from lcdkit import MatrixFq, field_create, parse_field
 from lcdkit.errors import ParseError, ShapeMismatch, Singular
 from lcdkit.fixtures import product_example
 
@@ -107,3 +108,114 @@ def test_matrix_hashing_value_semantics():
     B = MatrixFq.from_rows(F3, [[1, 2], [0, 1]])
     assert A == B and hash(A) == hash(B)
     assert len({A, B}) == 1
+
+
+# -- the elimination kernel against independent oracles ------------------------
+#
+# rref, det and nullspace all run through one row-list kernel in gf.  The
+# oracles below share none of its code: the Leibniz sum for det, and spans
+# and annihilators enumerated vector by vector for rank, rref and
+# nullspace.  GF(1031) has no flat tables; its cases keep q^rank and q^c
+# small by building rank-one matrices.
+
+# field -> (largest column count, largest rank built)
+KERNEL_CASES = {"2": (6, 4), "3": (5, 4), "4": (4, 4), "9": (3, 3),
+                "1031": (3, 1)}
+
+
+def _low_rank(ctx, r, c, t, rng):
+    """r x c matrix of rank at most t: a random r x t times a random t x c."""
+    if t == 0:
+        return MatrixFq.zeros(ctx, r, c)
+    return random_matrix(ctx, r, t, rng) @ random_matrix(ctx, t, c, rng)
+
+
+def _kernel_matrices(desc, seed):
+    ctx = parse_field(desc)
+    c_max, t_max = KERNEL_CASES[desc]
+    rng = random.Random(seed)
+    for _ in range(80):
+        r, c = rng.randrange(1, 5), rng.randrange(1, c_max + 1)
+        yield _low_rank(ctx, r, c, rng.randrange(0, min(r, c, t_max) + 1),
+                        rng)
+
+
+def _span(ctx, rows, c):
+    """Every linear combination of rows, grown one row at a time: a row
+    already in the span adds nothing, any other multiplies it by q."""
+    span = {(0,) * c}
+    for row in rows:
+        if tuple(row) in span:
+            continue
+        span = {tuple(ctx.add(v, ctx.mul(s, w)) for v, w in zip(vec, row))
+                for vec in span for s in range(ctx.q)}
+    return span
+
+
+def _dot(ctx, u, v):
+    s = 0
+    for a, b in zip(u, v):
+        s = ctx.add(s, ctx.mul(a, b))
+    return s
+
+
+def _leibniz_det(ctx, M):
+    total = 0
+    for sigma in itertools.permutations(range(M.r)):
+        inversions = sum(1 for i, j in itertools.combinations(range(M.r), 2)
+                         if sigma[i] > sigma[j])
+        term = 1
+        for i, s in enumerate(sigma):
+            term = ctx.mul(term, M[i, s])
+        total = ctx.sub(total, term) if inversions % 2 else ctx.add(total,
+                                                                    term)
+    return total
+
+
+@pytest.mark.parametrize("desc", list(KERNEL_CASES))
+def test_det_matches_leibniz_sum(desc):
+    ctx = parse_field(desc)
+    rng = random.Random(71)
+    seen_zero = seen_nonzero = 0
+    for _ in range(60):
+        n = rng.randrange(1, 5)
+        M = (random_matrix(ctx, n, n, rng) if rng.random() < 0.7
+             else _low_rank(ctx, n, n, rng.randrange(0, n), rng))
+        want = _leibniz_det(ctx, M)
+        assert M.det() == want
+        seen_zero += want == 0
+        seen_nonzero += want != 0
+    assert seen_zero and seen_nonzero
+
+
+@pytest.mark.parametrize("desc", list(KERNEL_CASES))
+def test_rank_and_rref_match_the_enumerated_span(desc):
+    ctx = parse_field(desc)
+    for M in _kernel_matrices(desc, 72):
+        span = _span(ctx, M.rows(), M.c)
+        assert len(span) == ctx.q ** M.rank()
+        red, pivots = M.rref()
+        assert (red.r, red.c) == (M.r, M.c)
+        rows = red.rows()
+        assert all(not any(row) for row in rows[len(pivots):])
+        for i, p in enumerate(pivots):
+            assert rows[i][:p] == (0,) * p and rows[i][p] == 1
+            assert [row[p] for row in rows] == [int(j == i)
+                                                for j in range(M.r)]
+        assert _span(ctx, rows[:len(pivots)], M.c) == span
+
+
+@pytest.mark.parametrize("desc", list(KERNEL_CASES))
+def test_nullspace_matches_brute_force(desc):
+    ctx = parse_field(desc)
+    for M in _kernel_matrices(desc, 73):
+        if ctx.q ** M.c > 1100:
+            continue
+        rows = M.rows()
+        dead = {x for x in itertools.product(range(ctx.q), repeat=M.c)
+                if all(_dot(ctx, row, x) == 0 for row in rows)}
+        N = M.nullspace()
+        assert N.r == M.c - M.rank()
+        assert len(dead) == ctx.q ** N.r
+        assert _span(ctx, N.rows(), M.c) == dead
+
