@@ -46,6 +46,10 @@ TABLE4_DEMO = ("4", 4, 1, 4, 5)
 TABLE5_DEMO = ("27/3", 5, 1, 5, 9)
 
 
+# the verbs whose --n is a matrix or code length
+N_VERBS = frozenset({"order", "sample", "search", "rs-pipeline"})
+
+
 @dataclass
 class RunConfig:
     """Validated bag of common knobs; argparse fills it per verb."""
@@ -65,7 +69,9 @@ class RunConfig:
         for name in ("target_d", "budget", "cap", "walk_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
-        if self.n < 0 or self.k < 0:
+        if self.verb in N_VERBS and self.n < 1:
+            raise ValueError("--n must be positive")
+        if self.k < 0:
             raise ValueError("dimensions must be positive")
         if self.k > self.n:
             raise ValueError(f"--k {self.k} exceeds --n {self.n}")

@@ -1,6 +1,6 @@
 """Generators for orthogonal matrix groups over GF(q) and tools built on
-them: breadth-first closure counting, classical group orders for
-comparison, and seeded random walks that sample orthogonal matrices.
+them: exact group orders from a stabilizer chain, classical group orders
+for comparison, and seeded random walks that sample orthogonal matrices.
 
 The generating set for n x n matrices is
   * the transposition swapping coordinates 0 and 1,
@@ -17,19 +17,22 @@ The generating set for n x n matrices is
     closure orders for q in {3, 5} correspond to; dropping it shrinks
     the n = 4 closures from 384 to 48.
 
-Right multiplication maps each row on its own, so closure enumeration
-works on the orbit of the unit rows (about q^(n-1) vectors): a matrix is
-the tuple of its n row ids, a generator one image table over the orbit,
-and a capped call stops early once the orbit alone exceeds the cap.  The
-random walk holds its matrix as n column tuples and folds runs of steps
-before it applies them (see random_orthogonal).
+group_closure_order builds a deterministic Schreier-Sims stabilizer chain
+(Sims 1970; Seress, Permutation Group Algorithms, 2003) with base
+e_0..e_{n-1}: a matrix sends base point e_i to its row i, so the basic
+orbits are sets of unit-norm row vectors (about q^(n-1-l) at level l),
+built by vector-matrix products, and the order is the product of their
+sizes.  A capped call stops as soon as the partial orbits prove the order
+exceeds the cap.  The random walk holds its matrix as n column tuples and
+folds runs of steps before it applies them (see random_orthogonal).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -218,70 +221,228 @@ def _transvection_cols(ctx: gf.FieldCtx, theta: int) -> _ColOp:
 
 
 # ---------------------------------------------------------------------------
+# stabilizer chain with base e_0..e_{n-1}
 
-def _row_orbit(gens: OrthoGenSet, cap: int
-               ) -> Optional[tuple[list[_State], list[list[int]]]]:
-    """The orbit of the unit rows under the generators, ids in discovery
-    order (e_i has id i), and per generator of matrices() an image table:
-    images[g][i] is the id of vecs[i] * g.  None as soon as the orbit has
-    more than cap vectors."""
-    ctx, n, q = gens.ctx, gens.n, gens.ctx.q
-    tabled = q <= 1 << 10
-    at, mt = ctx.tables() if tabled else (None, None)
-    # generator columns as nonzero (row, entry) pairs, entry as mul-table row
-    gcols = [[[(i, mt[c * q:(c + 1) * q] if tabled else c)
-               for i, c in enumerate(M.col(j)) if c] for j in range(n)]
-             for M in gens.matrices()]
-    vecs = MatrixFq.identity(ctx, n).rows()
-    ids = {v: i for i, v in enumerate(vecs)}
-    images: list[list[int]] = [[] for _ in gcols]
-    for v in vecs:                      # vecs grows while it is walked
-        for cols, table in zip(gcols, images):
-            row = []
-            for col in cols:
+_Gen = Callable[[_State], _State]          # v -> v * g for a generator g
+
+
+class _Chain:
+    """A Schreier-Sims stabilizer chain for one group_closure_order call.
+
+    Level l holds the strong generators that fix e_0..e_{l-1} and the
+    orbit of e_l under them, with a Schreier tree (parent point and the
+    generator that maps it there) from which transversal elements u_b,
+    e_l u_b = b, are built on demand.  A group element is its tuple of n
+    rows, so the image of base point i is row i, and its inverse is its
+    transpose.  Orbits only grow, and every point keeps its tree edge, so
+    a transversal once built stays valid.
+    """
+
+    def __init__(self, ctx: gf.FieldCtx, n: int, cap: int):
+        self.n, self.cap = n, cap
+        units = self.units = tuple(MatrixFq.identity(ctx, n).rows())
+        self.pts: list[list[_State]] = [[e] for e in units]
+        self.idx: list[dict[_State, int]] = [{e: 0} for e in units]
+        self.parent = [array("l", [-1]) for _ in units]
+        self.via: list[list[Optional[_Gen]]] = [[None] for _ in units]
+        self.gens: list[list[_Gen]] = [[] for _ in units]
+        # per level and generator: how many orbit points have had their
+        # Schreier generator with it sifted
+        self.done: list[list[int]] = [[] for _ in units]
+        q = ctx.q
+        if q <= gf._FLAT_MAX:
+            at, mt = ctx.tables()
+            mrows: dict[int, list[int]] = {}
+
+            def coef(c: int):
+                row = mrows.get(c)
+                if row is None:
+                    row = mrows[c] = mt[c * q:(c + 1) * q]
+                return row
+
+            def combine(v: _State, col: list) -> int:
                 s = 0
                 for i, c in col:
-                    s = (at[s * q + c[v[i]]] if tabled
-                         else ctx.add(s, ctx.mul(v[i], c)))
-                row.append(s)
-            w = tuple(row)
-            j = ids.get(w)
-            if j is None:
-                if len(vecs) >= cap:
-                    return None
-                j = ids[w] = len(vecs)
-                vecs.append(w)
-            table.append(j)
-    return vecs, images
+                    s = at[s * q + c[v[i]]]
+                return s
+        else:
+            add, mul = ctx.add, ctx.mul
+
+            def coef(c: int):
+                return c
+
+            def combine(v: _State, col: list) -> int:
+                s = 0
+                for i, c in col:
+                    s = add(s, mul(v[i], c))
+                return s
+        self._coef, self._combine = coef, combine
+        # transversals as (rows, dividing columns); e_l's is the identity
+        self.trans: list[dict[int, tuple]] = [
+            {0: (units, [[(i, coef(1))] for i in range(l + 1, n)])}
+            for l in range(n)]
+
+    def _gen(self, rows: tuple[_State, ...]) -> _Gen:
+        """v -> v * rows: a gather for a permutation matrix, sums over each
+        column's nonzero entries otherwise."""
+        cols = [[(i, c) for i, c in enumerate(col) if c]
+                for col in zip(*rows)]
+        if all(len(col) == 1 and col[0][1] == 1 for col in cols):
+            src = [col[0][0] for col in cols]
+            return lambda v: tuple([v[i] for i in src])
+        coef, combine = self._coef, self._combine
+        sparse = [[(i, coef(c)) for i, c in col] for col in cols]
+        return lambda v: tuple([combine(v, col) for col in sparse])
+
+    def add(self, rows: tuple[_State, ...], top: int, first: int) -> bool:
+        """Make rows, which fix e_0..e_{top-1} and move e_top, a strong
+        generator of levels 0..top, and extend the orbits of levels
+        first..top by it (the orbits above first already hold it).  False
+        once the product of the orbit sizes passes the cap."""
+        g = self._gen(rows)
+        for l in range(top + 1):
+            self.gens[l].append(g)
+            self.done[l].append(0)
+        return all(self._grow(l, g) for l in range(first, top + 1))
+
+    def _grow(self, l: int, g: _Gen) -> bool:
+        """Close level l's orbit under its generators after g joined them:
+        old points under g, new points under all."""
+        pts, idx = self.pts[l], self.idx[l]
+        parent, via = self.parent[l], self.via[l]
+        others = 1
+        for k, p in enumerate(self.pts):
+            if k != l:
+                others *= len(p)
+        limit = self.cap // others
+        old = len(pts)
+        gens = self.gens[l]
+        b = 0
+        while b < len(pts):
+            beta = pts[b]
+            for h in (g,) if b < old else gens:
+                img = h(beta)
+                if img not in idx:
+                    if len(pts) >= limit:
+                        return False
+                    idx[img] = len(pts)
+                    pts.append(img)
+                    parent.append(b)
+                    via.append(h)
+            b += 1
+        return True
+
+    def _u(self, l: int, j: int) -> tuple[tuple[_State, ...], list]:
+        """The transversal element for point j of level l, built down its
+        Schreier tree from the nearest point that has one, with the
+        columns that divide by it: v * u^T takes the dot product of v with
+        each row of u, and rows 0..l of u only meet the zero entries of
+        the rows divided (see _div)."""
+        trans, parent, via = self.trans[l], self.parent[l], self.via[l]
+        path = []
+        while j not in trans:
+            path.append(j)
+            j = parent[j]
+        u = trans[j]
+        coef = self._coef
+        for j in reversed(path):
+            rows = u[0][:l] + tuple(map(via[j], u[0][l:]))
+            u = trans[j] = rows, [[(i, coef(c)) for i, c in enumerate(w) if c]
+                                  for w in rows[l + 1:]]
+        return u
+
+    def _div(self, v: _State, u: tuple[tuple[_State, ...], list], l: int
+             ) -> _State:
+        """v * u^T for a row v below row l of an element whose row l is
+        row l of u.  The quotient is orthogonal and fixes e_0..e_l, so its
+        rows below l have zeros in entries 0..l."""
+        combine = self._combine
+        return (0,) * (l + 1) + tuple([combine(v, col) for col in u[1]])
+
+    def _sift(self, tail: list[_State], l: int
+              ) -> Optional[tuple[tuple[_State, ...], int]]:
+        """Sift the element of level l with rows tail (rows l..n-1; the
+        rows above are e_0..e_{l-1}).  None when it is in the chain, else
+        the residue's rows and the level whose orbit misses its row."""
+        units = self.units
+        while tail:
+            beta = tail[0]
+            if beta != units[l]:
+                j = self.idx[l].get(beta)
+                if j is None:
+                    return units[:l] + tuple(tail), l
+                u = self._u(l, j)
+                tail = [self._div(v, u, l) for v in tail[1:]]
+            else:
+                tail = tail[1:]
+            l += 1
+        return None
+
+    def _schreier(self, l: int
+                  ) -> Optional[tuple[tuple[_State, ...], int]]:
+        """Sift the untested Schreier generators u_b s u_{b s}^T of level
+        l; the first residue that is not the identity, or None."""
+        pts, idx = self.pts[l], self.idx[l]
+        parent, via, done = self.parent[l], self.via[l], self.done[l]
+        for k, g in enumerate(self.gens[l]):
+            while done[k] < len(pts):
+                b = done[k]
+                done[k] = b + 1
+                j = idx[g(pts[b])]
+                if parent[j] == b and via[j] is g:
+                    continue            # tree edge: u_b s = u_{b s}
+                ub, uj = self._u(l, b), self._u(l, j)
+                res = self._sift([self._div(g(v), uj, l)
+                                  for v in ub[0][l + 1:]], l + 1)
+                if res is not None:
+                    return res
+        return None
+
+    def start(self, matrices: list[MatrixFq]) -> bool:
+        """Make each matrix that is not the identity a strong generator of
+        the levels up to the first base point it moves.  False once the
+        orbits already pass the cap."""
+        n, units = self.n, self.units
+        for M in matrices:
+            rows = tuple(M.rows())
+            moved = [i for i in range(n) if rows[i] != units[i]]
+            if moved and not self.add(rows, moved[0], 0):
+                return False
+        return True
+
+    def close(self) -> bool:
+        """Complete the chain by deterministic Schreier-Sims: deepest level
+        first, and back down to a level whenever it gains a generator.
+        False once the order provably passes the cap."""
+        l = self.n - 1
+        while l >= 0:
+            res = self._schreier(l)
+            if res is None:
+                l -= 1
+                continue
+            rows, top = res
+            if not self.add(rows, top, l + 1):
+                return False
+            l = top
+        return True
 
 
 def group_closure_order(gens: OrthoGenSet,
                         cap: int = DEFAULT_CLOSURE_CAP) -> tuple[int, bool]:
-    """Size of the group generated by the set, by BFS from the identity
-    over states of n row ids (see _row_orbit).
+    """Size of the group generated by the set, from a deterministic
+    Schreier-Sims stabilizer chain with base e_0..e_{n-1} (see _Chain):
+    the product of the basic orbit sizes.
 
-    Returns (order, True) when the closure finished, or (cap, False)
-    exactly when the order exceeds the cap: the moment one more state
-    would push past it, or before the BFS when the orbit alone has more
-    than cap vectors (the n-cycle makes it one orbit, and |G| >= |orbit|).
+    Returns (order, True), or (cap, False) exactly when the order exceeds
+    the cap.  Every partial orbit lies inside its true basic orbit, so the
+    product of the partial orbit sizes bounds |G| from below, and the call
+    gives up the moment that bound passes the cap.  Nothing is kept
+    between calls.
     """
-    action = _row_orbit(gens, cap)
-    if action is None:
+    chain = _Chain(gens.ctx, gens.n, cap)
+    if not (chain.start(gens.matrices()) and chain.close()):
         return cap, False
-    steps = [table.__getitem__ for table in action[1]]
-    ident = tuple(range(gens.n))
-    seen = {ident}
-    frontier = deque([ident])
-    while frontier:
-        state = frontier.popleft()
-        for step in steps:
-            nxt = tuple(map(step, state))
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    return cap, False
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen), True
+    return math.prod(len(p) for p in chain.pts), True
 
 
 def classical_orthogonal_order(n: int, q: int) -> int:

@@ -89,6 +89,20 @@ def test_search_k_zero_is_a_usage_error(capsys):
     assert err == "lcdkit: --k must be positive\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["order", "--field", "3", "--n", "0"],
+    ["order", "--field", "3", "--n", "-1"],
+    ["sample", "--field", "7", "--n", "0"],
+    ["sample", "--field", "7", "--n", "-1"],
+    ["search", "--field", "7", "--n", "0", "--k", "1", "--target-d", "1"],
+    ["rs-pipeline", "--field", "16", "--n", "0", "--k", "0"],
+], ids=["order-0", "order-neg", "sample-0", "sample-neg", "search-0",
+        "rs-pipeline-0"])
+def test_nonpositive_n_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "lcdkit: --n must be positive\n"
+
+
 def test_verify_non_integer_entry_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("7 1 3\n1 x 2\n")

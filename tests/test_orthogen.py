@@ -11,7 +11,7 @@ from lcdkit import (MatrixFq, classical_orthogonal_order, field_create,
 from lcdkit.cli import main
 from lcdkit.errors import DimensionTooSmall, UnsupportedShape
 from lcdkit.fixtures import group_orders
-from lcdkit.orthogen import (_row_orbit, half_turn_matrix, rotation_matrix,
+from lcdkit.orthogen import (_Chain, half_turn_matrix, rotation_matrix,
                              transvection_matrix)
 
 
@@ -78,6 +78,7 @@ CLOSURES = [
     ("3", 5, 103680),
     ("7", 4, 225792),
     ("8", 4, 258048),
+    ("4", 5, 979200),
 ]
 
 
@@ -89,13 +90,83 @@ def test_closure_orders(field, n, expected):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("field,n,expected", [
-    ("4", 5, 979200),
-])
-def test_closure_orders_large(field, n, expected):
-    gens = generator_set(parse_field(field), n)
-    order, complete = group_closure_order(gens, cap=1 << 21)
-    assert complete and order == expected
+@pytest.mark.parametrize("field,n", [("9", 4), ("16", 4), ("5", 5), ("7", 5)])
+def test_closure_orders_large(field, n):
+    ctx = parse_field(field)
+    t, o = group_orders()[(n, ctx.q)]
+    order, complete = group_closure_order(generator_set(ctx, n), cap=o)
+    assert complete and order == t
+    if ctx.q % 2:
+        assert order == classical_orthogonal_order(n, ctx.q)
+
+
+@pytest.mark.slow
+def test_closure_order_is_half_of_o4_17():
+    # the generators lie in the spinor kernel (see the spinor norm test),
+    # so they reach |O_4(17)| / 2, not the bundled table's T = |O_4(17)|
+    gens = generator_set(parse_field("17"), 4)
+    assert group_closure_order(gens, cap=1 << 40) == (23970816, True)
+    assert 2 * 23970816 == classical_orthogonal_order(4, 17)
+
+
+def spinor_norm(M):
+    """The spinor norm of an orthogonal M, as a field element up to
+    squares, by Zassenhaus's formula: with D = I - M and R row indices of
+    a basis of D's row space, it is 2^|R| det(D[R, R]).  A reflection in
+    v then has norm v.v, the convention under which the swap has norm 2."""
+    ctx, n = M.ctx, M.r
+    D = MatrixFq.from_rows(ctx, [[ctx.sub(int(i == j), M[i, j])
+                                  for j in range(n)] for i in range(n)])
+    _, R = D.T.rref()
+    theta = D.take_rows(R).take_cols(R).det() if R else 1
+    for _ in R:
+        theta = ctx.mul(theta, 2)
+    return theta
+
+
+def reflection(ctx, v, vv):
+    """x -> x - 2 (x.v / v.v) v as a matrix, for v.v = vv != 0."""
+    c = ctx.div(2, vv)
+    n = len(v)
+    return MatrixFq.from_rows(ctx, [
+        [ctx.sub(int(i == j), ctx.mul(c, ctx.mul(v[i], v[j])))
+         for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("field", ["17", "25"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_generators_have_square_spinor_norm(field, n):
+    # over GF(17) and GF(25) every generator has square spinor norm (swap
+    # 2, n-cycle 2^(n-1), transvection 4, rotation 2(1 - a)), so the
+    # group they generate lies in the index-2 spinor kernel of O_n(q)
+    ctx = parse_field(field)
+    gens = generator_set(ctx, n)
+    rng = random.Random(n * ctx.q)
+    nonsquare = False
+    while not nonsquare:
+        v = [rng.randrange(ctx.q) for _ in range(n)]
+        vv = 0
+        for x in v:
+            vv = ctx.add(vv, ctx.mul(x, x))
+        if vv == 0:
+            continue
+        R = reflection(ctx, v, vv)
+        assert R.is_orthogonal()
+        assert ctx.is_square(ctx.div(spinor_norm(R), vv))
+        nonsquare = not ctx.is_square(vv)   # the norm is onto F*/F*^2
+    for seed in range(5):                   # and multiplicative
+        A = random_orthogonal(gens, 64, seed)
+        B = random_orthogonal(gens, 64, seed + 5)
+        assert ctx.is_square(ctx.mul(spinor_norm(A @ B),
+                                     ctx.mul(spinor_norm(A), spinor_norm(B))))
+    matrices = gens.matrices()
+    assert [spinor_norm(M) for M in matrices[:2]] == [2, ctx.power(2, n - 1)]
+    a = gens.unit_pair[0]
+    assert spinor_norm(gens.transvection) == 1      # 4 up to squares
+    assert spinor_norm(gens.rotation) == ctx.mul(ctx.power(2, 3),  # 4 2(1-a)
+                                                 ctx.sub(1, a))
+    for M in matrices:
+        assert ctx.is_square(spinor_norm(M))
 
 
 # ---------------------------------------------------------------------------
@@ -259,47 +330,77 @@ def flat_closure_order(gens, cap):
 SMALL_ORDER = 10 ** 4
 
 
-@pytest.mark.parametrize("field", ["2", "3", "4", "5", "7", "8", "9"])
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_closure_matches_flat_bfs(field, n):
-    gens = generator_set(parse_field(field), n)
+def check_against_flat_bfs(gens):
     order, complete = flat_closure_order(gens, SMALL_ORDER)
     if not complete:
         assert group_closure_order(gens, SMALL_ORDER) == (SMALL_ORDER, False)
         return
     assert group_closure_order(gens) == (order, True)
-    for cap in (1, n - 1, order - 1, order, order + 1):
+    for cap in (1, gens.n - 1, order - 1, order, order + 1):
         assert group_closure_order(gens, cap) == flat_closure_order(gens, cap)
 
 
 @pytest.mark.parametrize("field", ["2", "3", "4", "5", "7", "8", "9"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closure_matches_flat_bfs(field, n):
+    check_against_flat_bfs(generator_set(parse_field(field), n))
+
+
+@pytest.mark.parametrize("field,order", [("1031", 688), ("2048", 4)])
+def test_closure_matches_flat_bfs_untabled(field, order):
+    # above 2^10 elements the chain works through ctx.add/ctx.mul
+    gens = generator_set(parse_field(field), 2)
+    assert flat_closure_order(gens, SMALL_ORDER) == (order, True)
+    check_against_flat_bfs(gens)
+
+
+def level0_orbit(gens, cap):
+    """The chain's level-0 orbit from the generators alone, or None once
+    it has more than cap vectors."""
+    chain = _Chain(gens.ctx, gens.n, cap)
+    if not chain.start(gens.matrices()):
+        assert len(chain.pts[0]) == cap      # gave up at vector cap + 1
+        return None
+    return chain
+
+
+@pytest.mark.parametrize("field", ["2", "3", "4", "5", "7", "8", "9"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_row_orbit_is_a_unit_norm_permutation_action(field, n):
+    # level 0 of the chain: the orbit of e_0, which holds every unit row
+    # (the n-cycle is a generator), with its Schreier tree
     ctx = parse_field(field)
     gens = generator_set(ctx, n)
-    vecs, images = _row_orbit(gens, SMALL_ORDER)
-    assert vecs[:n] == MatrixFq.identity(ctx, n).rows()
+    chain = level0_orbit(gens, SMALL_ORDER)
+    vecs = chain.pts[0]
+    units = MatrixFq.identity(ctx, n).rows()
+    assert vecs[0] == units[0] and set(units) <= set(vecs)
+    assert len(set(vecs)) == len(vecs)
+    assert all(len(p) == 1 for p in chain.pts[1:])
     # the guard gives up exactly when a vector past the cap turns up
-    assert _row_orbit(gens, len(vecs))[0] == vecs
-    if len(vecs) > n:
-        assert _row_orbit(gens, len(vecs) - 1) is None
+    assert level0_orbit(gens, len(vecs)).pts[0] == vecs
+    if len(vecs) > 1:
+        assert level0_orbit(gens, len(vecs) - 1) is None
     for v in vecs:
         norm = 0
         for x in v:
             norm = ctx.add(norm, ctx.mul(x, x))
         assert norm == 1
-    for M, table in zip(gens.matrices(), images):
-        assert sorted(table) == list(range(len(vecs)))
-        for i, v in enumerate(vecs):
-            image = MatrixFq(ctx, 1, n, v) @ M
-            assert image.entries == vecs[table[i]]
+    for M in gens.matrices():
+        images = [(MatrixFq(ctx, 1, n, v) @ M).entries for v in vecs]
+        assert sorted(images) == sorted(vecs)
+    # each transversal element is orthogonal and sends e_0 to its point
+    for j in range(0, len(vecs), -(-len(vecs) // 200)):
+        rows = chain._u(0, j)[0]
+        assert rows[0] == vecs[j]
+        assert MatrixFq.from_rows(ctx, rows).is_orthogonal()
 
 
 def test_closure_orbit_guard():
-    # the orbit of GF(16)^7 unit rows has far more than 1000 vectors, so
-    # the call gives up before any BFS state is expanded
+    # the orbit of the GF(16)^7 unit rows has far more than 1000 vectors,
+    # so the call gives up while it builds the level-0 orbit
     gens = generator_set(field_create(2, 4), 7)
-    assert _row_orbit(gens, 1000) is None
+    assert level0_orbit(gens, 1000) is None
     assert group_closure_order(gens, cap=1000) == (1000, False)
 
 
