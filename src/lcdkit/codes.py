@@ -27,7 +27,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from . import gf
 from .errors import (
     BudgetExceeded,
-    ContextMismatch,
     DistanceNotExact,
     EmptyResult,
     ParseError,
@@ -281,17 +280,11 @@ def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
     return is the exact minimum."""
     q = ctx.q
     k = len(rows)
-    if q <= gf._FLAT_MAX:
-        # c * row as the add-table rows of its entries, so that adding it
-        # to a vector is one map of getitem
-        mt, adds = ctx.tables()[1], ctx.add_rows()
-        scaled = [[[adds[mt[c * q + x]] for x in row] for c in range(1, q)]
-                  for row in rows]
-        combine = getitem
-    else:
-        scaled = [[tuple(ctx.mul(c, v) for v in row) for c in range(1, q)]
-                  for row in rows]
-        combine = ctx.add
+    # c * row as the add-table rows of its entries, so that adding it to a
+    # vector is one map of getitem
+    adds, muls = ctx.tables()
+    scaled = [[[adds[muls[c][x]] for x in row] for c in range(1, q)]
+              for row in rows]
     best = n + 1
 
     def rec(i: int, vec):
@@ -299,12 +292,12 @@ def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
         if i < k - 1:
             rec(i + 1, vec)
             for srow in scaled[i]:
-                rec(i + 1, tuple(map(combine, srow, vec)))
+                rec(i + 1, tuple(map(getitem, srow, vec)))
             return
         zeros = vec.count(0)
         if i < k:
             for srow in scaled[i]:
-                z = list(map(combine, srow, vec)).count(0)
+                z = list(map(getitem, srow, vec)).count(0)
                 if z > zeros:
                     zeros = z
                     if n - z < at_least:
@@ -340,25 +333,7 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
     if rows_h == 0:
         return 1, True
     ctx = H.ctx
-    q = ctx.q
-    if q <= gf._FLAT_MAX:
-        add, mul = ctx.tables()
-        mulrow = [None] * q         # row c of the mul table, cut on first use
-
-        def scaled(c, v):
-            row = mulrow[c]
-            if row is None:
-                row = mulrow[c] = mul[c * q:c * q + q]
-            return tuple(map(row.__getitem__, v))
-
-        def plus(u, v):
-            return tuple([add[x * q + y] for x, y in zip(u, v)])
-    else:
-        def scaled(c, v):
-            return tuple(ctx.mul(c, x) for x in v)
-
-        def plus(u, v):
-            return tuple(map(ctx.add, u, v))
+    adds, muls = ctx.tables()
 
     def scan(rest, need: int):
         """True at the first dependent leaf, False when the budget runs
@@ -377,9 +352,15 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
             # rest[i] is nonzero: smaller sets than size w are independent
             v = rest[i]
             p = next(j for j, x in enumerate(v) if x)
-            vt = scaled(ctx.neg(ctx.inv(v[p])), v[p + 1:])    # -v / v[p]
-            later = [b[:p] + (plus(b[p + 1:], scaled(b[p], vt)) if b[p]
-                              else b[p + 1:]) for b in rest[i + 1:]]
+            m = muls[ctx.neg(ctx.inv(v[p]))]
+            vt = [m[x] for x in v[p + 1:]]                   # -v / v[p]
+            later = []
+            for b in rest[i + 1:]:
+                tail = b[p + 1:]
+                if b[p]:
+                    mb = muls[b[p]]
+                    tail = tuple([adds[x][mb[y]] for x, y in zip(tail, vt)])
+                later.append(b[:p] + tail)
             found = scan(later, need - 1)
             if found is not None:
                 return found
@@ -399,6 +380,10 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
 
 # ---------------------------------------------------------------------------
 # persistent records
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
 
 RECORD_TAGS = ("rows", "scaled", "rotated", "extended", "matrix_product",
                "projection", "rs_lemma3")
@@ -454,14 +439,29 @@ class CodeRecord:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad record line: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ParseError("record line is not a JSON object")
         missing = {"field", "n", "k", "d", "d_status", "tag",
                    "provenance", "matrix"} - set(raw)
         if missing:
             raise ParseError(f"record missing fields {sorted(missing)}")
+        raw.setdefault("timestamp", 0)
+        wrong = [name for name, ok in (
+            ("field", isinstance(raw["field"], str)),
+            ("n", _is_int(raw["n"])),
+            ("k", _is_int(raw["k"])),
+            ("d", raw["d"] is None or _is_int(raw["d"])),
+            ("d_status", isinstance(raw["d_status"], str)),
+            ("tag", isinstance(raw["tag"], str)),
+            ("provenance", isinstance(raw["provenance"], dict)),
+            ("matrix", isinstance(raw["matrix"], str)),
+            ("timestamp", _is_int(raw["timestamp"]))) if not ok]
+        if wrong:
+            raise ParseError(f"record fields of the wrong type {wrong}")
         return cls(field=raw["field"], n=raw["n"], k=raw["k"], d=raw["d"],
                    d_status=raw["d_status"], tag=raw["tag"],
                    provenance=raw["provenance"], matrix=raw["matrix"],
-                   timestamp=raw.get("timestamp", 0))
+                   timestamp=raw["timestamp"])
 
     @classmethod
     def from_code(cls, code: LinearCode, tag: str, provenance: dict,

@@ -14,6 +14,11 @@ Each context carries a fixed multiplicative generator g (the smallest code
 of order q - 1) plus exp/log tables for fields of desk scale, so products,
 inverses, and square roots cost one or two list lookups.
 
+The hot loops elsewhere in the package do their arithmetic through
+``FieldCtx.tables()``, one interface for every q: adds[a][b] and
+muls[a][b].  Up to _TABLE_MAX elements these are q x q lists of rows;
+above it each row is computed on access through add and mul.
+
 The module also holds the package's one Gaussian-elimination kernel
 (_rref_rows, _nullspace_rows, _det_rows), which MatrixFq wraps.
 """
@@ -36,7 +41,7 @@ from .errors import (
 )
 
 _EXPLOG_MAX = 1 << 20    # cap on exp/log table size (O(q) ints each)
-_FLAT_MAX = 1 << 10      # cap on q*q flat add/mul tables used by hot loops
+_TABLE_MAX = 1 << 10     # tables() are q x q lists up to here, computed above
 _EXHAUSTIVE_MAX = 1 << 16  # self-dual basis falls back to complete search below this
 
 
@@ -158,6 +163,32 @@ def _poly_irreducible(base: "FieldCtx", f: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# tables() above _TABLE_MAX: rows that compute their entries on access.
+# Neither class is iterable, since its indices have no end.
+
+class _ComputedRow:
+    __slots__ = ("_op", "_a")
+    __iter__ = None
+
+    def __init__(self, op, a: int):
+        self._op, self._a = op, a
+
+    def __getitem__(self, b: int) -> int:
+        return self._op(self._a, b)
+
+
+class _ComputedTable:
+    __slots__ = ("_op",)
+    __iter__ = None
+
+    def __init__(self, op):
+        self._op = op
+
+    def __getitem__(self, a: int) -> _ComputedRow:
+        return _ComputedRow(self._op, a)
+
+
+# ---------------------------------------------------------------------------
 # field contexts
 
 class FieldCtx:
@@ -170,8 +201,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "m", "q", "base", "degree", "modulus", "g",
-                 "exp", "log", "_add_flat", "_mul_flat", "_add_rows", "_key",
-                 "_hash")
+                 "exp", "log", "_tables", "_key", "_hash")
 
     def __init__(self, p: int, base: Optional["FieldCtx"], degree: int,
                  modulus: Optional[Sequence[int]]):
@@ -206,9 +236,7 @@ class FieldCtx:
         self._hash = hash(self._key)
         self.g = self._find_generator()
         self.exp, self.log = self._build_explog()
-        self._add_flat = None
-        self._add_rows = None
-        self._mul_flat = None
+        self._tables = None
 
     # -- construction helpers -------------------------------------------
 
@@ -371,23 +399,21 @@ class FieldCtx:
             return self.exp[(self.log[a] * e) % (self.q - 1)]
         return self._raw_pow(a, e)
 
-    def tables(self) -> tuple[list[int], list[int]]:
-        """Flat q*q add and mul tables indexed by a*q + b; desk-scale only."""
-        if self.q > _FLAT_MAX:
-            raise ValueError(f"flat tables disabled for q = {self.q}")
-        if self._add_flat is None:
-            q = self.q
-            self._add_flat = [self.add(a, b) for a in range(q) for b in range(q)]
-            self._mul_flat = [self.mul(a, b) for a in range(q) for b in range(q)]
-        return self._add_flat, self._mul_flat
-
-    def add_rows(self) -> list[list[int]]:
-        """The flat add table cut into rows: add_rows()[a][b] = a + b."""
-        if self._add_rows is None:
-            at, _ = self.tables()
-            q = self.q
-            self._add_rows = [at[a * q:(a + 1) * q] for a in range(q)]
-        return self._add_rows
+    def tables(self) -> tuple[Sequence[Sequence[int]],
+                              Sequence[Sequence[int]]]:
+        """(adds, muls) with adds[a][b] = add(a, b) and muls[a][b] =
+        mul(a, b).  Up to _TABLE_MAX elements they are q x q lists of
+        lists, built on the first call; above it their rows are computed
+        on access.  Either way the pair is kept on the context."""
+        if self._tables is None:
+            if self.q <= _TABLE_MAX:
+                r = range(self.q)
+                self._tables = ([[self.add(a, b) for b in r] for a in r],
+                                [[self.mul(a, b) for b in r] for a in r])
+            else:
+                self._tables = (_ComputedTable(self.add),
+                                _ComputedTable(self.mul))
+        return self._tables
 
     # -- squares, roots of unity ------------------------------------------
 

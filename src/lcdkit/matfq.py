@@ -13,7 +13,7 @@ moduli round-trips bit-exactly.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import gf
 from .errors import (ContextMismatch, InvalidValue, ParseError,

@@ -24,7 +24,8 @@ orbits are sets of unit-norm row vectors (about q^(n-1-l) at level l),
 built by vector-matrix products, and the order is the product of their
 sizes.  A capped call stops as soon as the partial orbits prove the order
 exceeds the cap.  The random walk holds its matrix as n column tuples and
-folds runs of steps before it applies them (see random_orthogonal).
+folds runs of steps before it applies them (see random_orthogonal).  Both
+do their arithmetic by indexing ``ctx.tables()``.
 """
 
 from __future__ import annotations
@@ -176,21 +177,13 @@ def generator_set(ctx: gf.FieldCtx, n: int) -> OrthoGenSet:
 def _plane_cols(ctx: gf.FieldCtx, a: int, b: int) -> _ColOp:
     """Right multiply by [[a,-b],[b,a]] on coordinates 0 and 1: columns
     x, y become a x + b y and a y - b x."""
-    q, nb = ctx.q, ctx.neg(b)
-    tabled = q <= gf._FLAT_MAX
-    if tabled:
-        at, mt = ctx.tables()
-        ma, mb, mnb = (mt[c * q:(c + 1) * q] for c in (a, b, nb))
-    add, mul = ctx.add, ctx.mul
+    adds, muls = ctx.tables()
+    ma, mb, mnb = muls[a], muls[b], muls[ctx.neg(b)]
 
     def op(cols: list) -> None:
         x, y = cols[0], cols[1]
-        if tabled:
-            cols[0] = tuple([at[ma[u] * q + mb[v]] for u, v in zip(x, y)])
-            cols[1] = tuple([at[mnb[u] * q + ma[v]] for u, v in zip(x, y)])
-        else:
-            cols[0] = tuple([add(mul(u, a), mul(v, b)) for u, v in zip(x, y)])
-            cols[1] = tuple([add(mul(u, nb), mul(v, a)) for u, v in zip(x, y)])
+        cols[0] = tuple([adds[ma[u]][mb[v]] for u, v in zip(x, y)])
+        cols[1] = tuple([adds[mnb[u]][ma[v]] for u, v in zip(x, y)])
 
     return op
 
@@ -198,24 +191,14 @@ def _plane_cols(ctx: gf.FieldCtx, a: int, b: int) -> _ColOp:
 def _transvection_cols(ctx: gf.FieldCtx, theta: int) -> _ColOp:
     """Right multiply by I + theta * ones(4): each row gains theta times
     the sum of its first four entries, on those same four columns."""
-    q = ctx.q
-    tabled = q <= gf._FLAT_MAX
-    if tabled:
-        at, mt = ctx.tables()
-        mth = mt[theta * q:(theta + 1) * q]
-    add, mul = ctx.add, ctx.mul
+    adds, muls = ctx.tables()
+    mth = muls[theta]
 
     def op(cols: list) -> None:
         four = cols[:4]
-        if tabled:
-            ts = [mth[at[at[a * q + b] * q + at[c * q + d]]]
-                  for a, b, c, d in zip(*four)]
-            cols[:4] = [tuple([at[x * q + t] for x, t in zip(col, ts)])
-                        for col in four]
-        else:
-            ts = [mul(theta, add(add(a, b), add(c, d)))
-                  for a, b, c, d in zip(*four)]
-            cols[:4] = [tuple(map(add, col, ts)) for col in four]
+        ts = [mth[adds[adds[a][b]][adds[c][d]]] for a, b, c, d in zip(*four)]
+        cols[:4] = [tuple([adds[x][t] for x, t in zip(col, ts)])
+                    for col in four]
 
     return op
 
@@ -249,37 +232,18 @@ class _Chain:
         # per level and generator: how many orbit points have had their
         # Schreier generator with it sifted
         self.done: list[list[int]] = [[] for _ in units]
-        q = ctx.q
-        if q <= gf._FLAT_MAX:
-            at, mt = ctx.tables()
-            mrows: dict[int, list[int]] = {}
+        # a column entry (i, muls[c]) stands for the product v[i] * c
+        adds, muls = ctx.tables()
 
-            def coef(c: int):
-                row = mrows.get(c)
-                if row is None:
-                    row = mrows[c] = mt[c * q:(c + 1) * q]
-                return row
-
-            def combine(v: _State, col: list) -> int:
-                s = 0
-                for i, c in col:
-                    s = at[s * q + c[v[i]]]
-                return s
-        else:
-            add, mul = ctx.add, ctx.mul
-
-            def coef(c: int):
-                return c
-
-            def combine(v: _State, col: list) -> int:
-                s = 0
-                for i, c in col:
-                    s = add(s, mul(v[i], c))
-                return s
-        self._coef, self._combine = coef, combine
+        def combine(v: _State, col: list) -> int:
+            s = 0
+            for i, c in col:
+                s = adds[s][c[v[i]]]
+            return s
+        self._muls, self._combine = muls, combine
         # transversals as (rows, dividing columns); e_l's is the identity
         self.trans: list[dict[int, tuple]] = [
-            {0: (units, [[(i, coef(1))] for i in range(l + 1, n)])}
+            {0: (units, [[(i, muls[1])] for i in range(l + 1, n)])}
             for l in range(n)]
 
     def _gen(self, rows: tuple[_State, ...]) -> _Gen:
@@ -290,8 +254,8 @@ class _Chain:
         if all(len(col) == 1 and col[0][1] == 1 for col in cols):
             src = [col[0][0] for col in cols]
             return lambda v: tuple([v[i] for i in src])
-        coef, combine = self._coef, self._combine
-        sparse = [[(i, coef(c)) for i, c in col] for col in cols]
+        muls, combine = self._muls, self._combine
+        sparse = [[(i, muls[c]) for i, c in col] for col in cols]
         return lambda v: tuple([combine(v, col) for col in sparse])
 
     def add(self, rows: tuple[_State, ...], top: int, first: int) -> bool:
@@ -344,10 +308,10 @@ class _Chain:
             path.append(j)
             j = parent[j]
         u = trans[j]
-        coef = self._coef
+        muls = self._muls
         for j in reversed(path):
             rows = u[0][:l] + tuple(map(via[j], u[0][l:]))
-            u = trans[j] = rows, [[(i, coef(c)) for i, c in enumerate(w) if c]
+            u = trans[j] = rows, [[(i, muls[c]) for i, c in enumerate(w) if c]
                                   for w in rows[l + 1:]]
         return u
 

@@ -184,6 +184,16 @@ def test_search_writes_store(tmp_path, capsys):
     assert (rec["n"], rec["k"], rec["d"]) == (6, 2, 5)
 
 
+def test_search_malformed_store_exits_1(tmp_path, capsys):
+    store = tmp_path / "bad.jsonl"
+    store.write_text("5\n")
+    assert main(["search", "--field", "7", "--n", "6", "--k", "2",
+                 "--target-d", "5", "--store", str(store)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lcdkit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_search_miss_exits_1(capsys):
     code, out = run(capsys, "search", "--field", "2", "--n", "4", "--k",
                     "2", "--target-d", "4", "--budget", "30")

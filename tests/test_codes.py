@@ -128,7 +128,7 @@ def _cols_dependent(ctx, cols, height):
 @pytest.mark.parametrize("desc", ["2", "5", "13", "4", "8", "16", "9", "25",
                                   "1031"])
 def test_column_subsets_match_from_scratch_oracle(desc):
-    # 1031 > 2^10 has no flat tables: the ctx.add/mul fallback path
+    # 1031 > 2^10: the tables' rows are computed through ctx.add/mul
     from lcdkit.codes import (DEFAULT_DISTANCE_BUDGET,
                               _distance_by_column_subsets)
     ctx = parse_field(desc)
@@ -163,7 +163,7 @@ def test_column_subsets_match_from_scratch_oracle(desc):
 
 @pytest.mark.parametrize("desc", ["2", "5", "16", "25", "1031"])
 def test_distance_at_least(desc):
-    # 1031 > 2^10 has no flat tables: the ctx.add/mul enumeration path
+    # 1031 > 2^10: the tables' rows are computed through ctx.add/mul
     from lcdkit.codes import DEFAULT_DISTANCE_BUDGET
     ctx = parse_field(desc)
     rng = random.Random(f"at_least:{desc}")
@@ -257,6 +257,12 @@ def test_record_round_trip(F7, rng):
         CodeRecord.from_json("{not json")
     with pytest.raises(ParseError):
         CodeRecord.from_json(json.dumps({"field": "7"}))
+    # valid JSON of the wrong shape: not an object, or a field of the
+    # wrong type, which would otherwise break RecordStore.save's sort
+    with pytest.raises(ParseError):
+        CodeRecord.from_json("5")
+    with pytest.raises(ParseError):
+        CodeRecord.from_json(json.dumps({**json.loads(text), "n": "x"}))
 
 
 def test_store_dedupe_and_determinism(tmp_path, F5, rng):

@@ -1,5 +1,7 @@
 """Field arithmetic against hand-computed values and the field axioms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,33 @@ def test_gf7_tables():
     assert F7.inv(3) == 5
     assert F7.power(3, 6) == 1
     assert F7.sub(2, 5) == 4
+
+
+@pytest.mark.parametrize("desc", ["2", "7", "9", "16"])
+def test_tables_below_the_cap_are_lists(desc):
+    F = parse_field(desc)
+    adds, muls = F.tables()
+    assert F.tables() is F.tables()
+    assert len(adds) == len(muls) == F.q
+    for a in range(F.q):
+        assert isinstance(adds[a], list) and isinstance(muls[a], list)
+        assert len(adds[a]) == len(muls[a]) == F.q
+        for b in range(F.q):
+            assert adds[a][b] == F.add(a, b)
+            assert muls[a][b] == F.mul(a, b)
+
+
+@pytest.mark.parametrize("desc", ["1031", "2^11"])
+def test_tables_above_the_cap_compute_rows(desc):
+    # no q x q table is built here: rows compute their entries on access
+    F = parse_field(desc)
+    adds, muls = F.tables()
+    assert F.tables() is F.tables()
+    rng = random.Random(f"tables:{desc}")
+    for _ in range(500):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert adds[a][b] == F.add(a, b)
+        assert muls[a][b] == F.mul(a, b)
 
 
 def test_gf4_is_not_z4():

@@ -115,8 +115,8 @@ def test_matrix_hashing_value_semantics():
 # rref, det and nullspace all run through one row-list kernel in gf.  The
 # oracles below share none of its code: the Leibniz sum for det, and spans
 # and annihilators enumerated vector by vector for rank, rref and
-# nullspace.  GF(1031) has no flat tables; its cases keep q^rank and q^c
-# small by building rank-one matrices.
+# nullspace.  GF(1031) is large: its cases keep q^rank and q^c small by
+# building rank-one matrices.
 
 # field -> (largest column count, largest rank built)
 KERNEL_CASES = {"2": (6, 4), "3": (5, 4), "4": (4, 4), "9": (3, 3),
