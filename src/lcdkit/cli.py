@@ -13,8 +13,10 @@ Verbs:
   project      subfield projection through a self-dual basis
   rs-pipeline  cyclic self-orthogonal route to MDS LCD codes
 
-All randomness sits behind --seed; reruns with the same arguments write
-byte-identical record files.  Exit status: 0 on success, 1 when a
+Each verb reads its files and options and prints and stores what the
+constructions return; every record and its provenance is built in
+``construct``.  All randomness sits behind --seed; reruns with the same
+arguments write byte-identical record files.  Exit status: 0 on success, 1 when a
 verification or a mandatory reproduction target fails, 2 on usage
 errors.
 """
@@ -23,16 +25,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import construct, fixtures, gf, orthogen
-from .codes import EXACT, CodeRecord, LinearCode, RecordStore
-from .errors import LcdError, ParseError, UnsupportedShape
+from .codes import EXACT, CodeRecord, LinearCode, RecordStore, singleton_class
+from .errors import InvalidValue, LcdError, ParseError, UnsupportedShape
 from .matfq import MatrixFq
-
-KNOWN_TABLES = (1, 2, 3, 4, 5)
 
 # desk-scale subset of the bundled order table: each closes in seconds
 DESK_SCALE_ORDERS = ((4, "3"), (4, "4"), (4, "5"), (4, "7"), (4, "8"),
@@ -46,45 +45,8 @@ TABLE4_DEMO = ("4", 4, 1, 4, 5)
 TABLE5_DEMO = ("27/3", 5, 1, 5, 9)
 
 
-# the verbs whose --n is a matrix or code length
-N_VERBS = frozenset({"order", "sample", "search", "rs-pipeline"})
-
-
-@dataclass
-class RunConfig:
-    """Validated bag of common knobs; argparse fills it per verb."""
-
-    verb: str
-    field: Optional[str] = None
-    n: int = 0
-    k: int = 0
-    target_d: int = 1
-    budget: int = 100_000
-    seed: int = 0
-    cap: int = orthogen.DEFAULT_CLOSURE_CAP
-    walk_length: int = orthogen.DEFAULT_WALK_LENGTH
-    store: Optional[str] = None
-
-    def __post_init__(self):
-        for name in ("target_d", "budget", "cap", "walk_length"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be positive")
-        if self.verb in N_VERBS and self.n < 1:
-            raise ValueError("--n must be positive")
-        if self.k < 0:
-            raise ValueError("dimensions must be positive")
-        if self.k > self.n:
-            raise ValueError(f"--k {self.k} exceeds --n {self.n}")
-        if self.verb == "search" and self.k < 1:
-            raise ValueError("--k must be positive")
-        if self.field is not None:
-            gf.parse_field(self.field)
-
-
-def _int_list(text: Optional[str], option: str) -> Optional[list[int]]:
-    """Comma-separated integers of an option value; None when absent."""
-    if text is None:
-        return None
+def _int_list(text: str, option: str) -> list[int]:
+    """Comma-separated integers of an option value."""
     try:
         return [int(v) for v in text.split(",")]
     except ValueError:
@@ -96,8 +58,9 @@ def _bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _open_store(path: Optional[str]) -> Optional[RecordStore]:
-    return RecordStore(Path(path)) if path else None
+def _read_code(path: str) -> LinearCode:
+    return LinearCode.from_generator(MatrixFq.from_text(
+        Path(path).read_text()))
 
 
 def _record_line(rec: CodeRecord) -> str:
@@ -114,19 +77,36 @@ def _verify_line(code: LinearCode) -> str:
             f"d_status={dist.status} class={cls}")
 
 
-# ---------------------------------------------------------------------------
-# verbs
+def _store_records(args: argparse.Namespace,
+                   records: Sequence[CodeRecord]) -> None:
+    if not args.store:
+        return
+    store = RecordStore(args.store)
+    for rec in records:
+        store.add(rec)
+    store.save()
 
-def cmd_order(cfg: RunConfig) -> int:
-    ctx = gf.parse_field(cfg.field)
-    gens = orthogen.generator_set(ctx, cfg.n)
-    order, complete = orthogen.group_closure_order(gens, cfg.cap)
+
+def _store_and_report(args: argparse.Namespace,
+                      records: Sequence[CodeRecord]) -> None:
+    for rec in records:
+        print(_record_line(rec))
+    _store_records(args, records)
+
+
+# ---------------------------------------------------------------------------
+# verbs: each takes the parsed and checked arguments
+
+def cmd_order(args: argparse.Namespace) -> int:
+    ctx = gf.parse_field(args.field)
+    gens = orthogen.generator_set(ctx, args.n)
+    order, complete = orthogen.group_closure_order(gens, args.cap)
     print(f"order={order} complete={_bool(complete)}")
     try:
-        classical = orthogen.classical_orthogonal_order(cfg.n, ctx.q)
+        classical = orthogen.classical_orthogonal_order(args.n, ctx.q)
     except UnsupportedShape:
         classical = None
-    reference = fixtures.group_orders().get((cfg.n, ctx.q))
+    reference = fixtures.group_orders().get((args.n, ctx.q))
     if classical is not None:
         print(f"classical={classical}")
     if not complete:
@@ -141,142 +121,76 @@ def cmd_order(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(path: str) -> int:
-    code = LinearCode.from_generator(MatrixFq.from_text(
-        Path(path).read_text()))
-    print(_verify_line(code))
+def cmd_verify(args: argparse.Namespace) -> int:
+    print(_verify_line(_read_code(args.matrix)))
     return 0
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    ctx = gf.parse_field(cfg.field)
-    gens = orthogen.generator_set(ctx, cfg.n)
-    A = orthogen.random_orthogonal(gens, cfg.walk_length, cfg.seed)
+def cmd_sample(args: argparse.Namespace) -> int:
+    ctx = gf.parse_field(args.field)
+    gens = orthogen.generator_set(ctx, args.n)
+    A = orthogen.random_orthogonal(gens, args.walk_length, args.seed)
     sys.stdout.write(A.to_text())
     return 0
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    ctx = gf.parse_field(cfg.field)
-    rec = construct.search_random_lcd(ctx, cfg.n, cfg.k, cfg.target_d,
-                                      cfg.budget, cfg.seed,
-                                      cfg.walk_length)
+def cmd_search(args: argparse.Namespace) -> int:
+    ctx = gf.parse_field(args.field)
+    rec = construct.search_random_lcd(ctx, args.n, args.k, args.target_d,
+                                      args.budget, args.seed,
+                                      args.walk_length)
     if rec is None:
-        print(f"no [{cfg.n},{cfg.k},>={cfg.target_d}]_F{ctx.q} "
-              f"within {cfg.budget} trials")
+        print(f"no [{args.n},{args.k},>={args.target_d}]_F{ctx.q} "
+              f"within {args.budget} trials")
         return 1
-    _store_and_report(cfg, [rec])
+    _store_and_report(args, [rec])
     return 0
 
 
-def _store_records(cfg: RunConfig, records: Sequence[CodeRecord]) -> None:
-    store = _open_store(cfg.store)
-    if store is None:
-        return
-    for rec in records:
-        store.add(rec)
-    store.save()
-
-
-def _store_and_report(cfg: RunConfig, records: Sequence[CodeRecord]) -> None:
-    for rec in records:
-        print(_record_line(rec))
-    _store_records(cfg, records)
-
-
-def cmd_extend(cfg: RunConfig, path: str, lambdas: Optional[list[int]],
-               pair: Optional[list[int]], grow: bool) -> int:
-    code = LinearCode.from_generator(MatrixFq.from_text(
-        Path(path).read_text()))
-    lam = lambdas or [1] * code.k
-    pr = tuple(pair) if pair else None
-    ext = construct.extend_by_two(code, lam, pr)
-    used_pair = pr or code.ctx.isotropic_pair()
-    added_row = None
-    if grow:
-        grown = construct.extend_dimension(ext)
-        if grown is None:
-            print("no growth row keeps the code LCD")
-            return 1
-        added_row = [grown.G.rows()[-1][-2], grown.G.rows()[-1][-1]]
-        ext = grown
-    provenance = {
-        "kind": "extended",
-        "base": code.G.to_text(),
-        "pair": list(used_pair),
-        "lambdas": lam,
-        "added_row": added_row,
-    }
-    rec = CodeRecord.from_code(ext, "extended", provenance)
-    _store_and_report(cfg, [rec])
+def cmd_extend(args: argparse.Namespace) -> int:
+    rec = construct.extension_record(_read_code(args.matrix), args.lambdas,
+                                     args.pair, args.grow)
+    if rec is None:
+        print("no growth row keeps the code LCD")
+        return 1
+    _store_and_report(args, [rec])
     return 0
 
 
-def cmd_product(cfg: RunConfig, base_path: str, lam: list[int],
-                component_paths: Sequence[str],
-                blk: Optional[list[tuple[int, ...]]]) -> int:
-    base = MatrixFq.from_text(Path(base_path).read_text())
-    comps = [LinearCode.from_generator(MatrixFq.from_text(
-        Path(p).read_text())) for p in component_paths]
-    code = construct.mplcd_build(comps, base, lam, blk)
-    _store_and_report(cfg, [_product_record(code, comps, base, lam, blk)])
+def cmd_product(args: argparse.Namespace) -> int:
+    base = MatrixFq.from_text(Path(args.base).read_text())
+    comps = [_read_code(p) for p in args.components.split(",")]
+    _store_and_report(args, [construct.product_record(
+        comps, base, args.scalars, args.blocks)])
     return 0
 
 
-def _product_record(code: LinearCode, comps: Sequence[LinearCode],
-                    base: MatrixFq, lam: Sequence[int],
-                    blk: Optional[list[tuple[int, ...]]] = None) -> CodeRecord:
-    """The record of code = mplcd_build(comps, base, lam, blk)."""
-    a_bar = construct.scaled_orthogonal(base, lam, blk)
-    provenance = {
-        "kind": "matrix_product",
-        "components": [c.G.to_text() for c in comps],
-        "a_bar": a_bar.to_text(),
-    }
-    return CodeRecord.from_code(code, "matrix_product", provenance)
-
-
-def cmd_project(cfg: RunConfig, path: str,
-                basis: Optional[list[int]]) -> int:
-    code = LinearCode.from_generator(MatrixFq.from_text(
-        Path(path).read_text()))
+def cmd_project(args: argparse.Namespace) -> int:
+    code = _read_code(args.matrix)
+    basis = args.basis or code.ctx.self_dual_basis()
     if basis is None:
-        basis = code.ctx.self_dual_basis()
-        if basis is None:
-            print(f"no self-dual basis over GF({code.ctx.descriptor})")
-            return 1
-    projected = construct.project_to_subfield(code, basis)
-    _store_and_report(cfg, [_projection_record(code, projected, basis)])
+        print(f"no self-dual basis over GF({code.ctx.descriptor})")
+        return 1
+    _store_and_report(args, [construct.projection_record(code, basis)])
     return 0
 
 
-def _projection_record(source: LinearCode, projected: LinearCode,
-                       basis: list[int]) -> CodeRecord:
-    """The record of projected = project_to_subfield(source, basis)."""
-    provenance = {
-        "kind": "projection",
-        "source": source.G.to_text(),
-        "basis": basis,
-    }
-    return CodeRecord.from_code(projected, "projection", provenance)
-
-
-def cmd_rs_pipeline(cfg: RunConfig, k_primes: Optional[list[int]]) -> int:
-    ctx = gf.parse_field(cfg.field)
-    records = construct.rs_pipeline(ctx, cfg.n, cfg.k, k_primes)
-    _store_and_report(cfg, records)
+def cmd_rs_pipeline(args: argparse.Namespace) -> int:
+    ctx = gf.parse_field(args.field)
+    _store_and_report(args, construct.rs_pipeline(ctx, args.n, args.k,
+                                                  args.k_primes))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # scripted table reproductions
 
-def _tables_1(cfg: RunConfig) -> int:
+def _tables_1(args: argparse.Namespace) -> int:
     failures = 0
     for n, field in DESK_SCALE_ORDERS:
         ctx = gf.parse_field(field)
         gens = orthogen.generator_set(ctx, n)
-        order, complete = orthogen.group_closure_order(gens, cfg.cap)
+        order, complete = orthogen.group_closure_order(gens, args.cap)
         ref_t, ref_o = fixtures.group_orders()[(n, ctx.q)]
         ok = complete and order == ref_t
         if not ok:
@@ -286,45 +200,45 @@ def _tables_1(cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def _tables_2(cfg: RunConfig) -> int:
+def _tables_2(args: argparse.Namespace) -> int:
     failures = 0
     records = []
     for field, n, k, d in TABLE2_TARGETS:
         ctx = gf.parse_field(field)
-        rec = construct.search_random_lcd(ctx, n, k, d, cfg.budget,
-                                          cfg.seed, cfg.walk_length)
+        rec = construct.search_random_lcd(ctx, n, k, d, args.budget,
+                                          args.seed, args.walk_length)
         if rec is None or rec.d < d:
             failures += 1
             print(f"[{n},{k},{d}]_F{ctx.q} NOT FOUND")
             continue
         records.append(rec)
         print(f"{_record_line(rec)} trial={rec.provenance['trial']}")
-    _store_records(cfg, records)
+    _store_records(args, records)
     return 1 if failures else 0
 
 
-def _tables_3(cfg: RunConfig) -> int:
+def _tables_3(args: argparse.Namespace) -> int:
     ex = fixtures.product_example()
-    code = construct.mplcd_build(ex["components"], ex["base"],
-                                 ex["scalars"])
-    dist = code.distance()
+    rec = construct.product_record(ex["components"], ex["base"],
+                                   ex["scalars"])
+    lcd = rec.code().is_lcd()
+    cls = singleton_class(rec.n, rec.k, rec.d)
     exp = ex["expected"]
-    ok = (code.n == exp["n"] and code.k == exp["k"]
-          and dist.status == EXACT and dist.value == exp["d"]
-          and code.is_lcd() == exp["lcd"]
-          and code.classify() == exp["classification"])
-    print(f"[{code.n},{code.k},{dist.value}]_F{code.ctx.q} "
-          f"LCD={_bool(code.is_lcd())} class={code.classify()} "
+    ok = (rec.n == exp["n"] and rec.k == exp["k"]
+          and rec.d_status == EXACT and rec.d == exp["d"]
+          and lcd == exp["lcd"] and cls == exp["classification"])
+    print(f"[{rec.n},{rec.k},{rec.d}]_F{ex['base'].ctx.q} "
+          f"LCD={_bool(lcd)} class={cls} "
           f"{'match' if ok else 'MISMATCH'}")
     if not ok:
         return 1
-    _store_and_report(cfg, [_product_record(code, ex["components"],
-                                            ex["base"], ex["scalars"])])
+    _store_and_report(args, [rec])
     return 0
 
 
-def _projection_demo(cfg: RunConfig, descriptor: str, n: int, k: int,
-                     d: int, target: int, seed_tries: int = 128) -> int:
+def _projection_demo(args: argparse.Namespace, descriptor: str, n: int,
+                     k: int, d: int, target: int,
+                     seed_tries: int = 128) -> int:
     """Search an LCD [n,k,d] code over the tower, project it, and chase
     the published projected distance across derived sub-seeds."""
     ctx = gf.parse_field(descriptor)
@@ -334,48 +248,60 @@ def _projection_demo(cfg: RunConfig, descriptor: str, n: int, k: int,
         return 1
     best = None
     for offset in range(seed_tries):
-        rec = construct.search_random_lcd(ctx, n, k, d, cfg.budget,
-                                          cfg.seed + offset,
-                                          cfg.walk_length)
-        if rec is None:
+        found = construct.search_random_lcd(ctx, n, k, d, args.budget,
+                                            args.seed + offset,
+                                            args.walk_length)
+        if found is None:
             continue
-        source = rec.code()
-        projected = construct.project_to_subfield(source, basis)
-        dist = projected.distance()
-        if dist.status != EXACT:
+        rec = construct.projection_record(found.code(), basis)
+        if rec.d_status != EXACT:
             continue
-        entry = (dist.value, offset, rec, source, projected)
-        if best is None or entry[0] > best[0]:
-            best = entry
-        if dist.value >= target:
+        if best is None or rec.d > best[0].d:
+            best = (rec, found.d, offset)
+        if rec.d >= target:
             break
     if best is None:
         print(f"no [{n},{k},{d}]_F{ctx.q} found")
         return 1
-    value, offset, rec, source, projected = best
-    verdict = "match" if value >= target else "below target"
-    print(f"[{n},{k},{rec.d}]_F{ctx.q} -> "
-          f"[{projected.n},{projected.k},{value}]_F{ctx.base.q} "
+    rec, found_d, offset = best
+    verdict = "match" if rec.d >= target else "below target"
+    print(f"[{n},{k},{found_d}]_F{ctx.q} -> "
+          f"[{rec.n},{rec.k},{rec.d}]_F{ctx.base.q} "
           f"target={target} {verdict} seed_offset={offset}")
-    _store_and_report(cfg, [_projection_record(source, projected, basis)])
+    _store_and_report(args, [rec])
     return 0
 
 
-def _tables_4(cfg: RunConfig) -> int:
-    return _projection_demo(cfg, *TABLE4_DEMO)
+TABLES = {
+    1: _tables_1,
+    2: _tables_2,
+    3: _tables_3,
+    4: lambda args: _projection_demo(args, *TABLE4_DEMO),
+    5: lambda args: _projection_demo(args, *TABLE5_DEMO),
+}
 
 
-def _tables_5(cfg: RunConfig) -> int:
-    return _projection_demo(cfg, *TABLE5_DEMO)
-
-
-def cmd_tables(cfg: RunConfig, which: int) -> int:
-    return {1: _tables_1, 2: _tables_2, 3: _tables_3,
-            4: _tables_4, 5: _tables_5}[which](cfg)
+def cmd_tables(args: argparse.Namespace) -> int:
+    return TABLES[args.which](args)
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+# the options several verbs share, each with its one default
+SHARED_OPTIONS = {
+    "--field": dict(required=True,
+                    help="field descriptor: p, p^m, or q^l/base"),
+    "--n": dict(type=int, required=True),
+    "--k": dict(type=int, required=True),
+    "--seed": dict(type=int, default=0),
+    "--store": dict(help="JSONL record store path"),
+    "--target-d": dict(type=int, required=True),
+    "--budget": dict(type=int, default=100_000),
+    "--cap": dict(type=int, default=orthogen.DEFAULT_CLOSURE_CAP),
+    "--walk-length": dict(type=int, default=orthogen.DEFAULT_WALK_LENGTH),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -383,47 +309,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="construct, search for, and verify LCD codes")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(p, *, field=False, n=False, k=False):
-        if field:
-            p.add_argument("--field", required=True,
-                           help="field descriptor: p, p^m, or q^l/base")
-        if n:
-            p.add_argument("--n", type=int, required=True)
-        if k:
-            p.add_argument("--k", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--store", help="JSONL record store path")
+    def shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **SHARED_OPTIONS[flag])
 
     p = sub.add_parser("order", help="closure order vs reference value")
-    common(p, field=True, n=True)
-    p.add_argument("--cap", type=int, default=orthogen.DEFAULT_CLOSURE_CAP)
+    shared(p, "--field", "--n", "--seed", "--store", "--cap")
 
     p = sub.add_parser("verify", help="report parameters of a matrix file")
     p.add_argument("matrix")
 
     p = sub.add_parser("tables", help="scripted reproduction runs")
-    p.add_argument("which", type=int, choices=KNOWN_TABLES)
-    common(p)
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--cap", type=int, default=orthogen.DEFAULT_CLOSURE_CAP)
-    p.add_argument("--walk-length", type=int,
-                   default=orthogen.DEFAULT_WALK_LENGTH)
+    p.add_argument("which", type=int, choices=TABLES)
+    shared(p, "--seed", "--store", "--budget", "--cap", "--walk-length")
 
     p = sub.add_parser("sample", help="one random orthogonal matrix")
-    common(p, field=True, n=True)
-    p.add_argument("--walk-length", type=int,
-                   default=orthogen.DEFAULT_WALK_LENGTH)
+    shared(p, "--field", "--n", "--seed", "--store", "--walk-length")
 
     p = sub.add_parser("search", help="randomized LCD search")
-    common(p, field=True, n=True, k=True)
-    p.add_argument("--target-d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--walk-length", type=int,
-                   default=orthogen.DEFAULT_WALK_LENGTH)
+    shared(p, "--field", "--n", "--k", "--seed", "--store", "--target-d",
+           "--budget", "--walk-length")
 
     p = sub.add_parser("extend", help="two-column extension")
     p.add_argument("matrix")
-    common(p)
+    shared(p, "--seed", "--store")
     p.add_argument("--lambdas", help="comma-separated scalars, one per row")
     p.add_argument("--pair", help="isotropic pair a,b (codes)")
     p.add_argument("--grow", action="store_true",
@@ -435,72 +344,68 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", required=True,
                    help="comma-separated generator files")
     p.add_argument("--blocks", help="rotation blocks a,b;c,d;...")
-    common(p)
+    shared(p, "--seed", "--store")
 
     p = sub.add_parser("project", help="subfield projection")
     p.add_argument("matrix")
-    common(p)
+    shared(p, "--seed", "--store")
     p.add_argument("--basis", help="comma-separated basis codes")
 
     p = sub.add_parser("rs-pipeline", help="cyclic route to MDS LCD codes")
-    common(p, field=True, n=True, k=True)
+    shared(p, "--field", "--n", "--k", "--seed", "--store")
     p.add_argument("--k-primes", help="comma-separated derived dimensions")
     return top
+
+
+def _check(args: argparse.Namespace) -> None:
+    """Raise the usage errors argparse cannot express, and turn the list
+    options into integers, so a malformed one is a usage error too."""
+    opts = vars(args)
+    for name in ("target_d", "budget", "cap", "walk_length"):
+        if opts.get(name, 1) < 1:
+            raise InvalidValue(f"--{name.replace('_', '-')} must be positive")
+    if opts.get("n", 1) < 1:
+        raise InvalidValue("--n must be positive")
+    if "k" in opts:
+        if args.k < 0:
+            raise InvalidValue("dimensions must be positive")
+        if args.k > args.n:
+            raise InvalidValue(f"--k {args.k} exceeds --n {args.n}")
+        if args.verb == "search" and args.k < 1:
+            raise InvalidValue("--k must be positive")
+    if "field" in opts:
+        gf.parse_field(args.field)
+    for name in ("lambdas", "pair", "scalars", "basis", "k_primes"):
+        if opts.get(name) is not None:
+            opts[name] = _int_list(opts[name], name)
+    if opts.get("blocks") is not None:
+        opts["blocks"] = [tuple(_int_list(part, "blocks"))
+                          for part in opts["blocks"].split(";")]
+
+
+VERBS = {
+    "order": cmd_order,
+    "verify": cmd_verify,
+    "tables": cmd_tables,
+    "sample": cmd_sample,
+    "search": cmd_search,
+    "extend": cmd_extend,
+    "product": cmd_product,
+    "project": cmd_project,
+    "rs-pipeline": cmd_rs_pipeline,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            verb=args.verb,
-            field=getattr(args, "field", None),
-            n=getattr(args, "n", 0),
-            k=getattr(args, "k", 0),
-            target_d=getattr(args, "target_d", 1),
-            budget=getattr(args, "budget", 100_000),
-            seed=getattr(args, "seed", 0),
-            cap=getattr(args, "cap", orthogen.DEFAULT_CLOSURE_CAP),
-            walk_length=getattr(args, "walk_length",
-                                orthogen.DEFAULT_WALK_LENGTH),
-            store=getattr(args, "store", None),
-        )
-        # option lists are parsed here so a malformed one is a usage error
-        ints = {name: _int_list(getattr(args, name, None), name)
-                for name in ("lambdas", "pair", "scalars", "basis",
-                             "k_primes")}
-        blocks = getattr(args, "blocks", None)
-        if blocks is not None:
-            blocks = [tuple(_int_list(part, "blocks"))
-                      for part in blocks.split(";")]
-    except (ValueError, LcdError) as exc:
+        _check(args)
+    except LcdError as exc:
         print(f"lcdkit: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.verb == "order":
-            return cmd_order(cfg)
-        if args.verb == "verify":
-            return cmd_verify(args.matrix)
-        if args.verb == "tables":
-            return cmd_tables(cfg, args.which)
-        if args.verb == "sample":
-            return cmd_sample(cfg)
-        if args.verb == "search":
-            return cmd_search(cfg)
-        if args.verb == "extend":
-            return cmd_extend(cfg, args.matrix, ints["lambdas"],
-                              ints["pair"], args.grow)
-        if args.verb == "product":
-            return cmd_product(cfg, args.base, ints["scalars"],
-                               args.components.split(","), blocks)
-        if args.verb == "project":
-            return cmd_project(cfg, args.matrix, ints["basis"])
-        if args.verb == "rs-pipeline":
-            return cmd_rs_pipeline(cfg, ints["k_primes"])
-        raise AssertionError(args.verb)
-    except LcdError as exc:
-        print(f"lcdkit: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return VERBS[args.verb](args)
+    except (LcdError, OSError) as exc:
         print(f"lcdkit: {exc}", file=sys.stderr)
         return 1
 

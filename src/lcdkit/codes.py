@@ -29,6 +29,7 @@ from .errors import (
     BudgetExceeded,
     DistanceNotExact,
     EmptyResult,
+    InvalidValue,
     ParseError,
     ZeroMatrix,
 )
@@ -184,12 +185,7 @@ class LinearCode:
         """Singleton classification; needs an exactly known distance."""
         if self._dist is None or self._dist.status != EXACT:
             raise DistanceNotExact("compute an exact distance first")
-        d = self._dist.value
-        if d == self.n - self.k + 1:
-            return "MDS"
-        if d == self.n - self.k:
-            return "almost_MDS"
-        return "other"
+        return singleton_class(self.n, self.k, self._dist.value)
 
     # -- coordinate surgery ---------------------------------------------------
 
@@ -197,7 +193,7 @@ class LinearCode:
         """Subcode vanishing on the given coordinates, those columns deleted."""
         pos = sorted(set(positions))
         if any(not 0 <= p < self.n for p in pos):
-            raise ValueError("position out of range")
+            raise InvalidValue("position out of range")
         if not pos:
             return self
         A = self.G.take_cols(pos)
@@ -211,7 +207,7 @@ class LinearCode:
         """Delete the given coordinates."""
         pos = sorted(set(positions))
         if any(not 0 <= p < self.n for p in pos):
-            raise ValueError("position out of range")
+            raise InvalidValue("position out of range")
         if not pos:
             return self
         newG = self.G.drop_cols(pos)
@@ -378,15 +374,20 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
     return min(n, rows_h) + 1, True
 
 
+def singleton_class(n: int, k: int, d: int) -> str:
+    """Singleton classification of an [n, k, d] code."""
+    if d == n - k + 1:
+        return "MDS"
+    if d == n - k:
+        return "almost_MDS"
+    return "other"
+
+
 # ---------------------------------------------------------------------------
 # persistent records
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-RECORD_TAGS = ("rows", "scaled", "rotated", "extended", "matrix_product",
-               "projection", "rs_lemma3")
 
 
 @dataclass
@@ -437,7 +438,10 @@ class CodeRecord:
     def from_json(cls, line: str) -> "CodeRecord":
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        # besides JSONDecodeError (a ValueError), json.loads raises
+        # ValueError for an integer too long to convert and RecursionError
+        # for arrays nested too deep
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad record line: {exc}") from None
         if not isinstance(raw, dict):
             raise ParseError("record line is not a JSON object")

@@ -18,8 +18,10 @@ Five families, all returning LinearCode objects:
     primitive n-th root of unity (n | q-1), then shortened/punctured
     through its systematic form into [n-k, k', n-k+1-k'] MDS LCD codes.
 
-The randomized search and the provenance replay glue live here too, so
-every record the tooling writes can be regenerated byte for byte.
+Every record the tooling writes is built here with its provenance, by
+search_random_lcd, extension_record, product_record, projection_record
+and rs_pipeline, and replay_record regenerates each one's generator
+byte for byte from that provenance alone.
 """
 
 from __future__ import annotations
@@ -116,6 +118,14 @@ def rotation_block_diagonal(ctx: gf.FieldCtx, blocks: Sequence[Sequence[int]],
     return MatrixFq.from_rows(ctx, m)
 
 
+def _twist(G: MatrixFq, lam: Optional[Sequence[int]],
+           blocks: Optional[Sequence[Sequence[int]]]) -> MatrixFq:
+    """diag(lam) blockdiag(D_i) G; None skips the rotation or the scaling."""
+    if blocks is not None:
+        G = rotation_block_diagonal(G.ctx, blocks, G.r) @ G
+    return G if lam is None else G.scale_rows(lam)
+
+
 def apply_rotation_blocks(A: MatrixFq, row_indices: Sequence[int],
                           scalars: Sequence[int],
                           blocks: Sequence[Sequence[int]]) -> LinearCode:
@@ -124,9 +134,8 @@ def apply_rotation_blocks(A: MatrixFq, row_indices: Sequence[int],
     diagonal with invertible blocks."""
     base = lcd_from_rows(A, row_indices)
     lam = _scalars(A.ctx, scalars, base.k)
-    D = rotation_block_diagonal(A.ctx, blocks, base.k)
-    G = (D @ base.G).scale_rows(lam)
-    code = LinearCode.from_basis(G, verify_rank=False)
+    code = LinearCode.from_basis(_twist(base.G, lam, blocks),
+                                 verify_rank=False)
     assert code.is_lcd()
     return code
 
@@ -193,6 +202,32 @@ def extend_dimension(C_ext: LinearCode) -> Optional[LinearCode]:
     return None
 
 
+def extension_record(C: LinearCode, lambdas: Optional[Sequence[int]] = None,
+                     pair: Optional[Sequence[int]] = None,
+                     grow: bool = False) -> Optional[CodeRecord]:
+    """The "extended" record of extend_by_two(C, lambdas, pair), followed
+    by extend_dimension when grow is set.  The lambdas default to ones and
+    the pair to the field's first isotropic pair; None when grow finds no
+    row that keeps the code LCD."""
+    lam = lambdas or [1] * C.k
+    pair = pair or C.ctx.isotropic_pair()
+    ext = extend_by_two(C, lam, pair)
+    added_row = None
+    if grow:
+        ext = extend_dimension(ext)
+        if ext is None:
+            return None
+        added_row = list(ext.G.rows()[-1][-2:])
+    provenance = {
+        "kind": "extended",
+        "base": C.G.to_text(),
+        "pair": list(pair),
+        "lambdas": lam,
+        "added_row": added_row,
+    }
+    return CodeRecord.from_code(ext, "extended", provenance)
+
+
 # ---------------------------------------------------------------------------
 # matrix-product codes
 
@@ -238,11 +273,7 @@ def scaled_orthogonal(base: MatrixFq, scalars: Sequence[int],
     and nonzero scalars: the inner matrix of mplcd_build."""
     if not base.is_orthogonal():
         raise NotOrthogonal("base must satisfy A A^T = I")
-    lam = _scalars(base.ctx, scalars, base.r)
-    a_bar = base
-    if blocks is not None:
-        a_bar = rotation_block_diagonal(base.ctx, blocks, base.r) @ a_bar
-    return a_bar.scale_rows(lam)
+    return _twist(base, _scalars(base.ctx, scalars, base.r), blocks)
 
 
 def mplcd_build(codes: Sequence[LinearCode], base: MatrixFq,
@@ -252,13 +283,33 @@ def mplcd_build(codes: Sequence[LinearCode], base: MatrixFq,
     """[C_1, ..., C_l] A-bar with A-bar = scaled_orthogonal(base, scalars,
     blocks).  LCD if and only if every component is; the failing
     component's index rides on the error."""
-    a_bar = scaled_orthogonal(base, scalars, blocks)
+    return _lcd_product(codes, scaled_orthogonal(base, scalars, blocks))
+
+
+def _lcd_product(codes: Sequence[LinearCode], a_bar: MatrixFq) -> LinearCode:
+    """[C_1, ..., C_l] A-bar for an A-bar already checked and scaled."""
     for i, c in enumerate(codes):
         if not c.is_lcd():
             raise ComponentNotLCD(i)
     out = matrix_product_code(codes, a_bar)
     assert out.is_lcd()
     return out
+
+
+def product_record(codes: Sequence[LinearCode], base: MatrixFq,
+                   scalars: Sequence[int],
+                   blocks: Optional[Sequence[Sequence[int]]] = None
+                   ) -> CodeRecord:
+    """The "matrix_product" record of mplcd_build(codes, base, scalars,
+    blocks); it keeps A-bar, so replay needs no orthogonality check."""
+    a_bar = scaled_orthogonal(base, scalars, blocks)
+    provenance = {
+        "kind": "matrix_product",
+        "components": [c.G.to_text() for c in codes],
+        "a_bar": a_bar.to_text(),
+    }
+    return CodeRecord.from_code(_lcd_product(codes, a_bar),
+                                "matrix_product", provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +354,14 @@ def project_to_subfield(C: LinearCode, basis: Sequence[int]) -> LinearCode:
     projected = LinearCode.from_generator(MatrixFq.from_rows(base, rows))
     assert projected.n == C.n * ell and projected.k == C.k * ell
     return projected
+
+
+def projection_record(C: LinearCode, basis: Sequence[int]) -> CodeRecord:
+    """The "projection" record of project_to_subfield(C, basis)."""
+    projected = project_to_subfield(C, basis)
+    provenance = {"kind": "projection", "source": C.G.to_text(),
+                  "basis": basis}
+    return CodeRecord.from_code(projected, "projection", provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +493,7 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
                 continue
             rng = random.Random(walk_seed * 2 + 1)
             lam, blocks = _random_twist(ctx, k, rng)
-            G = code.G
-            if blocks:
-                G = rotation_block_diagonal(ctx, blocks, k) @ G
-            G = G.scale_rows(lam)
+            G = _twist(code.G, lam, blocks or None)
             tag = "rotated" if blocks else "scaled"
             provenance = {
                 "kind": "search",
@@ -468,12 +524,8 @@ def replay_record(record: CodeRecord) -> MatrixFq:
                      else prov["seed"] * 1_000_003 + prov["trial"])
         gens = orthogen.generator_set(ctx, record.n)
         A = orthogen.random_orthogonal(gens, prov["walk_length"], walk_seed)
-        G = A.take_rows(prov["row_indices"])
-        blocks = prov.get("blocks") or []
-        if blocks:
-            G = rotation_block_diagonal(ctx, blocks, G.r) @ G
-        lam = prov.get("lambdas")
-        return G.scale_rows(lam) if lam else G
+        return _twist(A.take_rows(prov["row_indices"]),
+                      prov.get("lambdas") or None, prov.get("blocks") or None)
     if kind == "extended":
         base = LinearCode.from_basis(MatrixFq.from_text(prov["base"]),
                                      verify_rank=False)

@@ -214,7 +214,7 @@ class FieldCtx:
             self.modulus = (0, 1)
         else:
             if degree < 2:
-                raise ValueError("extension degree must be at least 2")
+                raise InvalidValue("extension degree must be at least 2")
             self.p, self.base, self.degree = base.p, base, degree
             self.m = base.m * degree
             self.q = base.q ** degree
@@ -690,7 +690,7 @@ def field_create(p: int, m: int = 1,
     monic irreducible modulus (little-endian coefficient codes), defaulting
     to the smallest irreducible of that degree."""
     if m < 1:
-        raise ValueError("extension degree must be positive")
+        raise InvalidValue("extension degree must be positive")
     if m == 1:
         if modulus is not None and tuple(modulus) != (0, 1):
             raise ReducibleModulus("prime field modulus is fixed to x")
@@ -702,7 +702,7 @@ def tower_create(base: FieldCtx, ell: int,
                  modulus: Optional[Sequence[int]] = None) -> FieldCtx:
     """GF(q^ell) built over the declared base context of order q."""
     if ell < 2:
-        raise ValueError("tower degree must be at least 2")
+        raise InvalidValue("tower degree must be at least 2")
     return FieldCtx(base.p, base, ell, modulus)
 
 

@@ -123,10 +123,22 @@ def test_extend_non_integer_option_is_a_usage_error(tmp_path, capsys,
     assert f"{option} wants comma-separated integers" in err
 
 
+# field degrees below the least a header may name
+BAD_HEADER_FIELDS = {"degree_zero": "2^0", "degree_negative": "2^-1",
+                     "tower_over_itself": "3/3",
+                     "tower_degree_one": "3^1/3",
+                     "extension_tower_over_itself": "4/4"}
+
+
 def _malformed_value_args(tmp_path):
-    """The six malformed-value commands, keyed by case name."""
+    """The malformed-value commands, keyed by case name."""
     bad = tmp_path / "g7.txt"
     bad.write_text("7 1 3\n1 9 2\n")
+    headers = {}
+    for case, desc in BAD_HEADER_FIELDS.items():
+        path = tmp_path / f"{case}.txt"
+        path.write_text(f"{desc} 1 2\n1 1\n")
+        headers[case] = ["verify", str(path)]
     g5 = tmp_path / "g5.txt"
     g5.write_text("5 2 4\n1 0 1 0\n0 1 0 1\n")   # Gram 2 I: LCD
     g4 = tmp_path / "g4.txt"
@@ -150,12 +162,14 @@ def _malformed_value_args(tmp_path):
         "scalar_outside_field": product + ["--scalars", "1,13,1,1"],
         "one_entry_block": product + ["--scalars", "2,3,6,4",
                                       "--blocks", "1;2,3"],
+        **headers,
     }
 
 
 @pytest.mark.parametrize("case", [
     "entry_outside_field", "lambda_count", "lambda_outside_field",
-    "basis_outside_field", "scalar_outside_field", "one_entry_block"])
+    "basis_outside_field", "scalar_outside_field", "one_entry_block",
+    *BAD_HEADER_FIELDS])
 def test_malformed_value_exits_1(tmp_path, capsys, case):
     assert main(_malformed_value_args(tmp_path)[case]) == 1
     err = capsys.readouterr().err

@@ -5,11 +5,13 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcdkit import (EXACT, LOWER_BOUND, CodeRecord, LinearCode, MatrixFq,
                     RecordStore, field_create, parse_field)
-from lcdkit.errors import (DistanceNotExact, EmptyResult, ParseError,
-                           ZeroMatrix)
+from lcdkit.errors import (DistanceNotExact, EmptyResult, LcdError,
+                           ParseError, ZeroMatrix)
 
 from conftest import random_code, random_lcd_code, random_matrix
 
@@ -263,6 +265,35 @@ def test_record_round_trip(F7, rng):
         CodeRecord.from_json("5")
     with pytest.raises(ParseError):
         CodeRecord.from_json(json.dumps({**json.loads(text), "n": "x"}))
+
+
+_RECORD = {"field": "7", "n": 3, "k": 1, "d": 3, "d_status": "exact",
+           "tag": "rows", "provenance": {"kind": "rows"},
+           "matrix": "7 1 3\n1 2 3\n", "timestamp": 0}
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.sampled_from(sorted(_RECORD))),
+       st.dictionaries(st.sampled_from(sorted(_RECORD)), _json_values,
+                       max_size=3),
+       st.integers(0, 200), st.text(max_size=20))
+@example(set(), {}, 200, "1" * 5000)       # too long an integer
+@example(set(), {}, 200, "[" * 100_000)    # nested too deep
+def test_record_line_fuzz(dropped, changed, cut, noise):
+    raw = {name: changed.get(name, value) for name, value in _RECORD.items()
+           if name not in dropped}
+    for line in (json.dumps(raw), json.dumps(raw)[:cut], noise):
+        try:
+            rec = CodeRecord.from_json(line)
+        except LcdError:
+            continue
+        assert CodeRecord.from_json(rec.to_json()) == rec
 
 
 def test_store_dedupe_and_determinism(tmp_path, F5, rng):

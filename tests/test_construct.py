@@ -15,7 +15,8 @@ from lcdkit import (EXACT, CodeRecord, LinearCode, MatrixFq,
                     replay_record, rs_pipeline, search_random_lcd,
                     systematic_parity_part, tower_create)
 from lcdkit.construct import (apply_row_scaling, apply_rotation_blocks,
-                              rotation_block_diagonal)
+                              extension_record, product_record,
+                              projection_record, rotation_block_diagonal)
 from lcdkit.errors import (BlockCountMismatch, ComponentNotLCD,
                            DegenerateBlock, DimensionTooLarge, InvalidValue,
                            LcdError, MixedLengths,
@@ -419,6 +420,90 @@ def test_search_records_are_pinned(args, expected):
     desc, n, k, d, budget, seed = args
     rec = search_random_lcd(parse_field(desc), n, k, d, budget, seed)
     assert rec.to_json() == expected
+    assert replay_record(rec).to_text() == rec.matrix
+
+
+# the records that the extend, product and project verbs wrote, pinned
+# from an earlier version
+PINNED_RECORDS = {
+    'extended-grow':
+        ('{"d":1,"d_status":"exact","field":"5","k":3,"matrix":"5 3 7\\n'
+         '1 0 4 4 1 1 2\\n0 1 0 0 2 3 1\\n0 0 0 0 0 1 0\\n","n":7,'
+         '"provenance":{"added_row":[1,0],"base":"5 2 5\\n1 0 4 4 1\\n'
+         '0 1 0 0 2\\n","kind":"extended","lambdas":[1,1],"pair":[1,2]},'
+         '"tag":"extended","timestamp":0}'),
+    'extended-lambdas':
+        ('{"d":4,"d_status":"exact","field":"5","k":2,"matrix":"5 2 7\\n'
+         '1 0 4 4 1 2 4\\n0 1 0 0 2 4 3\\n","n":7,'
+         '"provenance":{"added_row":null,"base":"5 2 5\\n1 0 4 4 1\\n'
+         '0 1 0 0 2\\n","kind":"extended","lambdas":[2,3],"pair":[1,2]},'
+         '"tag":"extended","timestamp":0}'),
+    'matrix_product':
+        ('{"d":12,"d_status":"exact","field":"11","k":4,'
+         '"matrix":"11 4 16\\n10 8 1 5 10 8 1 5 1 3 10 6 10 8 1 5\\n'
+         '4 1 1 3 4 1 1 3 4 1 1 3 7 10 10 8\\n'
+         '3 10 7 0 8 1 4 0 8 1 4 0 8 1 4 0\\n'
+         '9 6 10 9 2 5 1 2 9 6 10 9 9 6 10 9\\n","n":16,'
+         '"provenance":{"a_bar":"11 4 4\\n10 10 1 10\\n4 4 4 7\\n'
+         '3 8 8 8\\n9 2 9 9\\n","components":["11 1 4\\n1 3 10 6\\n",'
+         '"11 1 4\\n1 3 3 9\\n","11 1 4\\n1 7 6 0\\n","11 1 4\\n1 8 6 1\\n'
+         '"],"kind":"matrix_product"},"tag":"matrix_product",'
+         '"timestamp":0}'),
+    'matrix_product-blocks':
+        ('{"d":11,"d_status":"exact","field":"11","k":4,'
+         '"matrix":"11 4 16\\n8 2 3 4 8 2 3 4 10 8 1 5 1 3 10 6\\n'
+         '7 10 10 8 7 10 10 8 1 3 3 9 10 8 8 2\\n'
+         '8 1 4 0 3 10 7 0 1 7 6 0 1 7 6 0\\n'
+         '8 9 4 8 3 2 7 3 2 5 1 2 2 5 1 2\\n","n":16,'
+         '"provenance":{"a_bar":"11 4 4\\n8 8 10 1\\n7 7 1 10\\n8 3 1 1\\n'
+         '8 3 2 2\\n","components":["11 1 4\\n1 3 10 6\\n","11 1 4\\n'
+         '1 3 3 9\\n","11 1 4\\n1 7 6 0\\n","11 1 4\\n1 8 6 1\\n"],'
+         '"kind":"matrix_product"},"tag":"matrix_product","timestamp":0}'),
+    'projection-4/2':
+        ('{"d":5,"d_status":"exact","field":"2","k":2,"matrix":"2 2 8\\n'
+         '1 0 1 1 0 1 1 0\\n0 1 1 0 1 1 0 1\\n","n":8,'
+         '"provenance":{"basis":[3,2],"kind":"projection",'
+         '"source":"2^2 1 4\\n1 2 3 1\\n"},"tag":"projection",'
+         '"timestamp":0}'),
+    'projection-27/3':
+        ('{"d":5,"d_status":"exact","field":"3","k":6,"matrix":"3 6 15\\n'
+         '1 0 0 0 0 0 1 1 1 1 2 2 0 2 2\\n0 1 0 0 0 0 1 2 2 2 0 1 2 2 1\\n'
+         '0 0 1 0 0 0 1 2 0 2 1 2 2 1 1\\n0 0 0 1 0 0 1 2 1 1 0 2 0 2 1\\n'
+         '0 0 0 0 1 0 2 2 0 0 0 2 2 1 0\\n0 0 0 0 0 1 1 0 1 2 2 0 1 0 0\\n'
+         '","n":15,"provenance":{"basis":[11,21,24],"kind":"projection",'
+         '"source":"3^3 2 5\\n1 0 8 3 5\\n0 1 19 26 18\\n"},'
+         '"tag":"projection","timestamp":0}'),
+}
+
+
+def _read_code(text):
+    return LinearCode.from_generator(MatrixFq.from_text(text))
+
+
+def _pinned_builders():
+    ex = product_example()
+    comps = [_read_code(c.G.to_text()) for c in ex["components"]]
+    prod = (comps, ex["base"], ex["scalars"])
+    c5 = _read_code("5 2 5\n3 0 2 2 3\n1 3 4 4 2\n")
+    c4 = _read_code("2^2 1 4\n1 2 3 1\n")
+    c27 = _read_code("3^3 2 5\n1 5 17 2 9\n0 3 1 22 7\n")
+    return {
+        "extended-grow": lambda: extension_record(c5, grow=True),
+        "extended-lambdas": lambda: extension_record(c5, [2, 3]),
+        "matrix_product": lambda: product_record(*prod),
+        "matrix_product-blocks":
+            lambda: product_record(*prod, [(1, 2), (3, 4)]),
+        "projection-4/2":
+            lambda: projection_record(c4, c4.ctx.self_dual_basis()),
+        "projection-27/3":
+            lambda: projection_record(c27, c27.ctx.self_dual_basis()),
+    }
+
+
+@pytest.mark.parametrize("case", PINNED_RECORDS)
+def test_built_records_are_pinned(case):
+    rec = _pinned_builders()[case]()
+    assert rec.to_json() == PINNED_RECORDS[case]
     assert replay_record(rec).to_text() == rec.matrix
 
 

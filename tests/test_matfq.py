@@ -4,9 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcdkit import MatrixFq, field_create, parse_field
-from lcdkit.errors import ParseError, ShapeMismatch, Singular
+from lcdkit.errors import LcdError, ParseError, ShapeMismatch, Singular
 from lcdkit.fixtures import product_example
 
 from conftest import random_matrix
@@ -87,6 +89,38 @@ def test_text_round_trip():
         MatrixFq.from_text("7 2 2\n1 2\n")
     with pytest.raises(ParseError):
         MatrixFq.from_text("")
+
+
+# Field orders and degrees stay small: a prime near 2^61 in a descriptor
+# makes is_prime's trial division run for minutes.
+_small = st.integers(-2, 9)
+_descriptors = st.one_of(
+    st.integers(-2, 64).map(str),
+    st.builds("{}^{}".format, _small, st.integers(-2, 4)),
+    st.builds("{}/{}".format, st.integers(-1, 30),
+              st.sampled_from(["2", "3", "4", "2^2", "5", "x"])),
+    st.builds("{}^{}/{}".format, _small, st.integers(-1, 3),
+              st.sampled_from(["2", "3", "4", "5"])),
+    st.sampled_from(["", "/", "^", "2^", "^2", "a", "2^x", "3/3/3"]),
+)
+_tokens = st.one_of(st.integers(-3, 40).map(str),
+                    st.sampled_from(["x", "1.5", "-", "\u0663", "9" * 5000]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_descriptors, st.integers(-1, 3), st.integers(-1, 3),
+       st.lists(st.lists(_tokens, max_size=4), max_size=4),
+       st.sampled_from(["{d} {r} {c}", "{d} {r}", "{d} {r} {c} 0", "{d}"]))
+@example("2^0", 1, 1, [["1"]], "{d} {r} {c}")
+@example("4/4", 1, 1, [["1"]], "{d} {r} {c}")
+def test_matrix_text_fuzz(desc, r, c, rows, header):
+    text = "\n".join([header.format(d=desc, r=r, c=c)]
+                     + [" ".join(row) for row in rows])
+    try:
+        M = MatrixFq.from_text(text)
+    except LcdError:
+        return
+    assert MatrixFq.from_text(M.to_text()) == M
 
 
 def test_stack_take_drop():
