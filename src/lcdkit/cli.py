@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **SHARED_OPTIONS[flag])
 
     p = sub.add_parser("order", help="closure order vs reference value")
-    shared(p, "--field", "--n", "--seed", "--store", "--cap")
+    shared(p, "--field", "--n", "--cap")
 
     p = sub.add_parser("verify", help="report parameters of a matrix file")
     p.add_argument("matrix")
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared(p, "--seed", "--store", "--budget", "--cap", "--walk-length")
 
     p = sub.add_parser("sample", help="one random orthogonal matrix")
-    shared(p, "--field", "--n", "--seed", "--store", "--walk-length")
+    shared(p, "--field", "--n", "--seed", "--walk-length")
 
     p = sub.add_parser("search", help="randomized LCD search")
     shared(p, "--field", "--n", "--k", "--seed", "--store", "--target-d",
@@ -332,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="two-column extension")
     p.add_argument("matrix")
-    shared(p, "--seed", "--store")
+    shared(p, "--store")
     p.add_argument("--lambdas", help="comma-separated scalars, one per row")
     p.add_argument("--pair", help="isotropic pair a,b (codes)")
     p.add_argument("--grow", action="store_true",
@@ -344,15 +344,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", required=True,
                    help="comma-separated generator files")
     p.add_argument("--blocks", help="rotation blocks a,b;c,d;...")
-    shared(p, "--seed", "--store")
+    shared(p, "--store")
 
     p = sub.add_parser("project", help="subfield projection")
     p.add_argument("matrix")
-    shared(p, "--seed", "--store")
+    shared(p, "--store")
     p.add_argument("--basis", help="comma-separated basis codes")
 
     p = sub.add_parser("rs-pipeline", help="cyclic route to MDS LCD codes")
-    shared(p, "--field", "--n", "--k", "--seed", "--store")
+    shared(p, "--field", "--n", "--k", "--store")
     p.add_argument("--k-primes", help="comma-separated derived dimensions")
     return top
 

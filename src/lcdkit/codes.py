@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from operator import getitem
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -267,45 +267,104 @@ class _Below(Exception):
     """Raised inside the enumeration at a codeword lighter than at_least."""
 
 
+@lru_cache(maxsize=None)
+def _words(ctx: gf.FieldCtx, n: int) -> tuple:
+    """(width, shift, spread, carry, top, low, high): one int per length-n
+    vector over ctx, built once per (ctx, n).  Coordinate i sits at bit
+    i * width and holds the base-p digits of its element's code, which add
+    digit by digit in every field and tower; spread[a] is code a so laid
+    out.  For p = 2 the m digits sit under one guard bit and words add by
+    XOR.  For odd p each digit has b bits, the top one (top) a guard: a
+    plain add keeps fields below 2p - 1 < 2^b, and + carry = 2^(b-1) - p
+    sets the guards of the fields that reached p and must lose it.  A
+    word's top coordinate bit is clear, so (x + low) & high sets it in
+    exactly the nonzero coordinates."""
+    p, m = ctx.p, ctx.m
+    b = 1 if p == 2 else (p - 1).bit_length() + 1
+    width = m + 1 if p == 2 else m * b
+    spread = range(ctx.q) if p == 2 or m == 1 else [
+        sum((a // p ** j % p) << (b * j) for j in range(m))
+        for a in range(ctx.q)]
+    digits = sum(1 << (b * i) for i in range(m * n))
+    coords = sum(1 << (width * i) for i in range(n))
+    guard, top_bit = 1 << (b - 1), 1 << (width - 1)
+    return (width, b - 1, spread, (guard - p) * digits, guard * digits,
+            (top_bit - 1) * coords, top_bit * coords)
+
+
 def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
                              n: int, at_least: int = 0) -> int:
     """Minimum weight over one representative per scalar class: messages are
     scanned with their first nonzero coefficient pinned to 1, and at each
     leaf the last row's q - 1 multiples are tried in one loop.  Stops at
     the first codeword of weight w < at_least and returns w; any other
-    return is the exact minimum."""
-    q = ctx.q
-    k = len(rows)
-    # c * row as the add-table rows of its entries, so that adding it to a
-    # vector is one map of getitem
-    adds, muls = ctx.tables()
-    scaled = [[[adds[muls[c][x]] for x in row] for c in range(1, q)]
-              for row in rows]
+    return is the exact minimum.
+
+    Codewords are packed into ints (``_words``).  A leaf's codeword
+    vec + c * last is zero exactly where vec equals -c * last, so the leaf
+    holds the last row's multiples negated, and each message costs one XOR
+    and one popcount."""
+    p, k = ctx.p, len(rows)
+    width, shift, spread, carry, top, low, high = _words(ctx, n)
+
+    if p == 2:
+        def sums(xs: list[int], ys: list[int]) -> list[int]:
+            return [x ^ y for y in ys for x in xs]
+    else:
+        def sums(xs: list[int], ys: list[int]) -> list[int]:
+            return [(t := x + y) - (((t + carry) & top) >> shift) * p
+                    for y in ys for x in xs]
+
+    def pack(vec: Sequence[int]) -> int:
+        out = 0
+        for x in reversed(vec):
+            out = (out << width) | spread[x]
+        return out
+
+    # multiples[i - 1][c - 1] = c * s * rows[i] for c = 1 .. q - 1, with
+    # s = -1 on the last row and 1 on the others (the lead row's
+    # coefficient is pinned to 1).  Code c = d p^j + r (r < p^j) is the
+    # element d * beta_j + r, beta_j being code p^j, so for each digit j
+    # the d * s * beta_j * rows[i] (0 < d < p) come by doubling from one
+    # packed row and are added to the p^j multiples built so far.
+    multiples = []
+    for i in range(1, k):
+        sign = p - 1 if i == k - 1 else 1
+        mults = [0]
+        for j in range(ctx.m):
+            beta = sign * p ** j
+            ds = [pack(rows[i] if beta == 1
+                       else [ctx.mul(beta, x) for x in rows[i]])]
+            while len(ds) < p - 1:
+                ds += sums([ds[-1]], ds)
+            ds = ds[:p - 1]
+            mults += sums(mults, ds) if j else ds
+        multiples.append(mults[1:])
     best = n + 1
 
-    def rec(i: int, vec):
+    def rec(i: int, vec: int):
         nonlocal best
         if i < k - 1:
             rec(i + 1, vec)
-            for srow in scaled[i]:
-                rec(i + 1, tuple(map(getitem, srow, vec)))
+            for u in sums([vec], multiples[i - 1]):
+                rec(i + 1, u)
             return
-        zeros = vec.count(0)
+        w = ((vec + low) & high).bit_count()
         if i < k:
-            for srow in scaled[i]:
-                z = list(map(getitem, srow, vec)).count(0)
-                if z > zeros:
-                    zeros = z
-                    if n - z < at_least:
+            for u in multiples[i - 1]:
+                x = (((vec ^ u) + low) & high).bit_count()
+                if x < w:
+                    w = x
+                    if x < at_least:
                         break
-        if n - zeros < best:
-            best = n - zeros
+        if w < best:
+            best = w
             if best < at_least:
                 raise _Below
 
     try:
         for lead in range(k):
-            rec(lead + 1, tuple(rows[lead]))
+            rec(lead + 1, pack(rows[lead]))
     except _Below:
         pass
     return best

@@ -242,6 +242,8 @@ class MatrixFq:
             r, c = int(head[1]), int(head[2])
         except ValueError:
             raise ParseError(f"bad matrix header {lines[0]!r}") from None
+        if r < 0 or c < 0:
+            raise ParseError(f"negative size in header {lines[0]!r}")
         if len(lines) - 1 != r:
             raise ParseError(f"expected {r} rows, got {len(lines) - 1}")
         rows = []
@@ -253,7 +255,8 @@ class MatrixFq:
             if len(row) != c:
                 raise ParseError(f"expected {c} columns in {ln!r}")
             rows.append(row)
-        return cls.from_rows(ctx, rows)
+        # from_rows takes the width from the rows, and a 0 x c text has none
+        return cls.from_rows(ctx, rows) if rows else cls.zeros(ctx, 0, c)
 
     # -- value semantics ----------------------------------------------------
 

@@ -74,6 +74,27 @@ def test_usage_errors_exit_2(capsys):
                  "--target-d", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["order", "--field", "3", "--n", "4"], ["--seed", "1"]),
+    (["order", "--field", "3", "--n", "4"], ["--store", "s.jsonl"]),
+    (["sample", "--field", "7", "--n", "3"], ["--store", "s.jsonl"]),
+    (["extend", "m.txt"], ["--seed", "1"]),
+    (["product", "--base", "b.txt", "--scalars", "1", "--components",
+      "c.txt"], ["--seed", "1"]),
+    (["project", "m.txt"], ["--seed", "1"]),
+    (["rs-pipeline", "--field", "16", "--n", "15", "--k", "7"],
+     ["--seed", "1"]),
+], ids=["order-seed", "order-store", "sample-store", "extend-seed",
+        "product-seed", "project-seed", "rs-pipeline-seed"])
+def test_option_a_verb_never_reads_is_a_usage_error(capsys, argv, option):
+    # argparse stops at the option before any named file is read
+    with pytest.raises(SystemExit) as exc:
+        main(argv + option)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in \
+        capsys.readouterr().err
+
+
 def test_k_above_n_is_a_usage_error(capsys):
     assert main(["search", "--field", "7", "--n", "3", "--k", "5",
                  "--target-d", "2"]) == 2

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcdkit import (EXACT, LOWER_BOUND, CodeRecord, LinearCode, MatrixFq,
-                    RecordStore, field_create, parse_field)
+                    RecordStore, field_create, parse_field, rs_pipeline)
 from lcdkit.errors import (DistanceNotExact, EmptyResult, LcdError,
                            ParseError, ZeroMatrix)
 
@@ -76,16 +76,99 @@ def test_hull_from_brute_force(F3, rng):
         assert C.is_lcd() == (hull.r == 0)
 
 
-def test_distance_strategies_agree(F5, rng):
+def test_distance_strategies_agree(rng):
     # enumeration (q^k small) vs dual column subsets on the same codes
     from lcdkit.codes import (_distance_by_column_subsets,
                               _distance_by_enumeration)
-    for _ in range(25):
-        C = random_code(F5, 8, 3, rng)
+    codes = [random_code(parse_field(desc), n, k, rng)
+             for desc, n, k, count in (("5", 8, 3, 25), ("3", 10, 5, 10),
+                                       ("4", 9, 4, 10), ("9", 7, 3, 10))
+             for _ in range(count)]
+    # the [8,6,3]_F16 code of the RS pipeline: 16^6 messages
+    rec = rs_pipeline(parse_field("16"), 15, 7, [6])[0]
+    codes.append(rec.code())
+    for C in codes:
         by_enum = _distance_by_enumeration(C.G.rows(), C.ctx, C.n)
         H = C.dual().G
         by_cols, exact = _distance_by_column_subsets(H, C.n, 1 << 26)
         assert exact and by_enum == by_cols
+    assert (rec.n, rec.k, rec.d) == (8, 6, 3) == (C.n, C.k, by_enum)
+
+
+def _enumeration_reference(rows, ctx, n, at_least):
+    """The enumeration's visiting order on plain tuples through ctx.add and
+    ctx.mul: lead row pinned to 1, the rows after it by coefficient 0 first
+    and then 1..q-1, the last row's multiples in one loop at each leaf that
+    breaks at the first weight below both at_least and the leaf's best."""
+    k, best = len(rows), n + 1
+
+    def axpy(v, c, row):
+        return tuple(ctx.add(a, ctx.mul(c, b)) for a, b in zip(v, row))
+
+    def weight(v):
+        return sum(1 for x in v if x)
+
+    for lead in range(k):
+        leaves = [tuple(rows[lead])]
+        for row in rows[lead + 1:k - 1]:
+            leaves = [axpy(v, c, row) for v in leaves for c in range(ctx.q)]
+        for vec in leaves:
+            w = weight(vec)
+            if lead < k - 1:
+                for c in range(1, ctx.q):
+                    x = weight(axpy(vec, c, rows[-1]))
+                    if x < w:
+                        w = x
+                        if x < at_least:
+                            break
+            if w < best:
+                best = w
+                if best < at_least:
+                    return best
+    return best
+
+
+# GF(1031) and GF(2^11) lie above the table cap, in odd and even
+# characteristic; 81/9 is a tower whose codes carry four base-3 digits
+@pytest.mark.parametrize("desc", ["2", "3", "4", "5", "7", "8", "9", "16",
+                                  "25", "27", "32", "81/9", "1031", "2^11"])
+def test_enumeration_matches_codeword_oracle(desc, monkeypatch):
+    from lcdkit import codes
+    ctx = parse_field(desc)
+    rng = random.Random(f"enumeration:{desc}")
+    full = [ctx.q - 1] * 9        # every base-p digit is p - 1
+    for trial in range(16):
+        n = rng.randrange(2, 9)
+        k_max = 1
+        while k_max < n - 1 and ctx.q ** (k_max + 1) <= 1 << 13:
+            k_max += 1
+        k = (1, min(n - 1, k_max), rng.randrange(1, k_max + 1))[trial % 3]
+        while True:
+            rows = [[rng.randrange(ctx.q) if rng.random() < 0.8 else 0
+                     for _ in range(n)] for _ in range(k)]
+            kind = trial % 4
+            if kind == 0:
+                zero = rng.randrange(n)
+                for row in rows:
+                    row[zero] = 0
+            elif kind == 1:
+                a, b = rng.sample(range(n), 2)
+                for row in rows:
+                    row[b] = row[a]
+            elif kind == 2:
+                rows[rng.randrange(k)] = full[:n]
+            G = MatrixFq.from_rows(ctx, rows)
+            if G.rank() == k:
+                break
+        C = LinearCode.from_basis(G)
+        # the oracle shares no code with the packed enumerator
+        with monkeypatch.context() as patch:
+            patch.setattr(codes, "_words", None)
+            d = min(sum(1 for x in w if x) for w in C.codewords() if any(w))
+        for t in range(n + 2):
+            w = codes._distance_by_enumeration(rows, ctx, n, t)
+            assert w == _enumeration_reference(rows, ctx, n, t), (rows, t)
+            assert w == d if d >= t else d <= w < t, (rows, t)
 
 
 def _subsets_oracle(H, n, budget):
@@ -163,9 +246,9 @@ def test_column_subsets_match_from_scratch_oracle(desc):
                     == _subsets_oracle(H, n, budget)), (rows, budget)
 
 
-@pytest.mark.parametrize("desc", ["2", "5", "16", "25", "1031"])
+@pytest.mark.parametrize("desc", ["2", "5", "16", "25", "1031", "2^11"])
 def test_distance_at_least(desc):
-    # 1031 > 2^10: the tables' rows are computed through ctx.add/mul
+    # 1031 and 2^11 lie above the table cap
     from lcdkit.codes import DEFAULT_DISTANCE_BUDGET
     ctx = parse_field(desc)
     rng = random.Random(f"at_least:{desc}")

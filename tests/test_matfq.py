@@ -113,6 +113,7 @@ _tokens = st.one_of(st.integers(-3, 40).map(str),
        st.sampled_from(["{d} {r} {c}", "{d} {r}", "{d} {r} {c} 0", "{d}"]))
 @example("2^0", 1, 1, [["1"]], "{d} {r} {c}")
 @example("4/4", 1, 1, [["1"]], "{d} {r} {c}")
+@example("2", 0, 3, [], "{d} {r} {c}")
 def test_matrix_text_fuzz(desc, r, c, rows, header):
     text = "\n".join([header.format(d=desc, r=r, c=c)]
                      + [" ".join(row) for row in rows])
@@ -120,6 +121,9 @@ def test_matrix_text_fuzz(desc, r, c, rows, header):
         M = MatrixFq.from_text(text)
     except LcdError:
         return
+    # only a full header parses, and its sizes survive the round trip
+    assert (M.r, M.c) == (r, c)
+    assert M.to_text().split("\n", 1)[0] == f"{M.ctx.descriptor} {r} {c}"
     assert MatrixFq.from_text(M.to_text()) == M
 
 
