@@ -367,12 +367,10 @@ def _check(args: argparse.Namespace) -> None:
     if opts.get("n", 1) < 1:
         raise InvalidValue("--n must be positive")
     if "k" in opts:
-        if args.k < 0:
-            raise InvalidValue("dimensions must be positive")
+        if args.k < 1:
+            raise InvalidValue("--k must be positive")
         if args.k > args.n:
             raise InvalidValue(f"--k {args.k} exceeds --n {args.n}")
-        if args.verb == "search" and args.k < 1:
-            raise InvalidValue("--k must be positive")
     if "field" in opts:
         gf.parse_field(args.field)
     for name in ("lambdas", "pair", "scalars", "basis", "k_primes"):

@@ -14,13 +14,15 @@ Each context carries a fixed multiplicative generator g (the smallest code
 of order q - 1) plus exp/log tables for fields of desk scale, so products,
 inverses, and square roots cost one or two list lookups.
 
-The hot loops elsewhere in the package do their arithmetic through
-``FieldCtx.tables()``, one interface for every q: adds[a][b] and
-muls[a][b].  Up to _TABLE_MAX elements these are q x q lists of rows;
-above it each row is computed on access through add and mul.
+The hot loops, here and elsewhere in the package, do their arithmetic
+through ``FieldCtx.tables()``, one interface for every q: adds[a][b] and
+muls[a][b].  Up to _TABLE_MAX elements these are q x q lists of rows,
+built from the base-p digits (adds) and from exp/log (muls); above it
+each row is computed on access through add and mul.
 
-The module also holds the package's one Gaussian-elimination kernel
-(_rref_rows, _nullspace_rows, _det_rows), which MatrixFq wraps.
+The module also holds the package's one elimination loop, _rref_rows,
+which returns the determinant along with the pivots; _nullspace_rows reads
+its reduced rows, and MatrixFq wraps both.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .errors import (
 _EXPLOG_MAX = 1 << 20    # cap on exp/log table size (O(q) ints each)
 _TABLE_MAX = 1 << 10     # tables() are q x q lists up to here, computed above
 _EXHAUSTIVE_MAX = 1 << 16  # self-dual basis falls back to complete search below this
+_SELF_DUAL_SEED = 1      # rng seed of the randomized self-dual basis search
+_SELF_DUAL_RETRIES = 64  # its attempts before the complete fallback
 
 
 def is_prime(n: int) -> bool:
@@ -80,7 +84,8 @@ def prime_factors(n: int) -> list[int]:
 #
 # Polynomials are little-endian lists of base-field codes with no trailing
 # zeros.  Only construction-time work (irreducibility, default modulus
-# search) runs through these; element arithmetic uses tables afterwards.
+# search, the products that bootstrap exp/log) runs through these; element
+# arithmetic uses tables afterwards.
 
 def _pstrip(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -308,28 +313,10 @@ class FieldCtx:
                 if x & top:
                     x ^= mmask
             return r
-        base, qb = self.base, self.base.q
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.degree - 1)
-        for i, ai in enumerate(da):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(db):
-                if bj:
-                    prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        for idx in range(len(prod) - 1, self.degree - 1, -1):
-            c = prod[idx]
-            if c:
-                prod[idx] = 0
-                for j in range(self.degree):
-                    mj = self.modulus[j]
-                    if mj:
-                        prod[idx - self.degree + j] = base.sub(
-                            prod[idx - self.degree + j], base.mul(c, mj))
-        out, mult = 0, 1
-        for t in range(self.degree):
-            out += prod[t] * mult
-            mult *= qb
+        out = 0
+        for c in reversed(_pmulmod(self.base, self._digits(a),
+                                   self._digits(b), self.modulus)):
+            out = out * self.base.q + c
         return out
 
     def _raw_pow(self, a: int, e: int) -> int:
@@ -403,17 +390,39 @@ class FieldCtx:
                               Sequence[Sequence[int]]]:
         """(adds, muls) with adds[a][b] = add(a, b) and muls[a][b] =
         mul(a, b).  Up to _TABLE_MAX elements they are q x q lists of
-        lists, built on the first call; above it their rows are computed
-        on access.  Either way the pair is kept on the context."""
+        lists, built on the first call without a per-entry add or mul;
+        above it their rows are computed on access.  Either way the pair
+        is kept on the context."""
         if self._tables is None:
             if self.q <= _TABLE_MAX:
-                r = range(self.q)
-                self._tables = ([[self.add(a, b) for b in r] for a in r],
-                                [[self.mul(a, b) for b in r] for a in r])
+                self._tables = (self._add_rows(), self._mul_rows())
             else:
                 self._tables = (_ComputedTable(self.add),
                                 _ComputedTable(self.mul))
         return self._tables
+
+    def _add_rows(self) -> list[list[int]]:
+        """The adds table from the digits.  At every tower level a code is
+        a string of base-p digits that add digit by digit mod p, so the
+        table for the low j + 1 digits follows from the one for the low j:
+        a row with top digit 0 repeats the low row once per top digit s,
+        shifted by s blocks, and a top digit t rotates that row t blocks."""
+        p, size, rows = self.p, 1, [[0]]
+        for _ in range(self.m):
+            full = [row + [v + size * s for s in range(1, p) for v in row]
+                    for row in rows]
+            rows = [row[t * size:] + row[:t * size]
+                    for t in range(p) for row in full]
+            size *= p
+        return rows
+
+    def _mul_rows(self) -> list[list[int]]:
+        """The muls table from exp/log: mul(a, b) = exp[log a + log b], so
+        row a is the exp slice from log a, read in the order of log b."""
+        exp, n = self.exp, self.q - 1
+        logs = self.log[1:]
+        return [[0] * self.q] + [[0, *map(exp[la:la + n].__getitem__, logs)]
+                                 for la in logs]
 
     # -- squares, roots of unity ------------------------------------------
 
@@ -496,8 +505,7 @@ class FieldCtx:
             raise InvalidValue("code outside the base field")
         return a
 
-    def self_dual_basis(self, seed: int = 1, retries: int = 64,
-                        exhaustive: bool = True) -> Optional[list[int]]:
+    def self_dual_basis(self) -> Optional[list[int]]:
         """Basis e_0..e_{l-1} over the base with Tr(e_i e_j) = delta_ij.
 
         Randomized greedy orthonormalization under a fixed seed, with a
@@ -517,8 +525,8 @@ class FieldCtx:
 
         gram_pow = [[form(powers[t], powers[s]) for s in range(ell)]
                     for t in range(ell)]
-        det = _det_rows(base, gram_pow)
-        assert det != 0, "trace form must be non-degenerate"
+        pivots, det = _rref_rows(base, gram_pow)
+        assert len(pivots) == ell, "trace form must be non-degenerate"
         if qb % 2 == 1 and not base.is_square(det):
             return None
 
@@ -542,8 +550,8 @@ class FieldCtx:
                     assert form(u, v) == (1 if i == j else 0)
             return chosen
 
-        rng = random.Random(seed)
-        for _ in range(retries):
+        rng = random.Random(_SELF_DUAL_SEED)
+        for _ in range(_SELF_DUAL_RETRIES):
             chosen: list[int] = []
             while len(chosen) < ell:
                 null = complement(chosen)
@@ -562,7 +570,7 @@ class FieldCtx:
             if len(chosen) == ell:
                 return finish(chosen)
 
-        if not exhaustive or self.q > _EXHAUSTIVE_MAX:
+        if self.q > _EXHAUSTIVE_MAX:
             raise SearchBudgetExceeded(
                 "randomized self-dual basis search failed and exhaustive "
                 "fallback is unavailable")
@@ -610,37 +618,45 @@ class FieldCtx:
 # rewrites the rows it is given and pivots on the first nonzero entry of
 # the column, which makes the reduced form canonical.
 
-def _rref_rows(ctx: FieldCtx, rows: list[list[int]]) -> list[int]:
-    """Reduce rows in place to reduced row echelon form and return the
-    pivot columns; the rows past the last pivot end up zero."""
-    inv, mul, sub = ctx.inv, ctx.mul, ctx.sub
+def _rref_rows(ctx: FieldCtx, rows: list[list[int]]) -> tuple[list[int], int]:
+    """Reduce rows in place to reduced row echelon form; the rows past the
+    last pivot end up zero.  Returns the pivot columns and the product of
+    the pivots met, negated once per row swap: for a square matrix that is
+    the determinant when every column has a pivot."""
+    adds, muls = ctx.tables()
+    inv, neg = ctx.inv, ctx.neg
     ncols = len(rows[0]) if rows else 0
-    pivots, r = [], 0
+    pivots, r, det = [], 0, 1
     for col in range(ncols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        s = inv(rows[r][col])
-        if s != 1:
-            rows[r] = [mul(s, v) for v in rows[r]]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = neg(det)
+        v = rows[r][col]
+        det = muls[det][v]
+        if v != 1:
+            s = muls[inv(v)]
+            rows[r] = [s[x] for x in rows[r]]
         prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                m = muls[neg(f)]
+                rows[i] = [adds[a][m[b]] for a, b in zip(row, prow)]
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return pivots
+    return pivots, det
 
 
 def _nullspace_rows(ctx: FieldCtx, rows: list[list[int]],
                     ncols: int) -> list[list[int]]:
     """Vectors x with row . x = 0 for every row: one per free column of the
     reduced rows, in column order, with a 1 there."""
-    pivots = _rref_rows(ctx, rows)
+    pivots, _ = _rref_rows(ctx, rows)
     pivot_set = set(pivots)
     out = []
     for f in range(ncols):
@@ -652,28 +668,6 @@ def _nullspace_rows(ctx: FieldCtx, rows: list[list[int]],
             vec[p] = ctx.neg(row[f])
         out.append(vec)
     return out
-
-
-def _det_rows(ctx: FieldCtx, rows: list[list[int]]) -> int:
-    """Determinant of a square list of rows, by forward elimination."""
-    inv, mul, sub = ctx.inv, ctx.mul, ctx.sub
-    n = len(rows)
-    det = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = ctx.neg(det)
-        det = mul(det, rows[col][col])
-        s = inv(rows[col][col])
-        prow = rows[col]
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = mul(rows[i][col], s)
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
-    return det
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Matrices are immutable value types: entries are a flat tuple of element
 codes in row-major order, so matrices hash and compare cheaply.  rref, det
-and nullspace are thin wrappers around the row-list elimination kernel in
-gf, whose first-nonzero pivoting makes reduced row echelon form canonical
-for code comparison.
+and nullspace are thin wrappers around gf's one elimination loop, whose
+first-nonzero pivoting makes reduced row echelon form canonical for code
+comparison.  Products and row scaling index the field's tables(), as the
+elimination does.
 
 Text serialization is one header line "<field> <rows> <cols>" followed by
 one line of space-separated codes per row; parsing with the same default
@@ -155,28 +156,27 @@ class MatrixFq:
             raise ContextMismatch("matrices over different fields")
         if self.c != other.r:
             raise ShapeMismatch(f"{self.r}x{self.c} @ {other.r}x{other.c}")
-        ctx = self.ctx
-        add, mul = ctx.add, ctx.mul
-        n, inner, m = self.r, self.c, other.c
-        cols = [other.col(j) for j in range(m)]
+        adds, muls = self.ctx.tables()
+        cols = [other.col(j) for j in range(other.c)]
         flat = []
-        for i in range(n):
+        for i in range(self.r):
             arow = self.row(i)
             for col in cols:
                 s = 0
                 for a, b in zip(arow, col):
                     if a and b:
-                        s = add(s, mul(a, b))
+                        s = adds[s][muls[a][b]]
                 flat.append(s)
-        return MatrixFq(ctx, n, m, flat)
+        return MatrixFq(self.ctx, self.r, other.c, flat)
 
     def scale_rows(self, scalars: Sequence[int]) -> "MatrixFq":
         if len(scalars) != self.r:
             raise ShapeMismatch("one scalar per row required")
-        mul = self.ctx.mul
+        muls = self.ctx.tables()[1]
         flat = []
         for i, s in enumerate(scalars):
-            flat.extend(mul(s, v) for v in self.row(i))
+            m = muls[s]
+            flat.extend([m[v] for v in self.row(i)])
         return MatrixFq(self.ctx, self.r, self.c, flat)
 
     def gram(self) -> "MatrixFq":
@@ -194,7 +194,7 @@ class MatrixFq:
         """Reduced row echelon form, zero rows at the bottom, and its pivot
         columns."""
         rows = self._row_lists()
-        pivots = gf._rref_rows(self.ctx, rows)
+        pivots, _ = gf._rref_rows(self.ctx, rows)
         flat = [v for row in rows for v in row]
         return MatrixFq(self.ctx, self.r, self.c, flat), tuple(pivots)
 
@@ -204,7 +204,8 @@ class MatrixFq:
     def det(self) -> int:
         if self.r != self.c:
             raise ShapeMismatch("determinant needs a square matrix")
-        return gf._det_rows(self.ctx, self._row_lists())
+        pivots, det = gf._rref_rows(self.ctx, self._row_lists())
+        return det if len(pivots) == self.r else 0
 
     def inverse(self) -> "MatrixFq":
         if self.r != self.c:

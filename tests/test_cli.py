@@ -103,11 +103,15 @@ def test_k_above_n_is_a_usage_error(capsys):
     assert "--k 5 exceeds --n 3" in err
 
 
-def test_search_k_zero_is_a_usage_error(capsys):
-    assert main(["search", "--field", "7", "--n", "3", "--k", "0",
-                 "--target-d", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err == "lcdkit: --k must be positive\n"
+@pytest.mark.parametrize("argv", [
+    ["search", "--field", "7", "--n", "3", "--k", "0", "--target-d", "2"],
+    ["rs-pipeline", "--field", "16", "--n", "15", "--k", "0"],
+    ["rs-pipeline", "--field", "16", "--n", "15", "--k", "-1"],
+], ids=["search", "rs-pipeline", "rs-pipeline-neg"])
+def test_search_k_zero_is_a_usage_error(capsys, argv):
+    # one rule for every verb that takes --k: k = 0 is not a failed check
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "lcdkit: --k must be positive\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdkit import field_create, parse_field, tower_create
+from lcdkit import FieldCtx, field_create, parse_field, tower_create
 from lcdkit.errors import (NotADivisor, NotATower, NotPrime, ParseError,
                            ReducibleModulus)
 
@@ -21,7 +21,8 @@ def test_gf7_tables():
     assert F7.sub(2, 5) == 4
 
 
-@pytest.mark.parametrize("desc", ["2", "7", "9", "16"])
+@pytest.mark.parametrize("desc", ["2", "7", "9", "16", "27/3", "16/4", "5^2",
+                                  "3^3"])
 def test_tables_below_the_cap_are_lists(desc):
     F = parse_field(desc)
     adds, muls = F.tables()
@@ -35,6 +36,31 @@ def test_tables_below_the_cap_are_lists(desc):
             assert muls[a][b] == F.mul(a, b)
 
 
+@pytest.mark.parametrize("desc", ["3^6", "31^2", "1021", "2^10"])
+def test_tables_near_the_cap_match_sampled_pairs(desc):
+    F = parse_field(desc)
+    adds, muls = F.tables()
+    assert len(adds) == len(muls) == F.q
+    assert isinstance(adds[-1], list) and isinstance(muls[-1], list)
+    rng = random.Random(f"tables:{desc}")
+    for _ in range(2000):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert adds[a][b] == F.add(a, b)
+        assert muls[a][b] == F.mul(a, b)
+
+
+def test_tables_are_built_without_per_entry_arithmetic(monkeypatch):
+    F = field_create(3, 6)  # a fresh context: its tables are not built yet
+    calls = {"add": 0, "mul": 0}
+    for name in calls:
+        def counted(self, a, b, name=name, orig=getattr(FieldCtx, name)):
+            calls[name] += 1
+            return orig(self, a, b)
+        monkeypatch.setattr(FieldCtx, name, counted)
+    F.tables()
+    assert calls["add"] < F.q and calls["mul"] < F.q
+
+
 @pytest.mark.parametrize("desc", ["1031", "2^11"])
 def test_tables_above_the_cap_compute_rows(desc):
     # no q x q table is built here: rows compute their entries on access
@@ -46,6 +72,47 @@ def test_tables_above_the_cap_compute_rows(desc):
         a, b = rng.randrange(F.q), rng.randrange(F.q)
         assert adds[a][b] == F.add(a, b)
         assert muls[a][b] == F.mul(a, b)
+
+
+def _digit_add(p, a, b, sign=1):
+    """a + sign * b on codes read as base-p digit strings, digit by digit."""
+    out, place = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + sign * y) % p * place
+        place *= p
+    return out
+
+
+def _schoolbook_mul(ctx, a, b):
+    """The product of the polynomials whose coefficients are the base-field
+    digits of a and b, reduced by ctx.modulus, down the tower to GF(p)."""
+    if ctx.base is None:
+        return a * b % ctx.p
+    base, qb, deg, p = ctx.base, ctx.base.q, ctx.degree, ctx.p
+    da = [a // qb ** i % qb for i in range(deg)]
+    db = [b // qb ** i % qb for i in range(deg)]
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = _digit_add(p, prod[i + j], _schoolbook_mul(base, x, y))
+    for top in range(2 * deg - 2, deg - 1, -1):
+        c = prod[top]
+        # the modulus is monic, so its last term clears prod[top]
+        for j, mj in enumerate(ctx.modulus):
+            prod[top - deg + j] = _digit_add(
+                p, prod[top - deg + j], _schoolbook_mul(base, c, mj), -1)
+    return sum(c * qb ** i for i, c in enumerate(prod[:deg]))
+
+
+@pytest.mark.parametrize("desc", ["9", "25", "27", "27/3", "16/4", "3^6"])
+def test_mul_matches_schoolbook_product(desc):
+    F = parse_field(desc)
+    rng = random.Random(f"schoolbook:{desc}")
+    for _ in range(500):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.mul(a, b) == _schoolbook_mul(F, a, b)
 
 
 def test_gf4_is_not_z4():

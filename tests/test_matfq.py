@@ -158,7 +158,7 @@ def test_matrix_hashing_value_semantics():
 
 # field -> (largest column count, largest rank built)
 KERNEL_CASES = {"2": (6, 4), "3": (5, 4), "4": (4, 4), "9": (3, 3),
-                "1031": (3, 1)}
+                "27/3": (3, 2), "1031": (3, 1)}
 
 
 def _low_rank(ctx, r, c, t, rng):
