@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from . import construct, fixtures, gf, orthogen
 from .codes import EXACT, CodeRecord, LinearCode, RecordStore, singleton_class
-from .errors import InvalidValue, LcdError, ParseError, UnsupportedShape
+from .errors import InvalidValue, LcdError, ParseError
 from .matfq import MatrixFq
 
 # desk-scale subset of the bundled order table: each closes in seconds
@@ -101,23 +101,18 @@ def cmd_order(args: argparse.Namespace) -> int:
     ctx = gf.parse_field(args.field)
     gens = orthogen.generator_set(ctx, args.n)
     order, complete = orthogen.group_closure_order(gens, args.cap)
+    classical = orthogen.classical_orthogonal_order(args.n, ctx.q)
     print(f"order={order} complete={_bool(complete)}")
-    try:
-        classical = orthogen.classical_orthogonal_order(args.n, ctx.q)
-    except UnsupportedShape:
-        classical = None
-    reference = fixtures.group_orders().get((args.n, ctx.q))
-    if classical is not None:
-        print(f"classical={classical}")
+    print(f"classical={classical}")
     if not complete:
         return 0
+    reference = fixtures.group_orders().get((args.n, ctx.q))
     if reference is None:
         print("fixture=none")
         return 0
     ref_t, ref_o = reference
-    o_value = classical if classical is not None else ref_o
-    ok = order == ref_t and o_value == ref_o
-    print(f"T={order} O={o_value} fixture={'match' if ok else 'MISMATCH'}")
+    ok = order == ref_t and classical == ref_o
+    print(f"T={order} O={classical} fixture={'match' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 
 
@@ -191,12 +186,13 @@ def _tables_1(args: argparse.Namespace) -> int:
         ctx = gf.parse_field(field)
         gens = orthogen.generator_set(ctx, n)
         order, complete = orthogen.group_closure_order(gens, args.cap)
+        classical = orthogen.classical_orthogonal_order(n, ctx.q)
         ref_t, ref_o = fixtures.group_orders()[(n, ctx.q)]
-        ok = complete and order == ref_t
+        ok = complete and order == ref_t and classical == ref_o
         if not ok:
             failures += 1
         print(f"n={n} q={ctx.q} T={order} expected={ref_t} "
-              f"O={ref_o} {'match' if ok else 'MISMATCH'}")
+              f"O={classical} {'match' if ok else 'MISMATCH'}")
     return 1 if failures else 0
 
 

@@ -11,8 +11,10 @@ Contexts are immutable and safe to share between threads; every table is
 built once at construction or on first use.
 
 Each context carries a fixed multiplicative generator g (the smallest code
-of order q - 1) plus exp/log tables for fields of desk scale, so products,
-inverses, and square roots cost one or two list lookups.
+of order q - 1; found on first use above the exp/log cap) plus exp/log
+tables for fields of desk scale, so products, inverses, and square roots
+cost one or two list lookups.  Primality is a deterministic Miller-Rabin
+test, proven for every value below about 3.3e24 and refusing larger ones.
 
 The hot loops, here and elsewhere in the package, do their arithmetic
 through ``FieldCtx.tables()``, one interface for every q: adds[a][b] and
@@ -27,6 +29,7 @@ its reduced rows, and MatrixFq wraps both.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -49,19 +52,47 @@ _SELF_DUAL_SEED = 1      # rng seed of the randomized self-dual basis search
 _SELF_DUAL_RETRIES = 64  # its attempts before the complete fallback
 
 
+# the first 13 primes decide every n below _MR_LIMIT by Miller-Rabin
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over _MR_BASES; InvalidValue from
+    _MR_LIMIT (about 3.3e24) up, where those bases prove nothing."""
+    if n >= _MR_LIMIT:
+        raise InvalidValue(f"{n} is too large to prove prime")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _iroot(v: int, m: int) -> int:
+    """floor(v^(1/m)) for v >= 1, by Newton's method from a float estimate
+    just above it."""
+    e = math.log2(v) / m
+    r = int(2 ** e * (1 + 2 ** -30)) + 1 if e < 1000 else 1 << math.ceil(e)
+    while True:
+        s = ((m - 1) * r + v // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_factors(n: int) -> list[int]:
@@ -239,7 +270,9 @@ class FieldCtx:
         self._key = (self.p, self.degree, self.modulus,
                      self.base._key if self.base else None)
         self._hash = hash(self._key)
-        self.g = self._find_generator()
+        # above the exp/log cap the generator is found on first use: it
+        # factors q - 1, which can take far longer than the field
+        self.g = self._find_generator() if self.q <= _EXPLOG_MAX else None
         self.exp, self.log = self._build_explog()
         self._tables = None
 
@@ -455,6 +488,8 @@ class FieldCtx:
     def primitive_nth_root(self, n: int) -> int:
         if n < 1 or (self.q - 1) % n != 0:
             raise NotADivisor(f"{n} does not divide q - 1 = {self.q - 1}")
+        if self.g is None:
+            self.g = self._find_generator()
         return self.power(self.g, (self.q - 1) // n)
 
     # -- distinguished pairs ------------------------------------------------
@@ -745,12 +780,14 @@ def parse_field(text: str) -> FieldCtx:
         raise ParseError(f"bad field descriptor {text!r}") from None
     if v < 2:
         raise ParseError(f"field order must be at least 2, got {v}")
-    p = prime_factors(v)[0]
-    m = 0
-    acc = 1
-    while acc < v:
-        acc *= p
-        m += 1
-    if acc != v:
+    # peel prime exponents k off while p is a perfect k-th power; v is a
+    # prime power exactly when the p left is prime
+    p, m = v, 1
+    for k in filter(is_prime, range(2, v.bit_length())):
+        r = _iroot(p, k)
+        while r ** k == p:
+            p, m = r, m * k
+            r = _iroot(p, k)
+    if not is_prime(p):
         raise ParseError(f"{v} is not a prime power")
     return field_create(p, m)

@@ -22,10 +22,14 @@ group_closure_order builds a deterministic Schreier-Sims stabilizer chain
 e_0..e_{n-1}: a matrix sends base point e_i to its row i, so the basic
 orbits are sets of unit-norm row vectors (about q^(n-1-l) at level l),
 built by vector-matrix products, and the order is the product of their
-sizes.  A capped call stops as soon as the partial orbits prove the order
-exceeds the cap.  The random walk holds its matrix as n column tuples and
-folds runs of steps before it applies them (see random_orthogonal).  Both
-do their arithmetic by indexing ``ctx.tables()``.
+sizes.  The product of the partial orbit sizes is a proven lower bound on
+|G| at every step, and classical_orthogonal_order (halved when every
+generator has square spinor norm) a proven upper bound, so the chain
+stops as soon as the two meet; a capped call also stops as soon as the
+partial orbits prove the order exceeds the cap.  The random walk holds
+its matrix as n column tuples and folds runs of steps before it applies
+them (see random_orthogonal).  Both do their arithmetic by indexing
+``ctx.tables()``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import gf
-from .errors import DimensionTooSmall, UnsupportedShape
+from .errors import DimensionTooSmall
 from .matfq import MatrixFq
 
 DEFAULT_CLOSURE_CAP = 1 << 21
@@ -143,6 +147,19 @@ class OrthoGenSet:
                 lambda j: _plane_cols(ctx, *powers[j]))))
         return steps
 
+    @functools.cached_property
+    def _order_bound(self) -> int:
+        """A proven upper bound on the generated group's order: the order
+        of {A : A A^T = I}, halved for odd q and n >= 2 when every
+        generator has square spinor norm, since the group then lies in the
+        spinor kernel, of index 2 in O_n(q)."""
+        ctx, n = self.ctx, self.n
+        bound = classical_orthogonal_order(n, ctx.q)
+        if ctx.p != 2 and n >= 2 and all(
+                ctx.is_square(spinor_norm(M)) for M in self.matrices()):
+            bound //= 2
+        return bound
+
 
 def _swap_sigma(n: int) -> tuple[int, ...]:
     if n < 2:
@@ -221,8 +238,12 @@ class _Chain:
     a transversal once built stays valid.
     """
 
-    def __init__(self, ctx: gf.FieldCtx, n: int, cap: int):
-        self.n, self.cap = n, cap
+    def __init__(self, ctx: gf.FieldCtx, n: int, cap: int,
+                 bound: Optional[int] = None):
+        # with a proven upper bound on |G| the chain stops where its orbits
+        # meet it, and orbits that pass it prove the bound wrong
+        self.n, self.bound = n, bound
+        self.cap = cap if bound is None else min(cap, bound)
         units = self.units = tuple(MatrixFq.identity(ctx, n).rows())
         self.pts: list[list[_State]] = [[e] for e in units]
         self.idx: list[dict[_State, int]] = [{e: 0} for e in units]
@@ -262,12 +283,22 @@ class _Chain:
         """Make rows, which fix e_0..e_{top-1} and move e_top, a strong
         generator of levels 0..top, and extend the orbits of levels
         first..top by it (the orbits above first already hold it).  False
-        once the product of the orbit sizes passes the cap."""
+        once the product of the orbit sizes passes the cap; AssertionError
+        once it passes the bound, which would disprove the bound."""
         g = self._gen(rows)
         for l in range(top + 1):
             self.gens[l].append(g)
             self.done[l].append(0)
-        return all(self._grow(l, g) for l in range(first, top + 1))
+        if all(self._grow(l, g) for l in range(first, top + 1)):
+            return True
+        if self.cap == self.bound:
+            raise AssertionError(f"orbits pass the upper bound {self.bound}")
+        return False
+
+    def order(self) -> int:
+        """The product of the orbit sizes: |G| once the chain is complete
+        or meets the bound, and a lower bound on it before."""
+        return math.prod(len(p) for p in self.pts)
 
     def _grow(self, l: int, g: _Gen) -> bool:
         """Close level l's orbit under its generators after g joined them:
@@ -376,10 +407,10 @@ class _Chain:
 
     def close(self) -> bool:
         """Complete the chain by deterministic Schreier-Sims: deepest level
-        first, and back down to a level whenever it gains a generator.
-        False once the order provably passes the cap."""
+        first, and back down to a level whenever it gains a generator, up
+        to the bound.  False once the order provably passes the cap."""
         l = self.n - 1
-        while l >= 0:
+        while l >= 0 and self.order() != self.bound:
             res = self._schreier(l)
             if res is None:
                 l -= 1
@@ -390,6 +421,13 @@ class _Chain:
             l = top
         return True
 
+    def run(self, matrices: list[MatrixFq]) -> Optional[int]:
+        """|G| for the group the matrices generate, or None once it
+        provably passes the cap."""
+        if self.start(matrices) and self.close():
+            return self.order()
+        return None
+
 
 def group_closure_order(gens: OrthoGenSet,
                         cap: int = DEFAULT_CLOSURE_CAP) -> tuple[int, bool]:
@@ -399,38 +437,58 @@ def group_closure_order(gens: OrthoGenSet,
 
     Returns (order, True), or (cap, False) exactly when the order exceeds
     the cap.  Every partial orbit lies inside its true basic orbit, so the
-    product of the partial orbit sizes bounds |G| from below, and the call
-    gives up the moment that bound passes the cap.  Nothing is kept
-    between calls.
+    product of the partial orbit sizes bounds |G| from below at every
+    step.  The chain stops the moment that bound passes the cap, or meets
+    the proven upper bound U: classical_orthogonal_order(n, q), halved for
+    odd q and n >= 2 when every generator has square spinor norm.  When
+    the bounds never meet (O(4,3) and O(4,5) generate subgroups of index
+    3 and 75) the chain runs to completion.  A lower bound past U raises
+    AssertionError, never returns.  Nothing but U is kept between calls.
     """
-    chain = _Chain(gens.ctx, gens.n, cap)
-    if not (chain.start(gens.matrices()) and chain.close()):
-        return cap, False
-    return math.prod(len(p) for p in chain.pts), True
+    order = _Chain(gens.ctx, gens.n, cap, gens._order_bound).run(
+        gens.matrices())
+    return (cap, False) if order is None else (order, True)
+
+
+def _sp_order(m: int, q: int) -> int:
+    """|Sp(2m, q)| = q^(m^2) prod_{i=1..m} (q^(2i) - 1)."""
+    order = q ** (m * m)
+    for i in range(1, m + 1):
+        order *= q ** (2 * i) - 1
+    return order
 
 
 def classical_orthogonal_order(n: int, q: int) -> int:
-    """|O_n(q)| for odd prime powers q, both parities of n.
+    """The order of {A : A A^T = I} over GF(q), for every prime power q.
 
-    For even n = 2m the sign is +1 exactly when (-1)^m is a square in
-    GF(q), i.e. when m is even or q = 1 mod 4.
+    Odd q: |O_n(q)|, which for even n = 2m has sign +1 exactly when
+    (-1)^m is a square in GF(q), i.e. when m is even or q = 1 mod 4.
+    Even q (MacWilliams, "Orthogonal matrices over finite fields", 1969):
+    |Sp(n-1, q)| for odd n and q^(n-1) |Sp(n-2, q)| for even n.
     """
     if n < 1:
         raise DimensionTooSmall("n must be positive")
-    if q % 2 == 0:
-        raise UnsupportedShape("even characteristic has no single O_n(q)")
-    if n % 2:
-        m = n // 2
-        order = 2 * q ** (m * m)
-        for i in range(1, m + 1):
-            order *= q ** (2 * i) - 1
-        return order
     m = n // 2
+    if n % 2:
+        return (1 if q % 2 == 0 else 2) * _sp_order(m, q)
+    if q % 2 == 0:
+        return q ** (n - 1) * _sp_order(m - 1, q)
     eps = 1 if (m % 2 == 0 or q % 4 == 1) else -1
-    order = 2 * q ** (m * (m - 1)) * (q ** m - eps)
-    for i in range(1, m):
-        order *= q ** (2 * i) - 1
-    return order
+    return 2 * q ** (m - 1) * (q ** m - eps) * _sp_order(m - 1, q)
+
+
+def spinor_norm(M: MatrixFq) -> int:
+    """The spinor norm of an orthogonal M over odd q, as a field element
+    up to squares, by Zassenhaus's formula: with D = I - M and R row
+    indices of a basis of D's row space, it is 2^|R| det(D[R, R]).  A
+    reflection in v then has norm v.v, the convention under which the
+    swap has norm 2."""
+    ctx, n = M.ctx, M.r
+    D = MatrixFq.from_rows(ctx, [[ctx.sub(int(i == j), M[i, j])
+                                  for j in range(n)] for i in range(n)])
+    _, R = D.T.rref()
+    theta = D.take_rows(R).take_cols(R).det() if R else 1
+    return ctx.mul(theta, ctx.power(2, len(R)))
 
 
 def random_orthogonal(gens: OrthoGenSet,

@@ -1,8 +1,18 @@
+import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from lcdkit import LinearCode, MatrixFq, field_create, tower_create
+
+
+# field orders for the parser fuzz: up to 2^90, past the largest prime
+# is_prime can prove (about 3.3e24); above 2^16 only orders prime to 210,
+# so no high power of a small prime comes up (building GF(p^m) searches
+# for a modulus of degree m)
+wide_orders = st.integers(-2, 1 << 16) | st.integers(1 << 16, 1 << 90).filter(
+    lambda v: math.gcd(v, 210) == 1)
 
 
 @pytest.fixture(scope="session")

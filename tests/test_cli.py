@@ -22,6 +22,18 @@ def test_order_fixture_match(capsys):
     assert "T=384 O=1152 fixture=match" in out
 
 
+@pytest.mark.parametrize("field,out", [
+    ("4", "order=3840 complete=true\nclassical=3840\n"
+          "T=3840 O=3840 fixture=match\n"),
+    ("8", "order=258048 complete=true\nclassical=258048\n"
+          "T=258048 O=258048 fixture=match\n"),
+])
+def test_order_even_q_checks_the_formula(capsys, field, out):
+    # for even q, O comes from the formula too, and is checked against
+    # the bundled table
+    assert run(capsys, "order", "--field", field, "--n", "4") == (0, out)
+
+
 def test_order_cap_incomplete(capsys):
     code, out = run(capsys, "order", "--field", "5", "--n", "4",
                     "--cap", "100")

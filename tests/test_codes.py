@@ -13,7 +13,8 @@ from lcdkit import (EXACT, LOWER_BOUND, CodeRecord, LinearCode, MatrixFq,
 from lcdkit.errors import (DistanceNotExact, EmptyResult, LcdError,
                            ParseError, ZeroMatrix)
 
-from conftest import random_code, random_lcd_code, random_matrix
+from conftest import (random_code, random_lcd_code, random_matrix,
+                      wide_orders)
 
 
 def ham74(F2):
@@ -365,11 +366,16 @@ _json_values = st.recursive(
 @given(st.sets(st.sampled_from(sorted(_RECORD))),
        st.dictionaries(st.sampled_from(sorted(_RECORD)), _json_values,
                        max_size=3),
-       st.integers(0, 200), st.text(max_size=20))
-@example(set(), {}, 200, "1" * 5000)       # too long an integer
-@example(set(), {}, 200, "[" * 100_000)    # nested too deep
-def test_record_line_fuzz(dropped, changed, cut, noise):
-    raw = {name: changed.get(name, value) for name, value in _RECORD.items()
+       st.integers(0, 200), st.text(max_size=20), wide_orders)
+@example(set(), {}, 200, "1" * 5000, 7)      # too long an integer
+@example(set(), {}, 200, "[" * 100_000, 7)   # nested too deep
+@example(set(), {}, 200, "", (1 << 61) - 1)  # too large to trial-divide
+def test_record_line_fuzz(dropped, changed, cut, noise, q):
+    # the field order q names the record's field and its matrix's; a
+    # record that loads either builds its generator or refuses it with an
+    # LcdError
+    base = {**_RECORD, "field": str(q), "matrix": f"{q} 1 3\n1 2 3\n"}
+    raw = {name: changed.get(name, value) for name, value in base.items()
            if name not in dropped}
     for line in (json.dumps(raw), json.dumps(raw)[:cut], noise):
         try:
@@ -377,6 +383,11 @@ def test_record_line_fuzz(dropped, changed, cut, noise):
         except LcdError:
             continue
         assert CodeRecord.from_json(rec.to_json()) == rec
+        try:
+            G = rec.generator()
+        except LcdError:
+            continue
+        assert MatrixFq.from_text(G.to_text()) == G
 
 
 def test_store_dedupe_and_determinism(tmp_path, F5, rng):

@@ -1,5 +1,6 @@
 """Field arithmetic against hand-computed values and the field axioms."""
 
+import math
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcdkit import FieldCtx, field_create, parse_field, tower_create
-from lcdkit.errors import (NotADivisor, NotATower, NotPrime, ParseError,
-                           ReducibleModulus)
+from lcdkit.errors import (InvalidValue, NotADivisor, NotATower, NotPrime,
+                           ParseError, ReducibleModulus)
+from lcdkit.gf import is_prime
 
 
 def test_gf7_tables():
@@ -157,6 +159,49 @@ def test_parse_field_rejects_junk():
         parse_field("banana")
     with pytest.raises(NotPrime):
         field_create(6)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [
+        n for n in range(-3, 5000) if trial(n)]
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randrange(1 << 20, 1 << 24)
+        assert is_prime(n) == trial(n)
+
+
+def test_is_prime_past_trial_division():
+    # the smallest strong pseudoprimes to the first 1, 4, 5, 9 and 12
+    # prime bases, and a Carmichael number
+    for n in (2047, 3215031751, 2152302898747, 3825123056546413051,
+              318665857834031151167461, 561):
+        assert not is_prime(n)
+    # Mersenne primes, and products of two of them
+    for k in (19, 31, 61):
+        assert is_prime(2 ** k - 1)
+    for a, b in ((31, 31), (19, 61)):
+        assert not is_prime((2 ** a - 1) * (2 ** b - 1))
+    # from the Sorenson-Webster bound up, the 13 bases prove nothing
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(InvalidValue):
+            is_prime(n)
+
+
+def test_parse_field_by_integer_roots():
+    mersenne = (1 << 61) - 1
+    assert (parse_field(str(mersenne)).p, parse_field(str(mersenne)).m) == (
+        mersenne, 1)
+    for v, pm in ((8, (2, 3)), (81, (3, 4)), (1031 ** 2, (1031, 2)),
+                  (3 ** 40, (3, 40)), (mersenne ** 2, (mersenne, 2))):
+        ctx = parse_field(str(v))
+        assert (ctx.p, ctx.m) == pm
+    for v in (6, 36, 2 ** 10 * 3, mersenne * 3, 1000, 6 ** 5):
+        with pytest.raises(ParseError, match="not a prime power"):
+            parse_field(str(v))
+    with pytest.raises(InvalidValue):
+        parse_field(str(2 ** 89 - 1))
 
 
 def test_reducible_modulus_rejected():

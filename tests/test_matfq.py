@@ -11,7 +11,7 @@ from lcdkit import MatrixFq, field_create, parse_field
 from lcdkit.errors import LcdError, ParseError, ShapeMismatch, Singular
 from lcdkit.fixtures import product_example
 
-from conftest import random_matrix
+from conftest import random_matrix, wide_orders
 
 
 def test_product_against_hand_computation():
@@ -91,15 +91,13 @@ def test_text_round_trip():
         MatrixFq.from_text("")
 
 
-# Field orders and degrees stay small: a prime near 2^61 in a descriptor
-# makes is_prime's trial division run for minutes.
-_small = st.integers(-2, 9)
+# Degrees stay small: building GF(p^m) searches for a modulus of degree m.
 _descriptors = st.one_of(
-    st.integers(-2, 64).map(str),
-    st.builds("{}^{}".format, _small, st.integers(-2, 4)),
-    st.builds("{}/{}".format, st.integers(-1, 30),
+    wide_orders.map(str),
+    st.builds("{}^{}".format, wide_orders, st.integers(-2, 4)),
+    st.builds("{}/{}".format, st.integers(-1, 1 << 12),
               st.sampled_from(["2", "3", "4", "2^2", "5", "x"])),
-    st.builds("{}^{}/{}".format, _small, st.integers(-1, 3),
+    st.builds("{}^{}/{}".format, wide_orders, st.integers(-1, 3),
               st.sampled_from(["2", "3", "4", "5"])),
     st.sampled_from(["", "/", "^", "2^", "^2", "a", "2^x", "3/3/3"]),
 )
@@ -114,16 +112,21 @@ _tokens = st.one_of(st.integers(-3, 40).map(str),
 @example("2^0", 1, 1, [["1"]], "{d} {r} {c}")
 @example("4/4", 1, 1, [["1"]], "{d} {r} {c}")
 @example("2", 0, 3, [], "{d} {r} {c}")
+@example("", 2, 0, [], "{d} {r} {c} 0")
+@example(str((1 << 61) - 1), 1, 1, [["5"]], "{d} {r} {c}")
+@example(str(3317044064679887385961997), 1, 1, [["5"]], "{d} {r} {c}")
 def test_matrix_text_fuzz(desc, r, c, rows, header):
-    text = "\n".join([header.format(d=desc, r=r, c=c)]
-                     + [" ".join(row) for row in rows])
+    head = header.format(d=desc, r=r, c=c)
+    text = "\n".join([head] + [" ".join(row) for row in rows])
     try:
         M = MatrixFq.from_text(text)
     except LcdError:
         return
-    # only a full header parses, and its sizes survive the round trip
-    assert (M.r, M.c) == (r, c)
-    assert M.to_text().split("\n", 1)[0] == f"{M.ctx.descriptor} {r} {c}"
+    # only a full header parses, and its sizes survive the round trip; an
+    # empty descriptor moves every later header token one place left
+    _, hr, hc = head.split()
+    assert (M.r, M.c) == (int(hr), int(hc))
+    assert M.to_text().split("\n", 1)[0] == f"{M.ctx.descriptor} {hr} {hc}"
     assert MatrixFq.from_text(M.to_text()) == M
 
 

@@ -1,5 +1,6 @@
 """Orthogonal generators, closure enumeration, classical group orders."""
 
+import itertools
 import random
 from collections import deque
 
@@ -9,9 +10,10 @@ from lcdkit import (MatrixFq, classical_orthogonal_order, field_create,
                     generator_set, group_closure_order, parse_field,
                     random_orthogonal)
 from lcdkit.cli import main
-from lcdkit.errors import DimensionTooSmall, UnsupportedShape
+from lcdkit.errors import DimensionTooSmall
 from lcdkit.fixtures import group_orders
-from lcdkit.orthogen import (_Chain, half_turn_matrix, rotation_matrix,
+from lcdkit.orthogen import (DEFAULT_CLOSURE_CAP, _Chain, half_turn_matrix,
+                             rotation_matrix, spinor_norm,
                              transvection_matrix)
 
 
@@ -89,39 +91,34 @@ def test_closure_orders(field, n, expected):
     assert complete and order == expected
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("field,n", [("9", 4), ("16", 4), ("5", 5), ("7", 5)])
-def test_closure_orders_large(field, n):
+def unbounded_order(gens, cap=DEFAULT_CLOSURE_CAP):
+    """Oracle: the chain with no upper bound, run to the end."""
+    order = _Chain(gens.ctx, gens.n, cap).run(gens.matrices())
+    return (cap, False) if order is None else (order, True)
+
+
+# the bundled rows the early stop brings into the default run; over
+# GF(17) the generators lie in the spinor kernel (see the spinor norm
+# test), so they reach |O_4(17)| / 2, not the bundled table's T
+LARGE_CLOSURES = [("9", 4, 1036800), ("16", 4, 16711680), ("5", 5, 18720000),
+                  ("7", 5, 553190400), ("17", 4, 23970816)]
+
+
+@pytest.mark.parametrize("field,n,expected", LARGE_CLOSURES)
+def test_closure_orders_large(field, n, expected):
     ctx = parse_field(field)
+    gens = generator_set(ctx, n)
+    assert group_closure_order(gens, cap=1 << 40) == (expected, True)
     t, o = group_orders()[(n, ctx.q)]
-    order, complete = group_closure_order(generator_set(ctx, n), cap=o)
-    assert complete and order == t
-    if ctx.q % 2:
-        assert order == classical_orthogonal_order(n, ctx.q)
+    assert o == classical_orthogonal_order(n, ctx.q)
+    assert expected == (t if ctx.q != 17 else t // 2)
 
 
 @pytest.mark.slow
-def test_closure_order_is_half_of_o4_17():
-    # the generators lie in the spinor kernel (see the spinor norm test),
-    # so they reach |O_4(17)| / 2, not the bundled table's T = |O_4(17)|
-    gens = generator_set(parse_field("17"), 4)
-    assert group_closure_order(gens, cap=1 << 40) == (23970816, True)
-    assert 2 * 23970816 == classical_orthogonal_order(4, 17)
-
-
-def spinor_norm(M):
-    """The spinor norm of an orthogonal M, as a field element up to
-    squares, by Zassenhaus's formula: with D = I - M and R row indices of
-    a basis of D's row space, it is 2^|R| det(D[R, R]).  A reflection in
-    v then has norm v.v, the convention under which the swap has norm 2."""
-    ctx, n = M.ctx, M.r
-    D = MatrixFq.from_rows(ctx, [[ctx.sub(int(i == j), M[i, j])
-                                  for j in range(n)] for i in range(n)])
-    _, R = D.T.rref()
-    theta = D.take_rows(R).take_cols(R).det() if R else 1
-    for _ in R:
-        theta = ctx.mul(theta, 2)
-    return theta
+@pytest.mark.parametrize("field,n,expected", LARGE_CLOSURES)
+def test_closure_orders_large_unbounded(field, n, expected):
+    gens = generator_set(parse_field(field), n)
+    assert unbounded_order(gens, cap=1 << 40) == (expected, True)
 
 
 def reflection(ctx, v, vv):
@@ -404,6 +401,93 @@ def test_closure_orbit_guard():
     assert group_closure_order(gens, cap=1000) == (1000, False)
 
 
+# the early stop against the unbounded chain: every (field, n) below,
+# at each cap and, for a complete order o, at caps o - 1, o and o + 1;
+# above 2^10 elements the chain works through ctx.add/ctx.mul, so the
+# untabled fields stay at small caps
+TABLED_CAPS = (1, 10, 1000, 10 ** 6, 1 << 30)
+UNTABLED_CAPS = (1, 10, 100, 1000, 10 ** 4)
+TIER1_GRID = ([(f, n) for f in ("2", "3", "4", "5", "7", "8", "9")
+               for n in (1, 2, 3, 4) if (f, n) not in (("8", 4), ("9", 4))]
+              + [("2", 5), ("3", 5)]
+              + [(f, n) for f in ("1031", "2048") for n in (1, 2)])
+SLOW_GRID = ([("8", 4), ("9", 4)]
+             + [(f, 5) for f in ("4", "5", "7", "8", "9")]
+             + [(f, n) for f in ("11", "13", "16") for n in (1, 2, 3, 4, 5)]
+             + [(f, n) for f in ("1031", "2048") for n in (3, 4, 5)])
+
+
+def check_against_unbounded(gens):
+    caps = UNTABLED_CAPS if gens.ctx.q > 1 << 10 else TABLED_CAPS
+    for cap in caps:
+        expected = unbounded_order(gens, cap)
+        assert group_closure_order(gens, cap) == expected, cap
+    order, complete = expected
+    for cap in (order - 1, order, order + 1) if complete else ():
+        if cap >= 1:
+            assert group_closure_order(gens, cap) == unbounded_order(
+                gens, cap), cap
+
+
+@pytest.mark.parametrize("field,n", TIER1_GRID)
+def test_early_stop_matches_unbounded_chain(field, n):
+    check_against_unbounded(generator_set(parse_field(field), n))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field,n", SLOW_GRID)
+def test_early_stop_matches_unbounded_chain_slow(field, n):
+    check_against_unbounded(generator_set(parse_field(field), n))
+
+
+@pytest.mark.parametrize("field,bounds", [
+    # bounds for n = 1..5: |O_n(q)|, halved for n >= 2 over GF(17) and
+    # GF(25), where every generator has square spinor norm; at n = 1 the
+    # norm of -1 is 1, a square, so the spinor kernel is all of O_1(q)
+    ("3", (2, 8, 48, 1152, 103680)),
+    ("4", (1, 4, 60, 3840, 979200)),
+    ("7", (2, 16, 672, 225792, 553190400)),
+    ("17", (2, 16, 4896, 23970816, 2008994088960)),
+    ("25", (2, 24, 15600, 243360000, 95214600000000)),
+])
+def test_order_bound(field, bounds):
+    ctx = parse_field(field)
+    halved = ctx.q in (17, 25)
+    for n, bound in enumerate(bounds, 1):
+        gens = generator_set(ctx, n)
+        assert gens._order_bound == bound
+        o = classical_orthogonal_order(n, ctx.q)
+        assert bound == (o // 2 if halved and n >= 2 else o)
+
+
+def test_chain_stops_where_the_bounds_meet():
+    # O(4,7) is all of O_4(7), so the bounded chain stops with Schreier
+    # generators left unsifted, while the unbounded one sifts them all
+    gens = generator_set(parse_field("7"), 4)
+    bounded = _Chain(gens.ctx, 4, DEFAULT_CLOSURE_CAP, gens._order_bound)
+    full = _Chain(gens.ctx, 4, DEFAULT_CLOSURE_CAP)
+    assert bounded.run(gens.matrices()) == full.run(gens.matrices()) == 225792
+
+    def unsifted(chain):
+        return sum(len(p) - d for p, done in zip(chain.pts, chain.done)
+                   for d in done)
+    assert unsifted(full) == 0 < unsifted(bounded)
+
+
+@pytest.mark.parametrize("field,n,bound", [
+    ("3", 4, 383),          # below |G| = 384, and no product of orbit sizes
+    ("7", 4, 225791),       # below |G| = 225792
+    ("2", 3, 5),            # n! = 6 > 5
+])
+def test_bound_below_the_order_raises(field, n, bound):
+    gens = generator_set(parse_field(field), n)
+    for cap in (bound, DEFAULT_CLOSURE_CAP):
+        with pytest.raises(AssertionError, match="upper bound"):
+            _Chain(gens.ctx, n, cap, bound).run(gens.matrices())
+    # a cap below the bound still answers (cap, False)
+    assert _Chain(gens.ctx, n, bound - 1, bound).run(gens.matrices()) is None
+
+
 def test_closure_cap_semantics():
     gens = generator_set(field_create(5), 4)
     order, complete = group_closure_order(gens, cap=100)
@@ -424,8 +508,11 @@ def test_classical_orders():
     assert classical_orthogonal_order(4, 3) == 1152
     assert classical_orthogonal_order(1, 3) == 2
     assert classical_orthogonal_order(2, 5) == 8
-    with pytest.raises(UnsupportedShape):
-        classical_orthogonal_order(4, 4)
+    # even q: |Sp(n-1, q)| for odd n, q^(n-1) |Sp(n-2, q)| for even n
+    assert classical_orthogonal_order(4, 4) == 3840
+    assert classical_orthogonal_order(1, 2) == 1
+    assert classical_orthogonal_order(2, 8) == 8
+    assert classical_orthogonal_order(3, 4) == 4 * 15
     with pytest.raises(DimensionTooSmall):
         classical_orthogonal_order(0, 3)
 
@@ -434,6 +521,43 @@ def test_classical_matches_bundled_table_for_odd_q():
     for (n, q), (_, o) in group_orders().items():
         if q % 2 == 1:
             assert classical_orthogonal_order(n, q) == o
+
+
+def test_classical_matches_bundled_table_for_even_q():
+    rows = [(n, q, o) for (n, q), (_, o) in group_orders().items()
+            if q % 2 == 0]
+    assert len(rows) == 6
+    for n, q, o in rows:
+        assert classical_orthogonal_order(n, q) == o
+
+
+def brute_orthogonal_count(ctx, n):
+    """Oracle: the number of n x n matrices A over GF(q) with A A^T = I,
+    row by row over the unit vectors orthogonal to the rows above."""
+    def dot(u, v):
+        s = 0
+        for x, y in zip(u, v):
+            s = ctx.add(s, ctx.mul(x, y))
+        return s
+    vectors = list(itertools.product(range(ctx.q), repeat=n))
+    units = [v for v in vectors if dot(v, v) == 1]
+
+    def count(rows):
+        if len(rows) == n:
+            return 1
+        return sum(count(rows + [v]) for v in units
+                   if all(dot(v, w) == 0 for w in rows))
+    return count([])
+
+
+@pytest.mark.parametrize("field,n", [(f, n) for f in ("2", "3", "4", "5",
+                                                       "7", "8", "9")
+                                     for n in (1, 2, 3)]
+                         + [("2", 4), ("3", 4)])
+def test_classical_matches_brute_count(field, n):
+    ctx = parse_field(field)
+    assert classical_orthogonal_order(n, ctx.q) == brute_orthogonal_count(
+        ctx, n)
 
 
 def test_random_orthogonal_properties():
