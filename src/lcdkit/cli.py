@@ -24,6 +24,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -299,7 +300,9 @@ SHARED_OPTIONS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="lcdkit",
         description="construct, search for, and verify LCD codes")

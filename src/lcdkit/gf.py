@@ -14,7 +14,8 @@ Each context carries a fixed multiplicative generator g (the smallest code
 of order q - 1; found on first use above the exp/log cap) plus exp/log
 tables for fields of desk scale, so products, inverses, and square roots
 cost one or two list lookups.  Primality is a deterministic Miller-Rabin
-test, proven for every value below about 3.3e24 and refusing larger ones.
+test, proven for every value below about 3.3e24 and refusing larger ones;
+q - 1 is factored by Pollard-Brent rho to find g.
 
 The hot loops, here and elsewhere in the package, do their arithmetic
 through ``FieldCtx.tables()``, one interface for every q: adds[a][b] and
@@ -29,6 +30,7 @@ its reduced rows, and MatrixFq wraps both.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -68,6 +70,12 @@ def is_prime(n: int) -> bool:
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every base in _MR_BASES, for n prime to them all:
+    False proves n composite, and True proves it prime below _MR_LIMIT."""
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for b in _MR_BASES:
@@ -95,19 +103,59 @@ def _iroot(v: int, m: int) -> int:
         r = s
 
 
+def _rho(n: int) -> int:
+    """A proper factor of the composite n, which is odd: Pollard's rho on
+    x -> x^2 + c in Brent's variant (Brent, BIT 20, 1980), which doubles
+    the cycle search's stride and takes gcds over batches of 64 steps.
+    It tries c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(64, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = math.gcd(prod, n)
+                k += 64
+            r *= 2
+        if g == n:                      # the batch overshot: step it singly
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    f = 2
-    while f * f <= n:
+    """Distinct prime factors of n, ascending.  Trial division takes the
+    primes below 256; Pollard-Brent rho splits what is left until every
+    part is prime: below 2^16 it has no factor below 256, above that
+    Miller-Rabin proves it.  InvalidValue for a part from _MR_LIMIT up
+    that no base proves composite."""
+    out, f = [], 2
+    while f < 256 and f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m >> 16 and not _strong_probable_prime(m):
+            f = _rho(m)
+            parts += [f, m // f]
+        elif m < _MR_LIMIT:
+            out.append(m)
+        else:
+            raise InvalidValue(f"{m} is too large to prove prime")
+    return sorted(set(out))
 
 
 # ---------------------------------------------------------------------------

@@ -26,23 +26,27 @@ sizes.  The product of the partial orbit sizes is a proven lower bound on
 |G| at every step, and classical_orthogonal_order (halved when every
 generator has square spinor norm) a proven upper bound, so the chain
 stops as soon as the two meet; a capped call also stops as soon as the
-partial orbits prove the order exceeds the cap.  The random walk holds
-its matrix as n column tuples and folds runs of steps before it applies
-them (see random_orthogonal).  Both do their arithmetic by indexing
+partial orbits prove the order exceeds the cap.  The random walk reads
+its rng's Mersenne Twister words in bulk, in the order randrange and
+shuffle would, holds its matrix as n column tuples, applies each shuffle
+as column swaps and each run of one generator as one power of it (see
+random_orthogonal).  Both do their arithmetic by indexing
 ``ctx.tables()``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
+import struct
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import gf
-from .errors import DimensionTooSmall
+from .errors import DimensionTooSmall, InvalidValue
 from .matfq import MatrixFq
 
 DEFAULT_CLOSURE_CAP = 1 << 21
@@ -126,14 +130,15 @@ class OrthoGenSet:
         return [self.swap, self.cycle] + [m for m in extras if m is not None]
 
     @functools.cached_property
-    def _walk_steps(self) -> list[tuple[int, Callable[[int], _ColOp]]]:
-        """(order m, j -> column op of the j-th power) per generator past
-        the permutations, in matrices() order; built at the first walk."""
+    def _walk_steps(self) -> list[Callable[[int], _ColOp]]:
+        """j -> column op of the j-th power, for any j >= 1, per generator
+        past the permutations, in matrices() order; built at the first
+        walk."""
         ctx = self.ctx
         steps = []
         if self.transvection is not None:
-            op = _transvection_cols(ctx, self.theta)
-            steps.append((2, lambda j: op))
+            ops = (_no_op, _transvection_cols(ctx, self.theta))
+            steps.append(lambda j: ops[j % 2])
         if self.rotation is not None or self.half_turn is not None:
             a, b = (self.unit_pair if self.rotation is not None
                     else (ctx.neg(1), 0))
@@ -143,8 +148,9 @@ class OrthoGenSet:
                 powers.append((x, y))
                 x, y = (ctx.sub(ctx.mul(x, a), ctx.mul(y, b)),
                         ctx.add(ctx.mul(x, b), ctx.mul(y, a)))
-            steps.append((len(powers), functools.cache(
-                lambda j: _plane_cols(ctx, *powers[j]))))
+            plane = functools.cache(
+                lambda j: _plane_cols(ctx, *powers[j]) if j else _no_op)
+            steps.append(lambda j: plane(j % len(powers)))
         return steps
 
     @functools.cached_property
@@ -206,18 +212,29 @@ def _plane_cols(ctx: gf.FieldCtx, a: int, b: int) -> _ColOp:
 
 
 def _transvection_cols(ctx: gf.FieldCtx, theta: int) -> _ColOp:
-    """Right multiply by I + theta * ones(4): each row gains theta times
-    the sum of its first four entries, on those same four columns."""
+    """Right multiply by I + theta * ones(4): each row gains t = theta
+    times the sum of its first four entries, on those same four columns.
+    One pass builds each row's new 4-tuple, and zip turns them back into
+    columns."""
     adds, muls = ctx.tables()
     mth = muls[theta]
 
     def op(cols: list) -> None:
-        four = cols[:4]
-        ts = [mth[adds[adds[a][b]][adds[c][d]]] for a, b, c, d in zip(*four)]
-        cols[:4] = [tuple([adds[x][t] for x, t in zip(col, ts)])
-                    for col in four]
+        cols[:4] = zip(*[(at[a], at[b], at[c], at[d])
+                         for a, b, c, d in zip(*cols[:4])
+                         for at in (adds[mth[adds[adds[a][b]][adds[c][d]]]],)])
 
     return op
+
+
+def _no_op(cols: list) -> None:
+    """A generator's power that is the identity."""
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_rows(n: int) -> tuple[_State, ...]:
+    """e_0..e_{n-1}: the rows, and the columns, of the n x n identity."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +261,7 @@ class _Chain:
         # meet it, and orbits that pass it prove the bound wrong
         self.n, self.bound = n, bound
         self.cap = cap if bound is None else min(cap, bound)
-        units = self.units = tuple(MatrixFq.identity(ctx, n).rows())
+        units = self.units = _unit_rows(n)
         self.pts: list[list[_State]] = [[e] for e in units]
         self.idx: list[dict[_State, int]] = [{e: 0} for e in units]
         self.parent = [array("l", [-1]) for _ in units]
@@ -491,48 +508,75 @@ def spinor_norm(M: MatrixFq) -> int:
     return ctx.mul(theta, ctx.power(2, len(R)))
 
 
+_BLOCK = 128                    # Mersenne Twister words per getrandbits call
+_UNPACK = struct.Struct(f"<{_BLOCK}I").unpack
+
+
+def _words(rng: random.Random) -> Iterator[int]:
+    """rng's 32-bit Mersenne Twister outputs, in the order its own calls
+    would consume them: getrandbits(32 B) holds B consecutive outputs, the
+    first in the low 32 bits.  Drawn B at a time and never exhausted."""
+    def block() -> tuple[int, ...]:
+        return _UNPACK(rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK,
+                                                             "little"))
+    return itertools.chain.from_iterable(iter(block, None))
+
+
 def random_orthogonal(gens: OrthoGenSet,
                       walk_length: int = DEFAULT_WALK_LENGTH,
                       seed: int = 0) -> MatrixFq:
     """Random walk over the generated group: each step right-multiplies by
     a fresh uniform permutation or by one of the generators past the two
-    fixed permutations.  Same seed, same matrix.
+    fixed permutations.  Same seed, same matrix.  InvalidValue for a
+    negative walk length.
 
-    Each step draws rng.randrange(kinds), then for a permutation
-    rng.shuffle(sigma), so the rng order does not depend on the folding:
-    back-to-back permutations compose into one gather, and a run of one
-    other generator becomes its power modulo its order (involutions cancel
-    in pairs; j rotations by a + b i make one by (a + b i)^j).  What is
-    left acts on n column tuples: a permutation gathers them, the plane
-    maps rewrite columns 0 and 1, the transvection columns 0..3."""
+    It is the walk that draws, per step, kind = rng.randrange(kinds) and,
+    for kind 0, rng.shuffle(sigma) of sigma = [0..n-1], with rng =
+    Random(seed), and reads the same words of that rng in the same order.
+    CPython draws randrange(m), and each index of a shuffle, as
+    _randbelow(m): a word w >> (32 - m.bit_length()), drawn again while it
+    is >= m.  _words yields the words those calls would read, in order,
+    from bulk getrandbits calls; the rng is private to the call, so what
+    it reads past the last word used is never seen.
+
+    Shuffle draws j_{n-1}, ..., j_1 and swaps sigma[i] with sigma[j_i].
+    Multiplying by the matrix of sigma moves column i to column sigma[i],
+    which is the same as swapping columns i and j_i for i = 1..n-1, the
+    reverse of the draw order.  A run of one other generator becomes its
+    power modulo its order when the run ends (involutions cancel in
+    pairs; j rotations by a + b i make one by (a + b i)^j).  The matrix is
+    held as n column tuples: the plane maps rewrite columns 0 and 1, the
+    transvection columns 0..3."""
+    if walk_length < 0:
+        raise InvalidValue(f"walk length {walk_length} is negative")
     n = gens.n
-    rng = random.Random(seed)
+    word = _words(random.Random(seed)).__next__
     steps = gens._walk_steps
     kinds = 1 + len(steps)
-    folded: list[list] = []             # [kind, gather or exponent]
+    shift = 32 - kinds.bit_length()
+    draws = [(i, 32 - (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+    cols = list(_unit_rows(n))
+    # the pending run: count steps of kind run, and none while run is 0
+    run, count = 0, 0
     for _ in range(walk_length):
-        kind = rng.randrange(kinds)
-        top = folded[-1] if folded and folded[-1][0] == kind else None
-        if kind == 0:
-            sigma = list(range(n))
-            rng.shuffle(sigma)
-            gather = [0] * n            # column j of the product is
-            for i, s in enumerate(sigma):   # column gather[j] of the input
-                gather[s] = i
-            if top is None:
-                folded.append([0, gather])
-            else:
-                top[1] = [top[1][j] for j in gather]
-        elif top is None:
-            folded.append([kind, 1])
-        else:
-            top[1] = (top[1] + 1) % steps[kind - 1][0]
-            if not top[1]:
-                folded.pop()
-    cols = MatrixFq.identity(gens.ctx, n).rows()
-    for kind, arg in folded:
-        if kind:
-            steps[kind - 1][1](arg)(cols)
-        else:
-            cols = [cols[j] for j in arg]
+        kind = word() >> shift
+        while kind >= kinds:
+            kind = word() >> shift
+        if kind and kind == run:
+            count += 1
+            continue
+        if run:
+            steps[run - 1](count)(cols)
+        run, count = kind, 1
+        if not kind:
+            swaps = []
+            for i, s in draws:
+                j = word() >> s
+                while j > i:
+                    j = word() >> s
+                swaps.append((i, j))
+            for i, j in reversed(swaps):
+                cols[i], cols[j] = cols[j], cols[i]
+    if run:
+        steps[run - 1](count)(cols)
     return MatrixFq(gens.ctx, n, n, [x for row in zip(*cols) for x in row])

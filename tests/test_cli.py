@@ -86,6 +86,22 @@ def test_usage_errors_exit_2(capsys):
                  "--target-d", "0"]) == 2
 
 
+def test_parser_serves_every_call_alike(capsys):
+    # one parser per process: a usage error between two calls leaves
+    # nothing behind that the second call sees
+    good = ["sample", "--field", "7", "--n", "3", "--seed", "5"]
+    first = run(capsys, *good)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--field", "7", "--walk-length", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert main(good[:-1] + ["0", "--walk-length", "0"]) == 2
+        assert capsys.readouterr().err == \
+            "lcdkit: --walk-length must be positive\n"
+        assert run(capsys, *good) == first
+
+
 @pytest.mark.parametrize("argv, option", [
     (["order", "--field", "3", "--n", "4"], ["--seed", "1"]),
     (["order", "--field", "3", "--n", "4"], ["--store", "s.jsonl"]),

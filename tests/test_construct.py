@@ -423,6 +423,15 @@ def test_search_records_are_pinned(args, expected):
     assert replay_record(rec).to_text() == rec.matrix
 
 
+def test_negative_walk_length_is_refused(F11):
+    with pytest.raises(InvalidValue):
+        search_random_lcd(F11, 5, 3, 3, budget=200, seed=9, walk_length=-2)
+    line = PINNED_SEARCHES[0][1].replace('"walk_length":64',
+                                         '"walk_length":-2')
+    with pytest.raises(InvalidValue):
+        replay_record(CodeRecord.from_json(line))
+
+
 # the records that the extend, product and project verbs wrote, pinned
 # from an earlier version
 PINNED_RECORDS = {

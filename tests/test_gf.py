@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lcdkit import FieldCtx, field_create, parse_field, tower_create
 from lcdkit.errors import (InvalidValue, NotADivisor, NotATower, NotPrime,
                            ParseError, ReducibleModulus)
-from lcdkit.gf import is_prime
+from lcdkit.gf import is_prime, prime_factors
 
 
 def test_gf7_tables():
@@ -187,6 +187,54 @@ def test_is_prime_past_trial_division():
     for n in (3317044064679887385961981, 2 ** 89 - 1):
         with pytest.raises(InvalidValue):
             is_prime(n)
+
+
+def trial_factors(n):
+    """Distinct prime factors of n by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    return out + [n] if n > 1 else out
+
+
+def test_prime_factors_match_trial_division():
+    assert all(prime_factors(n) == trial_factors(n)
+               for n in range(-3, 10 ** 5 + 1))
+
+
+def test_prime_factors_of_products_of_known_primes():
+    # products up to about 2^60 of one to five primes, some repeated, so
+    # rho splits parts whose smallest prime is up to about 2^30
+    rng = random.Random(1031)
+    for _ in range(300):
+        primes, n = [], 1
+        for _ in range(rng.randrange(1, 6)):
+            e = rng.randrange(1, 3)
+            room = (61 - n.bit_length()) // e
+            if room < 2:
+                break
+            bits = rng.randrange(2, room + 1)
+            p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            while not is_prime(p):
+                p += 2
+            primes.append(p)
+            n *= p ** e
+        assert prime_factors(n) == sorted(set(primes)), n
+
+
+def test_generator_of_a_field_with_a_large_prime_in_q_minus_1():
+    # q = 2 r + 1 with r prime: trial division would need r^(1/2) steps
+    ctx = parse_field("1125899906846567")
+    assert prime_factors(ctx.q - 1) == [2, 562949953423283]
+    assert ctx.primitive_nth_root(2) == ctx.q - 1
+    assert prime_factors(2 ** 89 - 2) == sorted(
+        {2, *trial_factors(2 ** 44 - 1), *trial_factors(2 ** 44 + 1)})
+    with pytest.raises(InvalidValue):       # 2^89 - 1 is a prime past it
+        prime_factors(3 * (2 ** 89 - 1))
 
 
 def test_parse_field_by_integer_roots():

@@ -10,10 +10,10 @@ from lcdkit import (MatrixFq, classical_orthogonal_order, field_create,
                     generator_set, group_closure_order, parse_field,
                     random_orthogonal)
 from lcdkit.cli import main
-from lcdkit.errors import DimensionTooSmall
+from lcdkit.errors import DimensionTooSmall, InvalidValue
 from lcdkit.fixtures import group_orders
-from lcdkit.orthogen import (DEFAULT_CLOSURE_CAP, _Chain, half_turn_matrix,
-                             rotation_matrix, spinor_norm,
+from lcdkit.orthogen import (DEFAULT_CLOSURE_CAP, _Chain, _words,
+                             half_turn_matrix, rotation_matrix, spinor_norm,
                              transvection_matrix)
 
 
@@ -257,13 +257,57 @@ WALK_FIELDS = ["2", "3", "4", "5", "7", "8", "9", "11", "13", "16", "17",
 
 @pytest.mark.parametrize("field", WALK_FIELDS)
 def test_walk_matches_flat_oracle(field):
+    # n = 9..17 draw shuffle indices of 4 and 5 bits, and 2,000 steps
+    # read dozens of the walk's word blocks
     ctx = parse_field(field)
-    for n in range(2, 9):
+    cases = [(n, walk_length, 20) for n in range(1, 9)
+             for walk_length in (0, 1, 2, 5, 64)]
+    cases += [(n, walk_length, 2) for n in range(9, 18)
+              for walk_length in (1, 64)]
+    cases += [(2, 2000, 2), (5, 2000, 1)]
+    for n, walk_length, seeds in cases:
         gens = generator_set(ctx, n)
-        for walk_length in (0, 1, 2, 5, 64):
-            for seed in range(20):
-                A = random_orthogonal(gens, walk_length, seed)
-                assert A.entries == flat_walk(gens, walk_length, seed)[0]
+        for seed in range(seeds):
+            A = random_orthogonal(gens, walk_length, seed)
+            assert A.entries == flat_walk(gens, walk_length, seed)[0]
+
+
+def test_words_replay_randrange_and_shuffle():
+    # the walk's reading of bulk words against the rng's own calls, in one
+    # mixed stream per seed: randrange(m) reads the top m.bit_length()
+    # bits of a word and redraws from m up, and shuffle draws j_i below
+    # i + 1 for i = n-1 down to 1
+    def randbelow(word, m):
+        shift = 32 - m.bit_length()
+        r = word() >> shift
+        while r >= m:
+            r = word() >> shift
+        return r
+
+    for seed in range(100):
+        rng = random.Random(seed)
+        word = _words(random.Random(seed)).__next__
+        calls = [(m, kind) for m in range(1, 41) for kind in (0, 1)]
+        random.Random(-seed).shuffle(calls)
+        for m, kind in calls:
+            if kind:
+                assert randbelow(word, m) == rng.randrange(m)
+                continue
+            want, got = list(range(m)), list(range(m))
+            rng.shuffle(want)
+            for i in range(m - 1, 0, -1):
+                j = randbelow(word, i + 1)
+                got[i], got[j] = got[j], got[i]
+            assert got == want
+        assert word() == rng.getrandbits(32)
+
+
+def test_walk_rejects_a_negative_length():
+    gens = generator_set(field_create(5), 4)
+    assert random_orthogonal(gens, 0, 1) == MatrixFq.identity(gens.ctx, 4)
+    for walk_length in (-1, -3):
+        with pytest.raises(InvalidValue):
+            random_orthogonal(gens, walk_length, 1)
 
 
 def rotation_order(gens):
