@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import gf, orthogen
-from .codes import EXACT, CodeRecord, LinearCode
+from .codes import EXACT, CodeRecord, LinearCode, _is_int
 from .errors import (
     BlockCountMismatch,
     ComponentNotLCD,
@@ -520,11 +520,22 @@ def replay_record(record: CodeRecord) -> MatrixFq:
     kind = prov.get("kind")
     ctx = gf.parse_field(record.field)
     if kind in ("search", "rows"):
+        names = ("walk_seed",) if kind == "rows" else ("seed", "trial")
+        rows = prov.get("row_indices")
+        if not (all(_is_int(prov.get(f)) for f in names + ("walk_length",))
+                and (kind == "rows" or prov["trial"] >= 0)
+                and isinstance(rows, list)
+                and all(_is_int(i) and 0 <= i < record.n for i in rows)
+                and len(set(rows)) == len(rows) == record.k):
+            raise ParseError(f"{kind} provenance needs integer "
+                             f"{', '.join(names)}, walk_length, trial >= 0 "
+                             f"and {record.k} distinct row_indices below "
+                             f"{record.n}")
         walk_seed = (prov["walk_seed"] if kind == "rows"
                      else prov["seed"] * 1_000_003 + prov["trial"])
         gens = orthogen.generator_set(ctx, record.n)
         A = orthogen.random_orthogonal(gens, prov["walk_length"], walk_seed)
-        return _twist(A.take_rows(prov["row_indices"]),
+        return _twist(A.take_rows(rows),
                       prov.get("lambdas") or None, prov.get("blocks") or None)
     if kind == "extended":
         base = LinearCode.from_basis(MatrixFq.from_text(prov["base"]),

@@ -222,28 +222,18 @@ def _pgcd(base: "FieldCtx", a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _poly_irreducible(base: "FieldCtx", f: Sequence[int]) -> bool:
-    """Deterministic irreducibility test for monic f over the base field:
-    x^(q^d) = x mod f, and gcd(x^(q^(d/r)) - x, f) = 1 for prime r | d."""
+    """Ben-Or's exact test for monic f of degree d over the base field:
+    gcd(x^(q^i) - x, f) = 1 for i = 1..d/2, since a reducible f has an
+    irreducible factor of some degree i <= d/2, which divides x^(q^i) - x."""
     d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    x = [0, 1]
-    h = x
-    for _ in range(d):
+    h = [0, 1]
+    for _ in range(d // 2):
         h = _ppowmod(base, h, base.q, f)
-    if h != x:
-        return False
-    for r in prime_factors(d):
-        g = x
-        for _ in range(d // r):
-            g = _ppowmod(base, g, base.q, f)
-        diff = list(g) + [0] * (2 - len(g))
+        diff = list(h) + [0] * (2 - len(h))
         diff[1] = base.sub(diff[1], 1)
         if len(_pgcd(base, f, _pstrip(diff))) != 1:
             return False
-    return True
+    return d >= 1
 
 
 # ---------------------------------------------------------------------------

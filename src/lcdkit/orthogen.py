@@ -22,16 +22,17 @@ group_closure_order builds a deterministic Schreier-Sims stabilizer chain
 e_0..e_{n-1}: a matrix sends base point e_i to its row i, so the basic
 orbits are sets of unit-norm row vectors (about q^(n-1-l) at level l),
 built by vector-matrix products, and the order is the product of their
-sizes.  The product of the partial orbit sizes is a proven lower bound on
-|G| at every step, and classical_orthogonal_order (halved when every
-generator has square spinor norm) a proven upper bound, so the chain
-stops as soon as the two meet; a capped call also stops as soon as the
-partial orbits prove the order exceeds the cap.  The random walk reads
-its rng's Mersenne Twister words in bulk, in the order randrange and
-shuffle would, holds its matrix as n column tuples, applies each shuffle
-as column swaps and each run of one generator as one power of it (see
-random_orthogonal).  Both do their arithmetic by indexing
-``ctx.tables()``.
+sizes.  A residue found closing level l joins levels l+1..top only (Holt,
+Eick and O'Brien 2005), so level 0 keeps the input generators.  The
+product of the partial orbit sizes is a proven lower bound on |G| at every
+step, and classical_orthogonal_order (halved when every generator has
+square spinor norm) a proven upper bound, so the chain stops as soon as
+the two meet; a capped call also stops as soon as the partial orbits prove
+the order exceeds the cap.  The random walk reads its rng's Mersenne
+Twister words in bulk, in the order randrange and shuffle would, holds its
+matrix as n column tuples, applies each shuffle as column swaps and each
+run of one generator as one power of it (see random_orthogonal).  Both do
+their arithmetic by indexing ``ctx.tables()``.
 """
 
 from __future__ import annotations
@@ -246,13 +247,19 @@ _Gen = Callable[[_State], _State]          # v -> v * g for a generator g
 class _Chain:
     """A Schreier-Sims stabilizer chain for one group_closure_order call.
 
-    Level l holds the strong generators that fix e_0..e_{l-1} and the
+    Level l holds strong generators S_l that fix e_0..e_{l-1} and the
     orbit of e_l under them, with a Schreier tree (parent point and the
     generator that maps it there) from which transversal elements u_b,
     e_l u_b = b, are built on demand.  A group element is its tuple of n
     rows, so the image of base point i is row i, and its inverse is its
     transpose.  Orbits only grow, and every point keeps its tree edge, so
     a transversal once built stays valid.
+
+    S_0 is the inputs.  A residue found closing level l is a Schreier
+    generator of S_l times transversal inverses of levels past l, so by
+    induction it lies in <S_k> for every k <= l and joins S_k for k > l
+    only (Holt, Eick and O'Brien 2005, 4.4.2): Schreier's lemma holds for
+    any generating set, so the Schreier generators of S_k still suffice.
     """
 
     def __init__(self, ctx: gf.FieldCtx, n: int, cap: int,
@@ -298,12 +305,13 @@ class _Chain:
 
     def add(self, rows: tuple[_State, ...], top: int, first: int) -> bool:
         """Make rows, which fix e_0..e_{top-1} and move e_top, a strong
-        generator of levels 0..top, and extend the orbits of levels
-        first..top by it (the orbits above first already hold it).  False
+        generator of levels first..top and extend their orbits by it:
+        first is 0 for an input, l + 1 for a residue found closing level l,
+        which leaves <S_k> and its orbit as they were for k <= l.  False
         once the product of the orbit sizes passes the cap; AssertionError
         once it passes the bound, which would disprove the bound."""
         g = self._gen(rows)
-        for l in range(top + 1):
+        for l in range(first, top + 1):
             self.gens[l].append(g)
             self.done[l].append(0)
         if all(self._grow(l, g) for l in range(first, top + 1)):

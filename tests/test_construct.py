@@ -21,8 +21,8 @@ from lcdkit.errors import (BlockCountMismatch, ComponentNotLCD,
                            DegenerateBlock, DimensionTooLarge, InvalidValue,
                            LcdError, MixedLengths,
                            NoIsotropicPair, NotADivisor, NotLCD,
-                           NotOrthogonal, NotSelfDualBasis, RankDeficient,
-                           ZeroScalar)
+                           NotOrthogonal, NotSelfDualBasis, ParseError,
+                           RankDeficient, ZeroScalar)
 from lcdkit.fixtures import product_example
 
 from conftest import random_code, random_lcd_code
@@ -429,6 +429,33 @@ def test_negative_walk_length_is_refused(F11):
     line = PINNED_SEARCHES[0][1].replace('"walk_length":64',
                                          '"walk_length":-2')
     with pytest.raises(InvalidValue):
+        replay_record(CodeRecord.from_json(line))
+
+
+@pytest.mark.parametrize("old,new", [
+    ('"walk_length":64', '"walk_length":64.0'),
+    ('"walk_length":64', '"walk_length":"64"'),
+    ('"walk_length":64', '"walk_length":null'),
+    ('"walk_length":64', '"walk_length":true'),
+    (',"walk_length":64', ''),
+    ('"row_indices":[0,2,3]', '"row_indices":"abc"'),
+    ('"row_indices":[0,2,3]', '"row_indices":[0,2,true]'),
+    ('"row_indices":[0,2,3]', '"row_indices":[0,2,2]'),
+    ('"row_indices":[0,2,3]', '"row_indices":[0,2]'),
+    ('"row_indices":[0,2,3]', '"row_indices":[0,2,5]'),
+    ('"row_indices":[0,2,3]', '"row_indices":[-1,2,3]'),
+    ('"row_indices":[0,2,3]', '"row_indices":[0,2,3.0]'),
+    ('"seed":9', '"seed":"9"'),
+    ('"seed":9', '"seed":9.5'),
+    ('"seed":9', '"seed":false'),
+    ('"trial":0', '"trial":-1'),
+    ('"trial":0', '"trial":null'),
+])
+def test_replay_refuses_mistyped_search_provenance(old, new):
+    line = PINNED_SEARCHES[0][1]
+    assert old in line
+    line = line.replace(old, new)
+    with pytest.raises(ParseError):
         replay_record(CodeRecord.from_json(line))
 
 

@@ -1,5 +1,6 @@
 """Field arithmetic against hand-computed values and the field axioms."""
 
+import itertools
 import math
 import random
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from lcdkit import FieldCtx, field_create, parse_field, tower_create
 from lcdkit.errors import (InvalidValue, NotADivisor, NotATower, NotPrime,
                            ParseError, ReducibleModulus)
-from lcdkit.gf import is_prime, prime_factors
+from lcdkit.gf import (_pgcd, _poly_irreducible, _ppowmod, _pstrip, is_prime,
+                       prime_factors)
 
 
 def test_gf7_tables():
@@ -256,6 +258,99 @@ def test_reducible_modulus_rejected():
     F2 = field_create(2)
     with pytest.raises(ReducibleModulus):
         tower_create(F2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2
+
+
+def rabin_irreducible(base, f):
+    """Oracle: Rabin's test, x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f)
+    = 1 for each prime r | d."""
+    d = len(f) - 1
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    x = [0, 1]
+    h = x
+    for _ in range(d):
+        h = _ppowmod(base, h, base.q, f)
+    if h != x:
+        return False
+    for r in prime_factors(d):
+        g = x
+        for _ in range(d // r):
+            g = _ppowmod(base, g, base.q, f)
+        diff = list(g) + [0] * (2 - len(g))
+        diff[1] = base.sub(diff[1], 1)
+        if len(_pgcd(base, f, _pstrip(diff))) != 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("q,top", [(2, 10), (3, 6), (4, 4), (5, 4), (9, 3)])
+def test_ben_or_matches_rabin(q, top):
+    # every monic polynomial of degree 0..top over GF(q)
+    base = parse_field(str(q))
+    for d in range(top + 1):
+        for low in itertools.product(range(q), repeat=d):
+            f = low + (1,)
+            assert _poly_irreducible(base, f) == rabin_irreducible(base, f), f
+
+
+# default moduli as nonzero terms {exponent: coefficient}, bottom field
+# last for towers; they must not move, or every stored code over the
+# field would change its element codes
+PINNED_MODULI = [
+    ("4", [{0: 1, 1: 1, 2: 1}]),
+    ("8", [{0: 1, 1: 1, 3: 1}]),
+    ("9", [{0: 1, 2: 1}]),
+    ("16", [{0: 1, 1: 1, 4: 1}]),
+    ("25", [{0: 2, 2: 1}]),
+    ("27", [{0: 1, 1: 2, 3: 1}]),
+    ("32", [{0: 1, 2: 1, 5: 1}]),
+    ("49", [{0: 1, 2: 1}]),
+    ("64", [{0: 1, 1: 1, 6: 1}]),
+    ("81", [{0: 2, 1: 1, 4: 1}]),
+    ("121", [{0: 1, 2: 1}]),
+    ("125", [{0: 1, 1: 1, 3: 1}]),
+    ("128", [{0: 1, 1: 1, 7: 1}]),
+    ("169", [{0: 2, 2: 1}]),
+    ("243", [{0: 1, 1: 2, 5: 1}]),
+    ("256", [{0: 1, 1: 1, 3: 1, 4: 1, 8: 1}]),
+    ("343", [{0: 2, 3: 1}]),
+    ("512", [{0: 1, 1: 1, 9: 1}]),
+    ("625", [{0: 2, 4: 1}]),
+    ("729", [{0: 2, 1: 1, 6: 1}]),
+    ("1024", [{0: 1, 3: 1, 10: 1}]),
+    ("2048", [{0: 1, 2: 1, 11: 1}]),
+    ("2^13", [{0: 1, 1: 1, 3: 1, 4: 1, 13: 1}]),
+    ("2^16", [{0: 1, 1: 1, 3: 1, 5: 1, 16: 1}]),
+    ("3^9", [{0: 1, 2: 1, 3: 2, 9: 1}]),
+    ("5^6", [{0: 2, 1: 1, 6: 1}]),
+    ("7^5", [{0: 3, 1: 1, 5: 1}]),
+    ("11^4", [{0: 2, 1: 1, 4: 1}]),
+    ("13^3", [{0: 2, 3: 1}]),
+    ("1031^2", [{0: 1, 2: 1}]),
+    ("2^32", [{0: 1, 2: 1, 3: 1, 7: 1, 32: 1}]),
+    ("2^64", [{0: 1, 1: 1, 3: 1, 4: 1, 64: 1}]),
+    (str(2 ** 80), [{0: 1, 1: 1, 2: 1, 3: 1, 5: 1, 7: 1, 80: 1}]),
+    ("16/4", [{0: 2, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 1}]),
+    ("27/3", [{0: 1, 1: 2, 3: 1}]),
+    ("81/9", [{0: 4, 2: 1}, {0: 1, 2: 1}]),
+    ("64/4", [{0: 2, 3: 1}, {0: 1, 1: 1, 2: 1}]),
+    ("64/8", [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 3: 1}]),
+    ("256/16", [{0: 8, 1: 1, 2: 1}, {0: 1, 1: 1, 4: 1}]),
+    ("625/25", [{0: 5, 2: 1}, {0: 2, 2: 1}]),
+    ("1024/32", [{0: 1, 1: 1, 2: 1}, {0: 1, 2: 1, 5: 1}]),
+]
+
+
+@pytest.mark.parametrize("desc,moduli", PINNED_MODULI)
+def test_default_modulus_pinned(desc, moduli):
+    ctx = parse_field(desc)
+    got = []
+    while ctx.base is not None:
+        got.append({i: c for i, c in enumerate(ctx.modulus) if c})
+        ctx = ctx.base
+    assert got == moduli
 
 
 @settings(max_examples=200, deadline=None)

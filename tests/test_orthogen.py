@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from collections import deque
 
 import pytest
 
@@ -347,25 +346,30 @@ def test_walk_with_one_coordinate(capsys):
                  "--target-d", "1"]) == 0
 
 
-def flat_closure_order(gens, cap):
-    """Oracle: BFS over flat n*n entry tuples through the flat ops, with
-    the same cap semantics."""
+def flat_group(gens, cap):
+    """Oracle: BFS over flat n*n entry tuples through the flat ops; the
+    group's elements, or None once there are more than cap."""
     ops = flat_ops(gens)
     ident = MatrixFq.identity(gens.ctx, gens.n).entries
     pack = bytes if gens.ctx.q <= 0x100 else tuple
     seen = {pack(ident)}
-    frontier = deque([ident])
-    while frontier:
-        state = frontier.popleft()
+    elements = [ident]
+    for state in elements:              # the list is the BFS queue
         for op in ops:
             nxt = op(state)
             key = pack(nxt)
             if key not in seen:
                 if len(seen) >= cap:
-                    return cap, False
+                    return None
                 seen.add(key)
-                frontier.append(nxt)
-    return len(seen), True
+                elements.append(nxt)
+    return elements
+
+
+def flat_closure_order(gens, cap):
+    """The flat BFS order, with the same cap semantics as the chain."""
+    elements = flat_group(gens, cap)
+    return (cap, False) if elements is None else (len(elements), True)
 
 
 SMALL_ORDER = 10 ** 4
@@ -516,6 +520,97 @@ def test_chain_stops_where_the_bounds_meet():
         return sum(len(p) - d for p, done in zip(chain.pts, chain.done)
                    for d in done)
     assert unsifted(full) == 0 < unsifted(bounded)
+
+
+# proper subgroups of O_n(q), so by Cartan-Dieudonne some reflection lies
+# outside each; the chain runs its whole deterministic pass on them
+PROPER_SUBGROUPS = [("3", 4, 384), ("5", 4, 384), ("3", 3, 6), ("5", 3, 6)]
+
+
+@pytest.mark.parametrize("field,n,order", PROPER_SUBGROUPS)
+def test_completed_chain_is_an_exact_membership_test(field, n, order):
+    ctx = parse_field(field)
+    gens = generator_set(ctx, n)
+    chain = _Chain(ctx, n, DEFAULT_CLOSURE_CAP, gens._order_bound)
+    assert chain.run(gens.matrices()) == order
+    elements = flat_group(gens, SMALL_ORDER)
+    assert len(elements) == order
+    matrices = [MatrixFq(ctx, n, n, e) for e in elements]
+    for x in matrices:
+        assert chain._sift(list(x.rows()), 0) is None
+    group = set(elements)
+    for v in itertools.product(range(ctx.p), repeat=n):
+        vv = sum(a * a for a in v) % ctx.p          # q = p here
+        if vv and reflection(ctx, v, vv).entries not in group:
+            r = reflection(ctx, v, vv)
+            break
+    assert r.is_orthogonal()
+    for x in matrices:
+        assert chain._sift(list((x @ r).rows()), 0) is not None
+
+
+def generated(ctx, n, matrices):
+    """Oracle: the group the matrices generate, by BFS over MatrixFq."""
+    ident = MatrixFq.identity(ctx, n)
+    seen = {ident.entries}
+    elements = [ident]
+    for x in elements:
+        for M in matrices:
+            y = x @ M
+            if y.entries not in seen:
+                seen.add(y.entries)
+                elements.append(y)
+    return elements
+
+
+@pytest.mark.parametrize("field,n,order",
+                         PROPER_SUBGROUPS + [("2", 4, 48), ("7", 3, 672)])
+def test_chain_levels_are_a_base_and_strong_generating_set(field, n, order):
+    # level l's generators S_l generate a group whose orbit of e_l is the
+    # level's points and whose stabilizer of e_l is <S_{l+1}>
+    ctx = parse_field(field)
+    gens = generator_set(ctx, n)
+    chain = _Chain(ctx, n, DEFAULT_CLOSURE_CAP, gens._order_bound)
+    assert chain.run(gens.matrices()) == order
+    units = chain.units
+    groups = [generated(ctx, n, [
+        MatrixFq.from_rows(ctx, [g(e) for e in units]) for g in level])
+        for level in chain.gens] + [[MatrixFq.identity(ctx, n)]]
+    assert len(groups[0]) == order
+    for l in range(n):
+        assert {x.rows()[l] for x in groups[l]} == set(chain.pts[l])
+        assert ({x.entries for x in groups[l] if x.rows()[l] == units[l]}
+                == {x.entries for x in groups[l + 1]})
+
+
+@pytest.mark.parametrize("field,n", [("3", 4), ("5", 4), ("7", 4), ("8", 4),
+                                     ("4", 4), ("5", 3), ("2", 3), ("3", 5)])
+def test_level_zero_keeps_the_inputs(field, n):
+    # a residue found closing level l joins only the levels past l
+    gens = generator_set(parse_field(field), n)
+    ident = MatrixFq.identity(gens.ctx, n)
+    chain = _Chain(gens.ctx, n, DEFAULT_CLOSURE_CAP, gens._order_bound)
+    matrices = gens.matrices()
+    assert chain.run(matrices) == group_closure_order(gens)[0]
+    assert len(chain.gens[0]) == sum(M.entries != ident.entries
+                                     for M in matrices)
+
+
+@pytest.mark.parametrize("field", ["3", "5"])
+def test_schreier_sifts_per_closure(field, monkeypatch):
+    # O(4,3) and O(4,5) never meet their upper bound, so the chain runs
+    # the whole deterministic pass: 137 sifts when a residue found closing
+    # level l also joins levels 0..l
+    calls = []
+    sift = _Chain._sift
+
+    def counted(self, tail, l):
+        calls.append(l)
+        return sift(self, tail, l)
+    monkeypatch.setattr(_Chain, "_sift", counted)
+    assert group_closure_order(generator_set(parse_field(field), 4)) == (
+        384, True)
+    assert len(calls) <= 67
 
 
 @pytest.mark.parametrize("field,n,bound", [
