@@ -1,5 +1,5 @@
 """Linear codes over a field context: duals, hulls, LCD tests, minimum
-distance, shortening/puncturing, and a JSONL record store.
+distance, and a JSONL record store.
 
 A code is held as a full-rank generator matrix.  ``from_generator``
 row-reduces arbitrary input to a canonical basis; construction routines
@@ -21,6 +21,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -29,7 +30,6 @@ from .errors import (
     BudgetExceeded,
     DistanceNotExact,
     EmptyResult,
-    InvalidValue,
     ParseError,
     ZeroMatrix,
 )
@@ -40,6 +40,8 @@ LOWER_BOUND = "lower_bound"
 
 DEFAULT_DISTANCE_BUDGET = 1 << 26
 DEFAULT_HULL_BUDGET = 1 << 16
+# most reduced columns one stored level of the column-subset scan may hold
+SUBSET_LEVEL_COLUMNS = 1 << 14
 
 
 class DistanceResult(NamedTuple):
@@ -186,34 +188,6 @@ class LinearCode:
         if self._dist is None or self._dist.status != EXACT:
             raise DistanceNotExact("compute an exact distance first")
         return singleton_class(self.n, self.k, self._dist.value)
-
-    # -- coordinate surgery ---------------------------------------------------
-
-    def shorten(self, positions: Sequence[int]) -> "LinearCode":
-        """Subcode vanishing on the given coordinates, those columns deleted."""
-        pos = sorted(set(positions))
-        if any(not 0 <= p < self.n for p in pos):
-            raise InvalidValue("position out of range")
-        if not pos:
-            return self
-        A = self.G.take_cols(pos)
-        M = A.transpose().nullspace()  # messages whose codeword dies on pos
-        if M.r == 0:
-            raise EmptyResult("shortening empties the code")
-        newG = (M @ self.G).drop_cols(pos)
-        return LinearCode.from_generator(newG)
-
-    def puncture(self, positions: Sequence[int]) -> "LinearCode":
-        """Delete the given coordinates."""
-        pos = sorted(set(positions))
-        if any(not 0 <= p < self.n for p in pos):
-            raise InvalidValue("position out of range")
-        if not pos:
-            return self
-        newG = self.G.drop_cols(pos)
-        if newG.c == 0 or newG.is_zero():
-            raise EmptyResult("puncturing empties the code")
-        return LinearCode.from_generator(newG)
 
     # -- value semantics -------------------------------------------------------
 
@@ -379,16 +353,27 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
     the columns after its prefix reduced modulo the prefix's span, pivot
     coordinates dropped, so its children reuse its elimination: choosing a
     column costs one scaled-row subtraction per later column, and a leaf is
-    dependent exactly when its reduced column is zero.  Each size-w subset is
-    charged rows(H) * w^2 against the budget before it is tested.  Returns
-    (d, True) when certified; (w, False) means only d >= w was certified
-    before the budget ran out.
+    dependent exactly when its reduced column is zero.
+
+    Each prefix is reduced once, not once per size.  The nodes that pass w
+    reaches one column above its leaves (prefixes of size w - 1) are kept in
+    visiting order, and pass w + 1 walks down from them instead of from the
+    root, dropping each as it is walked.  Such a level holds one reduced
+    column per leaf of pass w, C(n, w) in all, and is kept only when that is
+    at most ``SUBSET_LEVEL_COLUMNS``; past that, later passes start from the
+    deepest level that was kept, at worst the root.  Either way a pass
+    visits the same leaves in the same order as a walk from the root.
+
+    Each size-w subset is charged rows(H) * w^2 against the budget before it
+    is tested.  Returns (d, True) when certified; (w, False) means only
+    d >= w was certified before the budget ran out.
     """
     rows_h = H.r
     if rows_h == 0:
         return 1, True
     ctx = H.ctx
     adds, muls = ctx.tables()
+    pivot_rows = {}                 # a -> muls[-1/a], filled as pivots occur
 
     def scan(rest, need: int):
         """True at the first dependent leaf, False when the budget runs
@@ -402,12 +387,19 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
             if len(rest) > allowed:
                 return False
             ops += len(rest) * cost
+            # a node with one later column has no children in the next pass
+            if keep and len(rest) > 1:
+                level.append(rest)
             return None
         for i in range(len(rest) - need + 1):
             # rest[i] is nonzero: smaller sets than size w are independent
             v = rest[i]
-            p = next(j for j, x in enumerate(v) if x)
-            m = muls[ctx.neg(ctx.inv(v[p]))]
+            p = 0
+            while not v[p]:
+                p += 1
+            m = pivot_rows.get(v[p])
+            if m is None:
+                m = pivot_rows[v[p]] = muls[ctx.neg(ctx.inv(v[p]))]
             vt = [m[x] for x in v[p + 1:]]                   # -v / v[p]
             later = []
             for b in rest[i + 1:]:
@@ -415,22 +407,32 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
                 if b[p]:
                     mb = muls[b[p]]
                     tail = tuple([adds[x][mb[y]] for x, y in zip(tail, vt)])
-                later.append(b[:p] + tail)
+                later.append(b[:p] + tail if p else tail)
             found = scan(later, need - 1)
             if found is not None:
                 return found
         return None
 
-    cols = [H.col(j) for j in range(n)]
+    start, depth = [[H.col(j) for j in range(n)]], 0   # nodes, prefix size
+    last = min(n, rows_h)
     ops = 0
-    for w in range(1, min(n, rows_h) + 1):
+    for w in range(1, last + 1):
         cost = rows_h * w * w
         zero = (0,) * (rows_h - w + 1)
-        found = scan(cols, w)
-        if found is not None:
-            return w, found
+        # the level this pass reaches holds one column per leaf, C(n, w);
+        # the last pass's level would never be read
+        keep = w < last and comb(n, w) <= SUBSET_LEVEL_COLUMNS
+        level = []
+        for i, node in enumerate(start):
+            if keep:
+                start[i] = None             # not read again once replaced
+            found = scan(node, w - depth)
+            if found is not None:
+                return w, found
+        if keep:
+            start, depth = level, w - 1
     # any rows(H) + 1 columns are dependent
-    return min(n, rows_h) + 1, True
+    return last + 1, True
 
 
 def singleton_class(n: int, k: int, d: int) -> str:

@@ -513,6 +513,28 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
 # ---------------------------------------------------------------------------
 # provenance replay
 
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_int_list(v, length: Optional[int] = None) -> bool:
+    return (isinstance(v, list) and all(_is_int(x) for x in v)
+            and (length is None or len(v) == length))
+
+
+# what replay_record reads from the provenance of each kind built above
+_PROVENANCE_FIELDS = {
+    "extended": {"base": _is_str, "pair": lambda v: _is_int_list(v, 2),
+                 "lambdas": _is_int_list,
+                 "added_row": lambda v: v is None or _is_int_list(v, 2)},
+    "matrix_product": {"components": lambda v: isinstance(v, list) and all(
+                           map(_is_str, v)),
+                       "a_bar": _is_str},
+    "projection": {"source": _is_str, "basis": _is_int_list},
+    "rs_lemma3": {"n": _is_int, "k": _is_int, "k_prime": _is_int},
+}
+
+
 def replay_record(record: CodeRecord) -> MatrixFq:
     """Rebuild a record's generator matrix from its provenance alone.
     The result must equal record.generator() byte for byte."""
@@ -537,13 +559,20 @@ def replay_record(record: CodeRecord) -> MatrixFq:
         A = orthogen.random_orthogonal(gens, prov["walk_length"], walk_seed)
         return _twist(A.take_rows(rows),
                       prov.get("lambdas") or None, prov.get("blocks") or None)
+    fields = _PROVENANCE_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ParseError(f"unknown provenance kind {kind!r}")
+    wrong = [name for name, ok in fields.items()
+             if name not in prov or not ok(prov[name])]
+    if wrong:
+        raise ParseError(f"{kind} provenance fields missing or of the wrong "
+                         f"type {wrong}")
     if kind == "extended":
         base = LinearCode.from_basis(MatrixFq.from_text(prov["base"]),
                                      verify_rank=False)
-        pair = tuple(prov["pair"])
-        ext = extend_by_two(base, prov["lambdas"], pair)
-        if prov.get("added_row") is not None:
-            s, t = prov["added_row"]
+        ext = extend_by_two(base, prov["lambdas"], prov["pair"])
+        if prov["added_row"] is not None:
+            s, t = _elements(ext.ctx, prov["added_row"], "added row entry")
             row = MatrixFq(ext.ctx, 1, ext.n,
                            (0,) * (ext.n - 2) + (s, t))
             return ext.G.vstack(row)
@@ -558,7 +587,5 @@ def replay_record(record: CodeRecord) -> MatrixFq:
         src = LinearCode.from_basis(MatrixFq.from_text(prov["source"]),
                                     verify_rank=False)
         return project_to_subfield(src, prov["basis"]).G
-    if kind == "rs_lemma3":
-        C = cyclic_mds_self_orthogonal(ctx, prov["n"], prov["k"])
-        return mds_lcd_from_self_orthogonal(C, prov["k_prime"]).G
-    raise ParseError(f"unknown provenance kind {kind!r}")
+    C = cyclic_mds_self_orthogonal(ctx, prov["n"], prov["k"])
+    return mds_lcd_from_self_orthogonal(C, prov["k_prime"]).G

@@ -67,7 +67,7 @@ class BudgetExceeded(LcdError):
 
 
 class EmptyResult(LcdError):
-    """Shortening or puncturing left no nonzero codeword."""
+    """A result asked of the zero code, such as its minimum distance."""
 
 
 class DistanceNotExact(LcdError):

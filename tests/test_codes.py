@@ -9,9 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcdkit import (EXACT, LOWER_BOUND, CodeRecord, LinearCode, MatrixFq,
-                    RecordStore, field_create, parse_field, rs_pipeline)
+                    RecordStore, field_create, mplcd_build, parse_field,
+                    rs_pipeline)
 from lcdkit.errors import (DistanceNotExact, EmptyResult, LcdError,
                            ParseError, ZeroMatrix)
+from lcdkit.fixtures import product_example
 
 from conftest import (random_code, random_lcd_code, random_matrix,
                       wide_orders)
@@ -213,12 +215,19 @@ def _cols_dependent(ctx, cols, height):
 
 @pytest.mark.parametrize("desc", ["2", "5", "13", "4", "8", "16", "9", "25",
                                   "1031"])
-def test_column_subsets_match_from_scratch_oracle(desc):
+def test_column_subsets_match_from_scratch_oracle(desc, monkeypatch):
     # 1031 > 2^10: the tables' rows are computed through ctx.add/mul
-    from lcdkit.codes import (DEFAULT_DISTANCE_BUDGET,
-                              _distance_by_column_subsets)
+    from lcdkit import codes
     ctx = parse_field(desc)
     rng = random.Random(f"subsets:{desc}")
+
+    def budgets(r):
+        # from none at all to past the whole scan, so many stop part-way
+        # through a size
+        return (codes.DEFAULT_DISTANCE_BUDGET, 0, r, rng.randrange(1, 100),
+                rng.randrange(100, 1000), rng.randrange(1000, 10000))
+
+    cases = []
     for trial in range(40):
         n = rng.randrange(2, 11)
         r = rng.randrange(1, n + 1)
@@ -238,13 +247,58 @@ def test_column_subsets_match_from_scratch_oracle(desc):
             c = rng.randrange(1, ctx.q)
             for row in rows:
                 row[b] = ctx.mul(c, row[a])
+        cases.append((rows, n, budgets(r)))
+    # longer scans: n = 11..14 and 5 to 8 rows, one column a combination
+    # of four others, so d <= 5 and the passes past the second resume from
+    # a stored level
+    for n in range(11, 15):
+        r = rng.randrange(5, 9)
+        rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(r)]
+        *sources, target = rng.sample(range(n), 5)
+        scales = [rng.randrange(1, ctx.q) for _ in sources]
+        for row in rows:
+            row[target] = 0
+            for j, c in zip(sources, scales):
+                row[target] = ctx.add(row[target], ctx.mul(c, row[j]))
+        cases.append((rows, n, budgets(r)))
+    # a limit of 0 or 1 keeps no level past the root, and 100 keeps the
+    # first levels of an n >= 11 scan but not the later ones
+    limits = (codes.SUBSET_LEVEL_COLUMNS, 0, 1, 100)
+    for rows, n, budgets in cases:
         H = MatrixFq.from_rows(ctx, rows)
-        # budgets from none at all to past the whole scan, so many stop
-        # part-way through a size
-        for budget in (DEFAULT_DISTANCE_BUDGET, 0, r, rng.randrange(1, 100),
-                       rng.randrange(100, 1000), rng.randrange(1000, 10000)):
-            assert (_distance_by_column_subsets(H, n, budget)
-                    == _subsets_oracle(H, n, budget)), (rows, budget)
+        for budget in budgets:
+            expected = _subsets_oracle(H, n, budget)
+            for limit in limits:
+                monkeypatch.setattr(codes, "SUBSET_LEVEL_COLUMNS", limit)
+                assert (codes._distance_by_column_subsets(H, n, budget)
+                        == expected), (rows, budget, limit)
+
+
+def test_deep_column_subset_scans():
+    # two scans 10 and 12 passes deep, each certified three ways
+    from lcdkit.codes import (DEFAULT_DISTANCE_BUDGET,
+                              _distance_by_column_subsets,
+                              _distance_by_enumeration)
+    # GRS [15,5]_F16: MDS, so d = n - k + 1 = 11
+    ctx = parse_field("16")
+    rng = random.Random("deep:grs")
+    points = rng.sample(range(ctx.q), 15)
+    mults = [rng.randrange(1, ctx.q) for _ in points]
+    grs = LinearCode.from_basis(MatrixFq.from_rows(ctx, [
+        [ctx.mul(v, ctx.power(a, i)) for a, v in zip(points, mults)]
+        for i in range(5)]))
+    # the worked [16,4,12]_F11 product code under a seeded column order
+    ex = product_example()
+    G = mplcd_build(ex["components"], ex["base"], ex["scalars"]).G
+    order = list(range(G.c))
+    random.Random("deep:product").shuffle(order)
+    product = LinearCode.from_basis(G.take_cols(order))
+    for code, d in ((grs, 15 - 5 + 1), (product, ex["expected"]["d"])):
+        H = code.dual().G
+        assert H.r >= 10
+        assert (_distance_by_column_subsets(H, code.n, DEFAULT_DISTANCE_BUDGET)
+                == (d, True))
+        assert _distance_by_enumeration(code.G.rows(), code.ctx, code.n) == d
 
 
 @pytest.mark.parametrize("desc", ["2", "5", "16", "25", "1031", "2^11"])
@@ -290,6 +344,11 @@ def test_distance_budget_degrades_to_bound(F2):
     assert res.value <= 3 <= res.upper
 
 
+def test_zero_code_has_no_distance(F2):
+    with pytest.raises(EmptyResult):
+        LinearCode.zero(F2, 4).distance()
+
+
 def test_classify_requires_exact(F2):
     C = ham74(F2)
     C.distance(budget=1)               # caches only a lower bound
@@ -312,17 +371,6 @@ def test_singleton_bound(F7, rng):
         k = rng.randrange(1, 5)
         C = random_code(F7, 6, k, rng)
         assert C.distance().value <= C.n - C.k + 1
-
-
-def test_shorten_and_puncture(F2):
-    C = ham74(F2)
-    S = C.shorten([0])
-    assert S.n == 6 and S.k == 3
-    P = C.puncture([6])
-    assert P.n == 6 and P.k == 4
-    with pytest.raises(EmptyResult):
-        LinearCode.from_basis(
-            MatrixFq.from_rows(F2, [[1, 1]])).shorten([0, 1])
 
 
 def test_encode_and_codewords(F3):

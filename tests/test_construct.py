@@ -1,6 +1,7 @@
 """Construction operations: twists, extensions, products, projection, and
 the cyclic pipeline, each against its defining algebraic property."""
 
+import json
 import random
 
 import pytest
@@ -509,6 +510,12 @@ PINNED_RECORDS = {
          '","n":15,"provenance":{"basis":[11,21,24],"kind":"projection",'
          '"source":"3^3 2 5\\n1 0 8 3 5\\n0 1 19 26 18\\n"},'
          '"tag":"projection","timestamp":0}'),
+    'rs_lemma3':
+        ('{"d":5,"d_status":"exact","field":"3^2","k":1,'
+         '"matrix":"3^2 1 5\\n8 4 7 7 6\\n","n":5,'
+         '"provenance":{"column_permutation":[0,1,2,3,4,5,6,7],"k":3,'
+         '"k_prime":1,"kind":"rs_lemma3","m_gt_1":true,"n":8},'
+         '"tag":"rs_lemma3","timestamp":0}'),
 }
 
 
@@ -533,6 +540,7 @@ def _pinned_builders():
             lambda: projection_record(c4, c4.ctx.self_dual_basis()),
         "projection-27/3":
             lambda: projection_record(c27, c27.ctx.self_dual_basis()),
+        "rs_lemma3": lambda: rs_pipeline(parse_field("3^2"), 8, 3, [1])[0],
     }
 
 
@@ -541,6 +549,55 @@ def test_built_records_are_pinned(case):
     rec = _pinned_builders()[case]()
     assert rec.to_json() == PINNED_RECORDS[case]
     assert replay_record(rec).to_text() == rec.matrix
+
+
+_MISSING = object()
+
+
+# every edit names a field replay reads; an earlier version met each one
+# with a raw TypeError, KeyError or AttributeError, or replayed it as if
+# true were 1 and 2.0 were 2
+@pytest.mark.parametrize("case,name,value", [
+    ("extended-grow", "pair", 5),
+    ("extended-grow", "pair", [True, 2]),
+    ("extended-grow", "pair", [1, 2.0]),
+    ("extended-grow", "pair", _MISSING),
+    ("extended-grow", "lambdas", None),
+    ("extended-grow", "lambdas", "11"),
+    ("extended-grow", "lambdas", [1, True]),
+    ("extended-grow", "added_row", 7),
+    ("extended-grow", "added_row", [1]),
+    ("extended-grow", "added_row", [1, False]),
+    ("extended-grow", "added_row", _MISSING),
+    ("extended-lambdas", "base", 5),
+    ("extended-lambdas", "base", _MISSING),
+    ("matrix_product", "components", None),
+    ("matrix_product", "components", [5]),
+    ("matrix_product", "components", _MISSING),
+    ("matrix_product", "a_bar", 7),
+    ("matrix_product", "a_bar", ["11 4 4"]),
+    ("matrix_product", "a_bar", _MISSING),
+    ("projection-4/2", "basis", 3),
+    ("projection-4/2", "basis", [3, True]),
+    ("projection-4/2", "basis", [3.0, 2]),
+    ("projection-4/2", "basis", _MISSING),
+    ("projection-4/2", "source", 5),
+    ("projection-4/2", "source", _MISSING),
+    ("rs_lemma3", "n", "8"),
+    ("rs_lemma3", "n", _MISSING),
+    ("rs_lemma3", "k", 3.0),
+    ("rs_lemma3", "k_prime", True),
+    ("rs_lemma3", "k_prime", None),
+])
+def test_replay_refuses_mistyped_built_provenance(case, name, value):
+    raw = json.loads(PINNED_RECORDS[case])
+    assert name in raw["provenance"]
+    if value is _MISSING:
+        del raw["provenance"][name]
+    else:
+        raw["provenance"][name] = value
+    with pytest.raises(ParseError):
+        replay_record(CodeRecord.from_json(json.dumps(raw)))
 
 
 @pytest.mark.parametrize("n,prov,matrix", [
