@@ -37,23 +37,41 @@ from .matfq import MatrixFq
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
+# DistanceResult.method: the strategy that answered
+ENUMERATION = "enumeration"
+SUBSETS = "subsets"
+TRIVIAL = "trivial"
 
 DEFAULT_DISTANCE_BUDGET = 1 << 26
 DEFAULT_HULL_BUDGET = 1 << 16
 # most reduced columns one stored level of the column-subset scan may hold
 SUBSET_LEVEL_COLUMNS = 1 << 14
 
+# The distance strategies' time per unit of work, in ns, fitted on the
+# benchmark's certify codes by tools/fit_distance_costs.py: enumeration
+# pays per message and per leaf (q messages each), the column-subset scan
+# a fixed part (the dual, the set-up) plus one per leaf subset and
+# parity-check row.
+_ENUM_MESSAGE_NS = 85
+_ENUM_LEAF_NS = 600
+_SUBSETS_FIXED_NS = 110_000
+_SUBSETS_LEAF_ROW_NS = 75
+
 
 class DistanceResult(NamedTuple):
     value: int
     status: str
     upper: Optional[int] = None
+    # ENUMERATION, SUBSETS or TRIVIAL, and its work: messages visited, or
+    # leaf subsets charged against the budget (never more than the budget)
+    method: Optional[str] = None
+    work: int = 0
 
 
 class LinearCode:
     """[n, k] linear code held as a full-rank generator matrix."""
 
-    __slots__ = ("ctx", "n", "k", "G", "_canon", "_dist")
+    __slots__ = ("ctx", "n", "k", "G", "_canon", "_dist", "_hull")
 
     def __init__(self, G: MatrixFq):
         # internal; use from_generator / from_basis
@@ -63,6 +81,7 @@ class LinearCode:
         self.G = G
         self._canon = None
         self._dist = None
+        self._hull = None
 
     @classmethod
     def from_generator(cls, G: MatrixFq) -> "LinearCode":
@@ -110,15 +129,16 @@ class LinearCode:
         return self.G.gram()
 
     def hull_dim(self) -> int:
-        """dim(C meet C^perp) = k - rank(G G^T)."""
-        if self.k == 0:
-            return 0
-        return self.k - self.gram().rank()
+        """dim(C meet C^perp) = k - rank(G G^T), kept once computed.  It is
+        0 exactly when det(G G^T) != 0; a singular Gram matrix reads its
+        rank from the same elimination."""
+        if self._hull is None:
+            gram = self.gram()
+            self._hull = 0 if gram.det() else self.k - gram.rank()
+        return self._hull
 
     def is_lcd(self) -> bool:
-        if self.k == 0:
-            return True
-        return self.gram().det() != 0
+        return self.hull_dim() == 0
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         ctx = self.ctx
@@ -151,37 +171,74 @@ class LinearCode:
 
     def distance(self, budget: int = DEFAULT_DISTANCE_BUDGET,
                  at_least: int = 0) -> DistanceResult:
-        """Exact d by message enumeration when q^k <= budget, else by
-        parity-check column subsets; a budget blow-up there degrades to a
-        certified lower bound plus a generator-row upper bound.
+        """Minimum distance by the cheaper of two exact strategies: message
+        enumeration, which visits (q^k - 1) / (q - 1) messages, and the
+        parity-check column-subset scan.
 
-        ``at_least = t`` asks only whether d >= t: enumeration stops at the
-        first codeword of weight w < t and returns (1, lower_bound, w),
+        Enumeration may run only when q^k <= budget.  Then both costs are
+        estimated first (``_subsets_cheaper``), and the scan runs instead
+        only when it is estimated faster and its whole budget charge fits,
+        so its answer is exact too.  When q^k > budget the scan runs, and a
+        budget blow-up there degrades to a certified lower bound plus a
+        generator-row upper bound.  A k = n code has d = 1.
+
+        ``at_least = t > 0`` asks only whether d >= t, and is answered by
+        enumeration whenever q^k <= budget, without pricing: it stops at
+        the first codeword of weight w < t and returns (1, lower_bound, w),
         which is not cached.  When d >= t the enumeration runs to the end
         and the result is the exact d.  Only enumeration reads t: the
-        subset scan's iterative deepening already stops at d."""
+        subset scan's iterative deepening already stops at d.
+
+        The result's ``method`` names the strategy that ran and ``work``
+        its messages visited or leaf subsets charged."""
         if self.k == 0:
             raise EmptyResult("zero code has no minimum distance")
         if self._dist is not None and self._dist.status == EXACT:
             return self._dist
         if self.k == self.n:
-            result = DistanceResult(1, EXACT)
-        elif self.ctx.q ** self.k <= budget:
-            w = _distance_by_enumeration(self.G.rows(), self.ctx, self.n,
-                                         at_least)
+            result = DistanceResult(1, EXACT, method=TRIVIAL)
+        elif self.ctx.q ** self.k <= budget and (
+                at_least > 0 or not self._subsets_cheaper(budget)):
+            w, seen = _distance_by_enumeration(self.G.rows(), self.ctx,
+                                               self.n, at_least)
             if w < at_least:
-                return DistanceResult(1, LOWER_BOUND, w)
-            result = DistanceResult(w, EXACT)
+                return DistanceResult(1, LOWER_BOUND, w, ENUMERATION, seen)
+            result = DistanceResult(w, EXACT, None, ENUMERATION, seen)
         else:
-            H = self.dual().G
-            value, exact = _distance_by_column_subsets(H, self.n, budget)
-            if exact:
-                result = DistanceResult(value, EXACT)
-            else:
-                upper = min(sum(1 for v in row if v) for row in self.G.rows())
-                result = DistanceResult(value, LOWER_BOUND, upper)
+            value, exact, leaves = _distance_by_column_subsets(
+                self.dual().G, self.n, budget)
+            upper = None if exact else min(self.G.row_weights())
+            result = DistanceResult(value, EXACT if exact else LOWER_BOUND,
+                                    upper, SUBSETS, leaves)
         self._dist = result
         return result
+
+    def _subsets_cheaper(self, budget: int) -> bool:
+        """Whether the column-subset scan is estimated faster than message
+        enumeration, and its whole charge fits the budget.
+
+        The scan stops at d, which is at most u, the smaller of n - k (it
+        has no pass past rows(H) = n - k) and the lightest generator row.
+        So it charges at most the sum over w <= u of C(n, w) rows(H) w^2,
+        and takes about the fixed cost plus rows(H) per leaf subset in that
+        range.  The sum stops once the scan's estimate reaches
+        enumeration's."""
+        q, n, k = self.ctx.q, self.n, self.k
+        messages = (q ** k - 1) // (q - 1)
+        enum_ns = (_ENUM_MESSAGE_NS * messages
+                   + _ENUM_LEAF_NS * (messages // q + 1))
+        scan_ns = _SUBSETS_FIXED_NS
+        if scan_ns >= enum_ns:
+            return False
+        rows_h = n - k
+        charge = 0
+        for w in range(1, min(rows_h, min(self.G.row_weights())) + 1):
+            leaves = comb(n, w)
+            scan_ns += _SUBSETS_LEAF_ROW_NS * rows_h * leaves
+            if scan_ns >= enum_ns:
+                return False
+            charge += leaves * rows_h * w * w
+        return charge <= budget
 
     def classify(self) -> str:
         """Singleton classification; needs an exactly known distance."""
@@ -238,7 +295,14 @@ def _span_iter(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
 
 
 class _Below(Exception):
-    """Raised inside the enumeration at a codeword lighter than at_least."""
+    """Raised inside the enumeration at a codeword lighter than at_least.
+    On its way out it counts the messages visited: ``seen`` starts as the
+    stopping leaf's and each level adds its earlier children's, which it
+    finds from ``vec``, the packed codeword of the child it came from."""
+
+    def __init__(self, vec: int, seen: int):
+        super().__init__()
+        self.vec, self.seen = vec, seen
 
 
 @lru_cache(maxsize=None)
@@ -267,18 +331,19 @@ def _words(ctx: gf.FieldCtx, n: int) -> tuple:
 
 
 def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
-                             n: int, at_least: int = 0) -> int:
+                             n: int, at_least: int = 0) -> tuple[int, int]:
     """Minimum weight over one representative per scalar class: messages are
     scanned with their first nonzero coefficient pinned to 1, and at each
-    leaf the last row's q - 1 multiples are tried in one loop.  Stops at
-    the first codeword of weight w < at_least and returns w; any other
-    return is the exact minimum.
+    leaf the last row's q - 1 multiples are tried in one loop.  Returns
+    (w, messages visited).  Stops at the first codeword of weight
+    w < at_least; any other w is the exact minimum, after all
+    (q^k - 1) / (q - 1) messages.
 
     Codewords are packed into ints (``_words``).  A leaf's codeword
     vec + c * last is zero exactly where vec equals -c * last, so the leaf
     holds the last row's multiples negated, and each message costs one XOR
     and one popcount."""
-    p, k = ctx.p, len(rows)
+    p, q, k = ctx.p, ctx.q, len(rows)
     width, shift, spread, carry, top, low, high = _words(ctx, n)
 
     if p == 2:
@@ -319,9 +384,18 @@ def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
     def rec(i: int, vec: int):
         nonlocal best
         if i < k - 1:
-            rec(i + 1, vec)
-            for u in sums([vec], multiples[i - 1]):
-                rec(i + 1, u)
+            kids = sums([vec], multiples[i - 1])
+            try:
+                rec(i + 1, vec)
+                for u in kids:
+                    rec(i + 1, u)
+            except _Below as below:
+                # the children before the one that stopped, vec itself
+                # first, held q^(k-i-1) messages each
+                before = 0 if below.vec == vec else 1 + kids.index(below.vec)
+                below.seen += before * q ** (k - i - 1)
+                below.vec = vec
+                raise
             return
         w = ((vec + low) & high).bit_count()
         if i < k:
@@ -334,18 +408,22 @@ def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
         if w < best:
             best = w
             if best < at_least:
-                raise _Below
+                # the loop stopped at u, or ran to the last multiple
+                raise _Below(vec, 2 + multiples[i - 1].index(u)
+                             if i < k else 1)
 
+    seen = 0
     try:
         for lead in range(k):
             rec(lead + 1, pack(rows[lead]))
-    except _Below:
-        pass
-    return best
+            seen += q ** (k - lead - 1)
+    except _Below as below:
+        seen += below.seen
+    return best, seen
 
 
 def _distance_by_column_subsets(H: MatrixFq, n: int,
-                                budget: int) -> tuple[int, bool]:
+                                budget: int) -> tuple[int, bool, int]:
     """Smallest number of linearly dependent parity-check columns.
 
     Iterative deepening over the subset size w; within a size, a depth-first
@@ -365,12 +443,13 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
     visits the same leaves in the same order as a walk from the root.
 
     Each size-w subset is charged rows(H) * w^2 against the budget before it
-    is tested.  Returns (d, True) when certified; (w, False) means only
-    d >= w was certified before the budget ran out.
+    is tested.  Returns (d, True, leaves) when certified, leaves being the
+    number of subsets charged; (w, False, leaves) means only d >= w was
+    certified before the budget ran out.
     """
     rows_h = H.r
     if rows_h == 0:
-        return 1, True
+        return 1, True, 0
     ctx = H.ctx
     adds, muls = ctx.tables()
     pivot_rows = {}                 # a -> muls[-1/a], filled as pivots occur
@@ -378,15 +457,18 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
     def scan(rest, need: int):
         """True at the first dependent leaf, False when the budget runs
         out first, None when neither happens below this node."""
-        nonlocal ops
+        nonlocal ops, leaves
         if need == 1:
             # each leaf is charged before its test: the first `allowed` fit
             allowed = (budget - ops) // cost
             if zero in rest and rest.index(zero) < allowed:
+                leaves += rest.index(zero) + 1
                 return True
             if len(rest) > allowed:
+                leaves += allowed
                 return False
             ops += len(rest) * cost
+            leaves += len(rest)
             # a node with one later column has no children in the next pass
             if keep and len(rest) > 1:
                 level.append(rest)
@@ -415,7 +497,7 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
 
     start, depth = [[H.col(j) for j in range(n)]], 0   # nodes, prefix size
     last = min(n, rows_h)
-    ops = 0
+    ops = leaves = 0
     for w in range(1, last + 1):
         cost = rows_h * w * w
         zero = (0,) * (rows_h - w + 1)
@@ -428,11 +510,11 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
                 start[i] = None             # not read again once replaced
             found = scan(node, w - depth)
             if found is not None:
-                return w, found
+                return w, found, leaves
         if keep:
             start, depth = level, w - 1
     # any rows(H) + 1 columns are dependent
-    return last + 1, True
+    return last + 1, True, leaves
 
 
 def singleton_class(n: int, k: int, d: int) -> str:

@@ -522,8 +522,27 @@ def _is_int_list(v, length: Optional[int] = None) -> bool:
             and (length is None or len(v) == length))
 
 
+_ABSENT = object()              # a provenance field that is not there
+
+
+def _optional(check):
+    """check, but also passing a field that is absent or null."""
+    return lambda v: v is _ABSENT or v is None or check(v)
+
+
+# the walk's rows and the twist that a search or rows record names
+_WALK_FIELDS = {
+    "walk_length": _is_int, "row_indices": _is_int_list,
+    "lambdas": _optional(_is_int_list),
+    "blocks": _optional(lambda v: isinstance(v, list) and all(
+        _is_int_list(b, 2) for b in v)),
+}
+
 # what replay_record reads from the provenance of each kind built above
 _PROVENANCE_FIELDS = {
+    "search": {"seed": _is_int, "trial": lambda v: _is_int(v) and v >= 0,
+               **_WALK_FIELDS},
+    "rows": {"walk_seed": _is_int, **_WALK_FIELDS},
     "extended": {"base": _is_str, "pair": lambda v: _is_int_list(v, 2),
                  "lambdas": _is_int_list,
                  "added_row": lambda v: v is None or _is_int_list(v, 2)},
@@ -541,32 +560,28 @@ def replay_record(record: CodeRecord) -> MatrixFq:
     prov = record.provenance
     kind = prov.get("kind")
     ctx = gf.parse_field(record.field)
-    if kind in ("search", "rows"):
-        names = ("walk_seed",) if kind == "rows" else ("seed", "trial")
-        rows = prov.get("row_indices")
-        if not (all(_is_int(prov.get(f)) for f in names + ("walk_length",))
-                and (kind == "rows" or prov["trial"] >= 0)
-                and isinstance(rows, list)
-                and all(_is_int(i) and 0 <= i < record.n for i in rows)
-                and len(set(rows)) == len(rows) == record.k):
-            raise ParseError(f"{kind} provenance needs integer "
-                             f"{', '.join(names)}, walk_length, trial >= 0 "
-                             f"and {record.k} distinct row_indices below "
-                             f"{record.n}")
-        walk_seed = (prov["walk_seed"] if kind == "rows"
-                     else prov["seed"] * 1_000_003 + prov["trial"])
-        gens = orthogen.generator_set(ctx, record.n)
-        A = orthogen.random_orthogonal(gens, prov["walk_length"], walk_seed)
-        return _twist(A.take_rows(rows),
-                      prov.get("lambdas") or None, prov.get("blocks") or None)
     fields = _PROVENANCE_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None:
         raise ParseError(f"unknown provenance kind {kind!r}")
     wrong = [name for name, ok in fields.items()
-             if name not in prov or not ok(prov[name])]
+             if not ok(prov.get(name, _ABSENT))]
     if wrong:
         raise ParseError(f"{kind} provenance fields missing or of the wrong "
                          f"type {wrong}")
+    if kind in ("search", "rows"):
+        rows = prov["row_indices"]
+        if not (all(0 <= i < record.n for i in rows)
+                and len(set(rows)) == len(rows) == record.k):
+            raise ParseError(f"{kind} provenance needs {record.k} distinct "
+                             f"row_indices below {record.n}")
+        walk_seed = (prov["walk_seed"] if kind == "rows"
+                     else prov["seed"] * 1_000_003 + prov["trial"])
+        gens = orthogen.generator_set(ctx, record.n)
+        A = orthogen.random_orthogonal(gens, prov["walk_length"], walk_seed)
+        lam = prov.get("lambdas")
+        return _twist(A.take_rows(rows),
+                      _elements(ctx, lam, "lambda") if lam else None,
+                      prov.get("blocks") or None)
     if kind == "extended":
         base = LinearCode.from_basis(MatrixFq.from_text(prov["base"]),
                                      verify_rank=False)

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -163,7 +164,7 @@ def prime_factors(n: int) -> list[int]:
 #
 # Polynomials are little-endian lists of base-field codes with no trailing
 # zeros.  Only construction-time work (irreducibility, default modulus
-# search, the products that bootstrap exp/log) runs through these; element
+# search, the products that find the generator) runs through these; element
 # arithmetic uses tables afterwards.
 
 def _pstrip(a: list[int]) -> list[int]:
@@ -345,15 +346,59 @@ class FieldCtx:
         n = self.q - 1
         exp = [0] * (2 * n if n else 1)
         log = [-1] * self.q
-        v = 1
+        powers = self._powers_of_g()
         for i in range(n):
-            exp[i] = v
+            v = exp[i] = next(powers)
             log[v] = i
-            v = self._raw_mul(v, self.g)
-        assert v == 1, "generator order is not q - 1"
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
+        assert next(powers) == 1, "generator order is not q - 1"
+        exp[n:] = exp[:n]
         return exp, log
+
+    def _powers_of_g(self) -> Iterator[int]:
+        """1, g, g^2, ... as codes.  g has low degree over the base, so each
+        power is the last one times g's few nonzero coefficients, shifted,
+        then one reduction of the coefficients past the modulus degree."""
+        g, v = self.g, 1
+        if self.base is None:
+            while True:
+                yield v
+                v = v * g % self.p
+        d = self.degree
+        if self.base.q == 2:
+            # digits are bits: carry-less shifts, the modulus as a bit mask
+            shifts = [j for j in range(g.bit_length()) if g >> j & 1]
+            tops = range(g.bit_length() + d - 2, d - 1, -1)
+            mmask = sum(1 << i for i, c in enumerate(self.modulus) if c)
+            while True:
+                yield v
+                r = 0
+                for j in shifts:
+                    r ^= v << j
+                for t in tops:
+                    if r >> t & 1:
+                        r ^= mmask << (t - d)
+                v = r
+        adds, muls = self.base.tables()
+        gd = _pstrip(self._digits(g))
+        terms = [(j, muls[c]) for j, c in enumerate(gd) if c]
+        tops = range(len(gd) + d - 2, d - 1, -1)
+        low = [(i, c) for i, c in enumerate(self.modulus[:d]) if c]
+        weights = [self.base.q ** i for i in range(d)]
+        digits = [1] + [0] * (d - 1)
+        while True:
+            yield sum(map(operator.mul, digits, weights))
+            prod = [0] * (d + len(gd) - 1)
+            for j, mg in terms:
+                for i, x in enumerate(digits, j):
+                    if x:
+                        prod[i] = adds[prod[i]][mg[x]]
+            for t in tops:
+                if prod[t]:
+                    # subtract prod[t] x^(t - d) times the monic modulus
+                    mc, s = muls[self.base.neg(prod[t])], t - d
+                    for i, c in low:
+                        prod[s + i] = adds[prod[s + i]][mc[c]]
+            digits = prod[:d]
 
     # -- raw arithmetic on codes -----------------------------------------
 
@@ -365,7 +410,8 @@ class FieldCtx:
         return out
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Table-free product; used to bootstrap exp/log."""
+        """Table-free product: for the generator search, and for fields
+        above the exp/log cap."""
         if self.base is None:
             return (a * b) % self.p
         if self.base.q == 2:

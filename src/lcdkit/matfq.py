@@ -1,10 +1,11 @@
 """Exact dense matrices over a field context.
 
 Matrices are immutable value types: entries are a flat tuple of element
-codes in row-major order, so matrices hash and compare cheaply.  rref, det
-and nullspace are thin wrappers around gf's one elimination loop, whose
-first-nonzero pivoting makes reduced row echelon form canonical for code
-comparison.  Products and row scaling index the field's tables(), as the
+codes in row-major order, so matrices hash and compare cheaply.  rref,
+rank, det and nullspace are thin wrappers around gf's one elimination
+loop, whose first-nonzero pivoting makes reduced row echelon form
+canonical for code comparison; rank and det share one elimination, kept
+on the matrix.  Products and row scaling index the field's tables(), as the
 elimination does.
 
 Text serialization is one header line "<field> <rows> <cols>" followed by
@@ -24,7 +25,7 @@ from .errors import (ContextMismatch, InvalidValue, ParseError,
 class MatrixFq:
     """r x c matrix over a field context, entries as a flat code tuple."""
 
-    __slots__ = ("ctx", "r", "c", "entries")
+    __slots__ = ("ctx", "r", "c", "entries", "_echelon")
 
     def __init__(self, ctx: gf.FieldCtx, r: int, c: int,
                  entries: Iterable[int]):
@@ -32,6 +33,7 @@ class MatrixFq:
         if len(entries) != r * c:
             raise ShapeMismatch(f"need {r * c} entries, got {len(entries)}")
         self.ctx, self.r, self.c, self.entries = ctx, r, c, entries
+        self._echelon = None
 
     # -- constructors -----------------------------------------------------
 
@@ -198,14 +200,22 @@ class MatrixFq:
         flat = [v for row in rows for v in row]
         return MatrixFq(self.ctx, self.r, self.c, flat), tuple(pivots)
 
+    def _rank_det(self) -> tuple[int, int]:
+        """(rank, det), det being 0 unless every row has a pivot, from one
+        elimination kept for the next call: the matrix never changes."""
+        if self._echelon is None:
+            pivots, det = gf._rref_rows(self.ctx, self._row_lists())
+            self._echelon = (len(pivots),
+                             det if len(pivots) == self.r else 0)
+        return self._echelon
+
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return self._rank_det()[0]
 
     def det(self) -> int:
         if self.r != self.c:
             raise ShapeMismatch("determinant needs a square matrix")
-        pivots, det = gf._rref_rows(self.ctx, self._row_lists())
-        return det if len(pivots) == self.r else 0
+        return self._rank_det()[1]
 
     def inverse(self) -> "MatrixFq":
         if self.r != self.c:

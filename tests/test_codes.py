@@ -2,7 +2,8 @@
 
 import json
 import random
-from itertools import combinations
+import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -79,6 +80,36 @@ def test_hull_from_brute_force(F3, rng):
         assert C.is_lcd() == (hull.r == 0)
 
 
+@pytest.mark.parametrize("desc", ["2", "3", "4", "5", "9"])
+def test_lcd_hull_and_determinant_agree(desc):
+    # is_lcd and hull_dim share one elimination, each order of first call
+    ctx = parse_field(desc)
+    rng = random.Random(f"hull:{desc}")
+    seen = set()
+    for trial in range(30):
+        n = rng.randrange(2, 7)
+        k = rng.randrange(1, n + 1)
+        while ctx.q ** (k + 1) > 1 << 12:
+            k -= 1
+        G = random_code(ctx, n, k, rng).G
+        if trial % 3 == 0:
+            # a row orthogonal to every row, itself included, joins the hull
+            D = LinearCode.from_basis(G).dual()
+            extra = [h for h in D.G.rows()
+                     if MatrixFq.from_rows(ctx, [h]).gram().is_zero()]
+            if extra and G.vstack(MatrixFq.from_rows(ctx, extra[:1])
+                                  ).rank() == G.r + 1:
+                G = G.vstack(MatrixFq.from_rows(ctx, extra[:1]))
+        hull = LinearCode.from_basis(G).brute_hull().r
+        det = G.gram().det()
+        first, second = LinearCode.from_basis(G), LinearCode.from_basis(G)
+        assert first.is_lcd() == (first.hull_dim() == 0) == (det != 0)
+        assert second.hull_dim() == hull == first.hull_dim()
+        assert second.is_lcd() == (hull == 0)
+        seen.add(hull == 0)
+    assert seen == {True, False}
+
+
 def test_distance_strategies_agree(rng):
     # enumeration (q^k small) vs dual column subsets on the same codes
     from lcdkit.codes import (_distance_by_column_subsets,
@@ -91,19 +122,105 @@ def test_distance_strategies_agree(rng):
     rec = rs_pipeline(parse_field("16"), 15, 7, [6])[0]
     codes.append(rec.code())
     for C in codes:
-        by_enum = _distance_by_enumeration(C.G.rows(), C.ctx, C.n)
+        by_enum, messages = _distance_by_enumeration(C.G.rows(), C.ctx, C.n)
         H = C.dual().G
-        by_cols, exact = _distance_by_column_subsets(H, C.n, 1 << 26)
+        by_cols, exact, leaves = _distance_by_column_subsets(H, C.n, 1 << 26)
         assert exact and by_enum == by_cols
+        assert messages == (C.ctx.q ** C.k - 1) // (C.ctx.q - 1)
+        assert C.distance()[:3] == (by_enum, EXACT, None)
     assert (rec.n, rec.k, rec.d) == (8, 6, 3) == (C.n, C.k, by_enum)
+    # the binary Hamming [31,26] code: q^k is the default budget, and its
+    # 2^26 - 1 messages took over 20 s; the scan certifies d = 3 instead
+    F2 = parse_field("2")
+    H = MatrixFq.from_rows(F2, [[(j >> i) & 1 for j in range(1, 32)]
+                                for i in range(5)])
+    ham = LinearCode.from_basis(H).dual()
+    assert (ham.n, ham.k) == (31, 26)
+    start = time.perf_counter()
+    res = ham.distance()
+    assert time.perf_counter() - start < 0.1
+    assert res[:3] == (3, EXACT, None) and res.method == "subsets"
+    assert 0 < res.work <= 31 + 465 + 4495
+
+
+def _todays_rule(C, budget, d_enum, scan):
+    """(value, status, upper) by the rule the chooser replaced: enumerate
+    (whose answer, d_enum, no budget changes) exactly when q^k <= budget,
+    else scan column subsets."""
+    if C.k == C.n:
+        return 1, EXACT, None
+    if C.ctx.q ** C.k <= budget:
+        return d_enum, EXACT, None
+    value, exact, _ = scan(C.dual().G, C.n, budget)
+    return ((value, EXACT, None) if exact
+            else (value, LOWER_BOUND, min(C.G.row_weights())))
+
+
+def _full_scan_charge(C):
+    """The chooser's charge bound: C(n, w) rows(H) w^2 over w <= u."""
+    from math import comb
+    rows_h = C.n - C.k
+    top = min(rows_h, min(C.G.row_weights()))
+    return sum(comb(C.n, w) * rows_h * w * w for w in range(1, top + 1))
+
+
+def test_distance_chooser_keeps_every_answer(monkeypatch):
+    from lcdkit import codes
+    enumerate_ = codes._distance_by_enumeration
+    scan = codes._distance_by_column_subsets
+    ran = []
+
+    def spy(method, fn):
+        def call(*args):
+            ran.append(method)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(codes, "_distance_by_enumeration",
+                        spy("enumeration", enumerate_))
+    monkeypatch.setattr(codes, "_distance_by_column_subsets",
+                        spy("subsets", scan))
+    rng = random.Random("chooser")
+    methods = set()
+    shapes = [("2", 14, 11), ("2", 16, 12), ("2", 12, 6), ("3", 10, 7),
+              ("3", 9, 4), ("4", 9, 6), ("5", 8, 3), ("7", 8, 6),
+              ("16", 7, 2), ("16", 8, 6), ("9", 6, 6), ("2", 20, 16)]
+    for (desc, n, k), trial in product(shapes, range(3)):
+        ctx = parse_field(desc)
+        G = random_code(ctx, n, k, rng).G
+        if trial == 1 and k < n:
+            # a repeated column keeps d <= 2 whatever was drawn
+            G = G.take_cols(list(range(n - 1)) + [0])
+        C = LinearCode.from_basis(G)
+        charge = _full_scan_charge(C) if k < n else 0
+        d_enum = enumerate_(G.rows(), ctx, n)[0] if k < n else None
+        budgets = {codes.DEFAULT_DISTANCE_BUDGET, 0, 1,
+                   ctx.q ** k - 1, ctx.q ** k, ctx.q ** k + 1,
+                   charge - 1, charge, charge + 1}
+        for budget in sorted(b for b in budgets if b >= 0):
+            C = LinearCode.from_basis(G)
+            ran.clear()
+            res = C.distance(budget)
+            assert res[:3] == _todays_rule(C, budget, d_enum, scan), (
+                desc, G, budget)
+            # method names the one strategy that ran
+            assert ran == ([] if k == n else [res.method])
+            assert res.work <= budget
+            if res.method == "subsets" and ctx.q ** k <= budget:
+                # chosen over enumeration only when the scan's whole
+                # charge fits, so the answer cannot be cut short
+                assert charge <= budget and res.status == EXACT
+            methods.add(res.method)
+    assert methods == {"enumeration", "subsets", "trivial"}
 
 
 def _enumeration_reference(rows, ctx, n, at_least):
     """The enumeration's visiting order on plain tuples through ctx.add and
     ctx.mul: lead row pinned to 1, the rows after it by coefficient 0 first
     and then 1..q-1, the last row's multiples in one loop at each leaf that
-    breaks at the first weight below both at_least and the leaf's best."""
-    k, best = len(rows), n + 1
+    breaks at the first weight below both at_least and the leaf's best.
+    Returns (the weight found, messages visited)."""
+    k, best, seen = len(rows), n + 1, 0
 
     def axpy(v, c, row):
         return tuple(ctx.add(a, ctx.mul(c, b)) for a, b in zip(v, row))
@@ -117,9 +234,11 @@ def _enumeration_reference(rows, ctx, n, at_least):
             leaves = [axpy(v, c, row) for v in leaves for c in range(ctx.q)]
         for vec in leaves:
             w = weight(vec)
+            seen += 1
             if lead < k - 1:
                 for c in range(1, ctx.q):
                     x = weight(axpy(vec, c, rows[-1]))
+                    seen += 1
                     if x < w:
                         w = x
                         if x < at_least:
@@ -127,8 +246,8 @@ def _enumeration_reference(rows, ctx, n, at_least):
             if w < best:
                 best = w
                 if best < at_least:
-                    return best
-    return best
+                    return best, seen
+    return best, seen
 
 
 # GF(1031) and GF(2^11) lie above the table cap, in odd and even
@@ -169,29 +288,33 @@ def test_enumeration_matches_codeword_oracle(desc, monkeypatch):
             patch.setattr(codes, "_words", None)
             d = min(sum(1 for x in w if x) for w in C.codewords() if any(w))
         for t in range(n + 2):
-            w = codes._distance_by_enumeration(rows, ctx, n, t)
-            assert w == _enumeration_reference(rows, ctx, n, t), (rows, t)
+            w, seen = codes._distance_by_enumeration(rows, ctx, n, t)
+            assert (w, seen) == _enumeration_reference(rows, ctx, n, t), (
+                rows, t)
             assert w == d if d >= t else d <= w < t, (rows, t)
+            assert seen <= (ctx.q ** k - 1) // (ctx.q - 1)
 
 
 def _subsets_oracle(H, n, budget):
     """The from-scratch column-subset scan: every subset in
-    ``combinations`` order, each eliminated on its own."""
+    ``combinations`` order, each eliminated on its own.  Returns
+    (w, certified, subsets charged)."""
     ctx, rows_h = H.ctx, H.r
     if rows_h == 0:
-        return 1, True
+        return 1, True, 0
     cols = [H.col(j) for j in range(n)]
-    ops = 0
+    ops = charged = 0
     for w in range(1, n + 1):
         if w > rows_h:
-            return w, True
+            return w, True, charged
         for subset in combinations(range(n), w):
             ops += rows_h * w * w
             if ops > budget:
-                return w, False
+                return w, False, charged
+            charged += 1
             if _cols_dependent(ctx, [cols[j] for j in subset], rows_h):
-                return w, True
-    return n + 1, True
+                return w, True, charged
+    return n + 1, True, charged
 
 
 def _cols_dependent(ctx, cols, height):
@@ -296,9 +419,10 @@ def test_deep_column_subset_scans():
     for code, d in ((grs, 15 - 5 + 1), (product, ex["expected"]["d"])):
         H = code.dual().G
         assert H.r >= 10
-        assert (_distance_by_column_subsets(H, code.n, DEFAULT_DISTANCE_BUDGET)
-                == (d, True))
-        assert _distance_by_enumeration(code.G.rows(), code.ctx, code.n) == d
+        assert (_distance_by_column_subsets(H, code.n, DEFAULT_DISTANCE_BUDGET
+                                            )[:2] == (d, True))
+        assert _distance_by_enumeration(code.G.rows(), code.ctx,
+                                        code.n)[0] == d
 
 
 @pytest.mark.parametrize("desc", ["2", "5", "16", "25", "1031", "2^11"])
@@ -314,21 +438,28 @@ def test_distance_at_least(desc):
         n = rng.randrange(2, 10)
         G = random_code(ctx, n, rng.randrange(1, min(n - 1, k_max) + 1),
                         rng).G
-        exact = LinearCode.from_basis(G).distance()
-        d = exact.value
-        assert exact.status == EXACT
+        # the chooser may answer a plain call by either strategy, so the
+        # results are compared on (value, status, upper)
+        exact = LinearCode.from_basis(G).distance()[:3]
+        d = exact[0]
+        assert exact[1] == EXACT
         for t in range(n + 2):
             C = LinearCode.from_basis(G)
             res = C.distance(at_least=t)
+            if t > 0 and G.r < n:
+                # a threshold call enumerates whenever q^k <= budget
+                assert res.method == "enumeration"
+                assert 0 < res.work <= (ctx.q ** G.r - 1) // (ctx.q - 1)
             if d >= t:
-                assert res == exact
+                assert res[:3] == exact
             else:
                 assert res.status == LOWER_BOUND and res.value == 1
                 assert d <= res.upper < t
                 # the early answer is not cached; the exact one still comes
-                assert C._dist is None and C.distance() == exact
+                assert C._dist is None and C.distance()[:3] == exact
             # a cached exact distance answers every threshold unchanged
-            assert C.distance(at_least=t) == exact == C._dist
+            assert C.distance(at_least=t) is C._dist
+            assert C._dist[:3] == exact
         # the column-subset path ignores the threshold
         budget = ctx.q ** G.r - 1
         if G.r < n:

@@ -451,6 +451,15 @@ def test_negative_walk_length_is_refused(F11):
     ('"seed":9', '"seed":false'),
     ('"trial":0', '"trial":-1'),
     ('"trial":0', '"trial":null'),
+    ('"lambdas":[10,4,4]', '"lambdas":5'),
+    ('"lambdas":[10,4,4]', '"lambdas":"abc"'),
+    ('"lambdas":[10,4,4]', '"lambdas":[10,4,true]'),
+    ('"lambdas":[10,4,4]', '"lambdas":[10,4,4.0]'),
+    ('"blocks":[[10,2]]', '"blocks":7'),
+    ('"blocks":[[10,2]]', '"blocks":[10,2]'),
+    ('"blocks":[[10,2]]', '"blocks":[[10,2.0]]'),
+    ('"blocks":[[10,2]]', '"blocks":[[10,false]]'),
+    ('"blocks":[[10,2]]', '"blocks":[[10,2,3]]'),
 ])
 def test_replay_refuses_mistyped_search_provenance(old, new):
     line = PINNED_SEARCHES[0][1]
@@ -458,6 +467,27 @@ def test_replay_refuses_mistyped_search_provenance(old, new):
     line = line.replace(old, new)
     with pytest.raises(ParseError):
         replay_record(CodeRecord.from_json(line))
+
+
+@pytest.mark.parametrize("lambdas", ["[10,4,-1]", "[10,4,11]"])
+def test_replay_refuses_search_lambdas_outside_the_field(lambdas):
+    line = PINNED_SEARCHES[0][1].replace('"lambdas":[10,4,4]',
+                                         f'"lambdas":{lambdas}')
+    with pytest.raises(InvalidValue):
+        replay_record(CodeRecord.from_json(line))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("lambdas", [2, 7, True]), ("lambdas", 3), ("blocks", [[3, 4.0]]),
+    ("blocks", [3, 4])])
+def test_replay_refuses_mistyped_rows_provenance(name, value):
+    prov = {"kind": "rows", "walk_seed": 12345, "walk_length": 40,
+            "row_indices": [5, 1, 3], "lambdas": [2, 7, 11],
+            "blocks": [[3, 4]], name: value}
+    rec = CodeRecord(field="13", n=6, k=3, d=None, d_status="lower_bound",
+                     tag="rows", provenance=prov, matrix="")
+    with pytest.raises(ParseError):
+        replay_record(rec)
 
 
 # the records that the extend, product and project verbs wrote, pinned

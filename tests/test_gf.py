@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,42 @@ def test_generator_of_a_field_with_a_large_prime_in_q_minus_1():
         {2, *trial_factors(2 ** 44 - 1), *trial_factors(2 ** 44 + 1)})
     with pytest.raises(InvalidValue):       # 2^89 - 1 is a prime past it
         prime_factors(3 * (2 ** 89 - 1))
+
+
+@pytest.mark.parametrize("p,m", [
+    (2, 10), (3, 6), (5, 4), (7, 3), (2, 1), (13, 1),
+    # 2^20 steps of the table-free product take over a second
+    pytest.param(2, 20, marks=pytest.mark.slow)])
+def test_exp_log_follow_the_product_chain(p, m):
+    # exp[i] = g^i by the table-free product, one step at a time
+    ctx = field_create(p, m)
+    n = ctx.q - 1
+    chain = [1]
+    for _ in range(n):
+        chain.append(ctx._raw_mul(chain[-1], ctx.g))
+    assert chain.pop() == 1 and ctx.exp == chain + chain
+    assert ctx.log[0] == -1 and all(ctx.log[v] == i for i, v in enumerate(chain))
+
+
+@pytest.mark.parametrize("desc", ["16/4", "81/9", "729/9", "625/25",
+                                  "256/16", "64/8"])
+def test_tower_exp_log_follow_the_product_chain(desc):
+    ctx = parse_field(desc)
+    v = 1
+    for i in range(ctx.q - 1):
+        assert ctx.exp[i] == v and ctx.log[v] == i
+        v = ctx._raw_mul(v, ctx.g)
+    assert v == 1
+
+
+@pytest.mark.slow
+def test_exp_log_of_3_to_the_12():
+    # 531,441 elements: one full product per element took 9 to 17 s
+    start = time.perf_counter()
+    ctx = field_create(3, 12)
+    assert time.perf_counter() - start < 6
+    assert ctx.exp[ctx.q - 2] == ctx._raw_pow(ctx.g, ctx.q - 2)
+    assert sorted(ctx.exp[:ctx.q - 1]) == list(range(1, ctx.q))
 
 
 def test_parse_field_by_integer_roots():
