@@ -10,9 +10,13 @@ two paths agree on what the code is.
 
 The LCD test follows the determinant criterion: C intersects its dual
 trivially exactly when det(G G^T) is nonzero, and more generally
-dim(C meet C^perp) = k - rank(G G^T).  ``brute_hull`` re-derives the hull
-by enumerating codewords, which is the oracle the fast path is tested
-against.
+dim(C meet C^perp) = k - rank(G G^T).  C and C^perp have the same hull,
+so it is also (n - k) - rank(H H^T) for a parity-check matrix H, and
+``hull_dim`` reads the smaller of the two Gram matrices: H H^T when
+2k > n, G G^T otherwise.  Each code keeps its dual once built, so the
+column-subset scan and the hull share one nullspace.  ``brute_hull``
+re-derives the hull by enumerating codewords, which is the oracle the
+fast path is tested against.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class DistanceResult(NamedTuple):
 class LinearCode:
     """[n, k] linear code held as a full-rank generator matrix."""
 
-    __slots__ = ("ctx", "n", "k", "G", "_canon", "_dist", "_hull")
+    __slots__ = ("ctx", "n", "k", "G", "_canon", "_dist", "_hull", "_dual")
 
     def __init__(self, G: MatrixFq):
         # internal; use from_generator / from_basis
@@ -82,6 +86,7 @@ class LinearCode:
         self._canon = None
         self._dist = None
         self._hull = None
+        self._dual = None
 
     @classmethod
     def from_generator(cls, G: MatrixFq) -> "LinearCode":
@@ -118,23 +123,33 @@ class LinearCode:
         return self._canon
 
     def dual(self) -> "LinearCode":
-        if self.k == 0:
-            return LinearCode.full(self.ctx, self.n)
-        H = self.canonical().nullspace()
-        if H.r == 0:
-            return LinearCode.zero(self.ctx, self.n)
-        return LinearCode.from_basis(H, verify_rank=False)
+        """C^perp, built once and kept: the subset scan and the hull share
+        its nullspace."""
+        if self._dual is None:
+            if self.k == 0:
+                self._dual = LinearCode.full(self.ctx, self.n)
+            else:
+                H = self.canonical().nullspace()
+                self._dual = (LinearCode.from_basis(H, verify_rank=False)
+                              if H.r else LinearCode.zero(self.ctx, self.n))
+        return self._dual
 
     def gram(self) -> MatrixFq:
         return self.G.gram()
 
     def hull_dim(self) -> int:
-        """dim(C meet C^perp) = k - rank(G G^T), kept once computed.  It is
-        0 exactly when det(G G^T) != 0; a singular Gram matrix reads its
-        rank from the same elimination."""
+        """dim(C meet C^perp), kept once computed, from the smaller Gram
+        matrix: C and C^perp have the same hull, so it is k - rank(G G^T)
+        and also (n - k) - rank(H H^T).  When 2k > n it is read from the
+        kept dual's H H^T, otherwise from G G^T: 0 exactly when
+        det(G G^T) != 0, and a singular Gram matrix reads its rank from the
+        same elimination."""
         if self._hull is None:
-            gram = self.gram()
-            self._hull = 0 if gram.det() else self.k - gram.rank()
+            if 2 * self.k > self.n:
+                self._hull = self.dual().hull_dim()
+            else:
+                gram = self.gram()
+                self._hull = 0 if gram.det() else self.k - gram.rank()
         return self._hull
 
     def is_lcd(self) -> bool:

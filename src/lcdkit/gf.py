@@ -491,9 +491,6 @@ class FieldCtx:
             return self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)]
         return self._raw_pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def power(self, a: int, e: int) -> int:
         if e < 0:
             return self.power(self.inv(a), -e)

@@ -6,7 +6,9 @@ rank, det and nullspace are thin wrappers around gf's one elimination
 loop, whose first-nonzero pivoting makes reduced row echelon form
 canonical for code comparison; rank and det share one elimination, kept
 on the matrix.  Products and row scaling index the field's tables(), as the
-elimination does.
+elimination does.  ``gram`` forms G G^T from its upper triangle alone,
+each entry i <= j once, and mirrors it below the diagonal; ``@`` is its
+test oracle.
 
 Text serialization is one header line "<field> <rows> <cols>" followed by
 one line of space-separated codes per row; parsing with the same default
@@ -182,7 +184,20 @@ class MatrixFq:
         return MatrixFq(self.ctx, self.r, self.c, flat)
 
     def gram(self) -> "MatrixFq":
-        return self @ self.transpose()
+        """self @ self^T: each dot product i <= j is formed once over the
+        rows and mirrored below the diagonal."""
+        adds, muls = self.ctx.tables()
+        r = self.r
+        rows = self.rows()
+        flat = [0] * (r * r)
+        for i, arow in enumerate(rows):
+            for j in range(i, r):
+                s = 0
+                for a, b in zip(arow, rows[j]):
+                    if a and b:
+                        s = adds[s][muls[a][b]]
+                flat[i * r + j] = flat[j * r + i] = s
+        return MatrixFq(self.ctx, r, r, flat)
 
     def is_orthogonal(self) -> bool:
         return self.r == self.c and self.gram() == MatrixFq.identity(self.ctx, self.r)

@@ -28,6 +28,16 @@ def ham74(F2):
         [0, 0, 0, 1, 1, 1, 1]]))
 
 
+def ternary_hamming(F3):
+    """The [13,10] Hamming code over GF(3), built fresh from its generator:
+    its parity check has one column per point of PG(2, 3)."""
+    points = [[v % 3, v // 3 % 3, v // 9] for v in range(1, 27)]
+    points = [pt for pt in points if next(x for x in pt if x) == 1]
+    H = MatrixFq.from_rows(F3, [[pt[i] for pt in points] for i in range(3)])
+    return LinearCode.from_generator(
+        LinearCode.from_basis(H).dual().G)
+
+
 def test_hamming_code_facts(F2):
     C = ham74(F2)
     assert (C.n, C.k) == (7, 4)
@@ -72,12 +82,49 @@ def test_duality_orthogonality(F7, rng):
         assert prod.is_zero()
 
 
-def test_hull_from_brute_force(F3, rng):
-    for _ in range(40):
-        C = random_code(F3, 5, rng.randrange(1, 4), rng)
+def test_hull_from_brute_force(F2, F3, rng):
+    # known answers first: Hamming [7,4] (its simplex dual is
+    # self-orthogonal) and [13,10]_F3 and the full code read H H^T, the
+    # self-dual extended Hamming [8,4] sits on the 2k = n line and reads
+    # G G^T, and the full code's dual is the zero code
+    ext84 = LinearCode.from_basis(MatrixFq.from_rows(F2, [
+        [1, 0, 0, 0, 0, 1, 1, 1],
+        [0, 1, 0, 0, 1, 0, 1, 1],
+        [0, 0, 1, 0, 1, 1, 0, 1],
+        [0, 0, 0, 1, 1, 1, 1, 0]]))
+    known = [(ham74(F2), 3), (ternary_hamming(F3), 3), (ext84, 4),
+             (LinearCode.full(F3, 5), 0)]
+    known += [(random_code(F3, 5, rng.randrange(1, 4), rng), None)
+              for _ in range(40)]
+    for C, want in known:
         hull = C.brute_hull()
         assert hull.r == C.hull_dim()
         assert C.is_lcd() == (hull.r == 0)
+        assert want is None or hull.r == want
+
+
+def test_dual_is_built_once(F3, monkeypatch):
+    from lcdkit import gf
+    C = ternary_hamming(F3)
+    assert C.dual() is C.dual()
+    calls = []
+    original = gf._nullspace_rows
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gf, "_nullspace_rows", counted)
+    C = ternary_hamming(F3)
+    calls.clear()
+    # the chooser sends this code to the subset scan, which needs the dual;
+    # the hull (2k > n) reads H H^T from the same dual
+    d = C.distance()
+    hull = C.hull_dim()
+    assert len(calls) == 1
+    assert d.method == "subsets"
+    fresh = ternary_hamming(F3)
+    assert d == fresh.distance() and hull == fresh.hull_dim() == 3
 
 
 @pytest.mark.parametrize("desc", ["2", "3", "4", "5", "9"])

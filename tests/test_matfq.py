@@ -77,6 +77,20 @@ def test_gram_and_orthogonality():
     assert not tweaked.is_orthogonal()
 
 
+@pytest.mark.parametrize("desc", ["2", "7", "9", "16", "8/2", "1031"])
+def test_gram_equals_product_with_transpose(desc):
+    # gram fills the upper triangle and mirrors it; the product is the
+    # oracle.  1031 lies above the table cap, so its tables() rows are
+    # computed on access
+    ctx = parse_field(desc)
+    rng = random.Random(f"gram:{desc}")
+    for r in range(7):
+        for c in range(1, 10):
+            M = MatrixFq(ctx, r, c, [rng.randrange(ctx.q)
+                                     for _ in range(r * c)])
+            assert M.gram() == M @ M.transpose()
+
+
 def test_text_round_trip():
     rng = random.Random(9)
     for desc, p, m in (("7", 7, 1), ("2^2", 2, 2)):

@@ -122,7 +122,7 @@ def test_closure_orders_large_unbounded(field, n, expected):
 
 def reflection(ctx, v, vv):
     """x -> x - 2 (x.v / v.v) v as a matrix, for v.v = vv != 0."""
-    c = ctx.div(2, vv)
+    c = ctx.mul(2, ctx.inv(vv))
     n = len(v)
     return MatrixFq.from_rows(ctx, [
         [ctx.sub(int(i == j), ctx.mul(c, ctx.mul(v[i], v[j])))
@@ -148,7 +148,7 @@ def test_generators_have_square_spinor_norm(field, n):
             continue
         R = reflection(ctx, v, vv)
         assert R.is_orthogonal()
-        assert ctx.is_square(ctx.div(spinor_norm(R), vv))
+        assert ctx.is_square(ctx.mul(spinor_norm(R), ctx.inv(vv)))
         nonsquare = not ctx.is_square(vv)   # the norm is onto F*/F*^2
     for seed in range(5):                   # and multiplicative
         A = random_orthogonal(gens, 64, seed)
