@@ -17,6 +17,13 @@ so it is also (n - k) - rank(H H^T) for a parity-check matrix H, and
 column-subset scan and the hull share one nullspace.  ``brute_hull``
 re-derives the hull by enumerating codewords, which is the oracle the
 fast path is tested against.
+
+Minimum distance has three exact strategies, priced before any runs
+(``LinearCode.distance``): message enumeration, the parity-check
+column-subset scan, and the Singleton certificate.  A code is MDS,
+d = n - k + 1, exactly when every k columns of G are independent, or
+every n - k columns of H; the certificate tests that one size, and when
+it finds a dependent set the strategy it was priced against answers.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .errors import (
     BudgetExceeded,
     DistanceNotExact,
     EmptyResult,
+    InvalidValue,
     ParseError,
     ZeroMatrix,
 )
@@ -45,6 +53,7 @@ LOWER_BOUND = "lower_bound"
 ENUMERATION = "enumeration"
 SUBSETS = "subsets"
 TRIVIAL = "trivial"
+SINGLETON = "singleton"
 
 DEFAULT_DISTANCE_BUDGET = 1 << 26
 DEFAULT_HULL_BUDGET = 1 << 16
@@ -55,19 +64,22 @@ SUBSET_LEVEL_COLUMNS = 1 << 14
 # benchmark's certify codes by tools/fit_distance_costs.py: enumeration
 # pays per message and per leaf (q messages each), the column-subset scan
 # a fixed part (the dual, the set-up) plus one per leaf subset and
-# parity-check row.
+# parity-check row, and the Singleton certificate one per subset of its
+# size and row of the matrix it tests.
 _ENUM_MESSAGE_NS = 85
 _ENUM_LEAF_NS = 600
 _SUBSETS_FIXED_NS = 110_000
 _SUBSETS_LEAF_ROW_NS = 75
+_SINGLETON_SUBSET_ROW_NS = 28
 
 
 class DistanceResult(NamedTuple):
     value: int
     status: str
     upper: Optional[int] = None
-    # ENUMERATION, SUBSETS or TRIVIAL, and its work: messages visited, or
-    # leaf subsets charged against the budget (never more than the budget)
+    # ENUMERATION, SUBSETS, SINGLETON or TRIVIAL, and its work: messages
+    # visited, leaf subsets charged against the budget (never more than
+    # the budget), or the C(n, k) subsets the certificate tested
     method: Optional[str] = None
     work: int = 0
 
@@ -186,16 +198,30 @@ class LinearCode:
 
     def distance(self, budget: int = DEFAULT_DISTANCE_BUDGET,
                  at_least: int = 0) -> DistanceResult:
-        """Minimum distance by the cheaper of two exact strategies: message
-        enumeration, which visits (q^k - 1) / (q - 1) messages, and the
-        parity-check column-subset scan.
+        """Minimum distance by the cheapest of three exact strategies:
+        message enumeration, which visits (q^k - 1) / (q - 1) messages; the
+        parity-check column-subset scan; and the Singleton certificate,
+        which proves d = n - k + 1 from the subsets of one size.
 
-        Enumeration may run only when q^k <= budget.  Then both costs are
-        estimated first (``_subsets_cheaper``), and the scan runs instead
-        only when it is estimated faster and its whole budget charge fits,
-        so its answer is exact too.  When q^k > budget the scan runs, and a
-        budget blow-up there degrades to a certified lower bound plus a
-        generator-row upper bound.  A k = n code has d = 1.
+        Enumeration may run only when q^k <= budget.  Then its cost and
+        the scan's are estimated first (``_plan``), and the scan runs
+        instead only when it is estimated faster and its whole budget
+        charge fits, so its answer is exact too.  When q^k > budget the
+        scan runs, and a budget blow-up there degrades to a certified lower
+        bound plus a generator-row upper bound.  A k = n code has d = 1.
+
+        The certificate is tried first on a code whose lightest generator
+        row weighs at least n - k + 1 (every MDS code passes), when the
+        strategy above would return an exact value anyway (q^k <= budget,
+        or the scan's whole charge fits), its own charge of C(n, k) r^3
+        fits, and it is estimated faster than that strategy.  It tests
+        whether every r columns of M are independent, M being the
+        generator (r = k) when k <= n - k and the parity-check matrix
+        (r = n - k) otherwise (``_every_column_subset_independent``), with
+        the last two columns of each subset compared as projective points.
+        When they are, d = n - k + 1; when some are not, the strategy above
+        runs as if the certificate had not.  So value, status and upper
+        never depend on whether it ran.
 
         ``at_least = t > 0`` asks only whether d >= t, and is answered by
         enumeration whenever q^k <= budget, without pricing: it stops at
@@ -204,56 +230,80 @@ class LinearCode:
         and the result is the exact d.  Only enumeration reads t: the
         subset scan's iterative deepening already stops at d.
 
-        The result's ``method`` names the strategy that ran and ``work``
-        its messages visited or leaf subsets charged."""
+        The result's ``method`` names the strategy that answered and
+        ``work`` its messages visited, leaf subsets charged, or, for
+        SINGLETON, the C(n, k) subsets tested.  A negative budget raises
+        InvalidValue."""
+        if budget < 0:
+            raise InvalidValue(f"distance budget must be >= 0, got {budget}")
         if self.k == 0:
             raise EmptyResult("zero code has no minimum distance")
         if self._dist is not None and self._dist.status == EXACT:
             return self._dist
-        if self.k == self.n:
-            result = DistanceResult(1, EXACT, method=TRIVIAL)
-        elif self.ctx.q ** self.k <= budget and (
-                at_least > 0 or not self._subsets_cheaper(budget)):
+        n, k = self.n, self.k
+        if k == n:
+            self._dist = DistanceResult(1, EXACT, method=TRIVIAL)
+            return self._dist
+        enumerate_, side = self._plan(budget, at_least)
+        if side is not None and _every_column_subset_independent(
+                self.G if side == "G" else self.dual().G):
+            result = DistanceResult(n - k + 1, EXACT, None, SINGLETON,
+                                    comb(n, k))
+        elif enumerate_:
             w, seen = _distance_by_enumeration(self.G.rows(), self.ctx,
-                                               self.n, at_least)
+                                               n, at_least)
             if w < at_least:
                 return DistanceResult(1, LOWER_BOUND, w, ENUMERATION, seen)
             result = DistanceResult(w, EXACT, None, ENUMERATION, seen)
         else:
             value, exact, leaves = _distance_by_column_subsets(
-                self.dual().G, self.n, budget)
+                self.dual().G, n, budget)
             upper = None if exact else min(self.G.row_weights())
             result = DistanceResult(value, EXACT if exact else LOWER_BOUND,
                                     upper, SUBSETS, leaves)
         self._dist = result
         return result
 
-    def _subsets_cheaper(self, budget: int) -> bool:
-        """Whether the column-subset scan is estimated faster than message
-        enumeration, and its whole charge fits the budget.
+    def _plan(self, budget: int, at_least: int) -> tuple[bool, Optional[str]]:
+        """(enumerate?, the side the Singleton certificate tests first, or
+        None), for 0 < k < n.
 
         The scan stops at d, which is at most u, the smaller of n - k (it
         has no pass past rows(H) = n - k) and the lightest generator row.
         So it charges at most the sum over w <= u of C(n, w) rows(H) w^2,
         and takes about the fixed cost plus rows(H) per leaf subset in that
-        range.  The sum stops once the scan's estimate reaches
-        enumeration's."""
+        range.  Enumeration runs when q^k <= budget and either t > 0 or the
+        scan is not both estimated faster and sure to fit the budget.  The
+        certificate charges C(n, r) r^3, the scan's rule for its C(n, r)
+        subsets of size r, and takes about one unit per subset and row of
+        the smaller side, G on a tie since it needs no dual."""
         q, n, k = self.ctx.q, self.n, self.k
-        messages = (q ** k - 1) // (q - 1)
-        enum_ns = (_ENUM_MESSAGE_NS * messages
-                   + _ENUM_LEAF_NS * (messages // q + 1))
-        scan_ns = _SUBSETS_FIXED_NS
-        if scan_ns >= enum_ns:
-            return False
+        enumerable = q ** k <= budget
+        if enumerable and at_least > 0:
+            return True, None
+        lightest = min(self.G.row_weights())
         rows_h = n - k
-        charge = 0
-        for w in range(1, min(rows_h, min(self.G.row_weights())) + 1):
+        scan_ns, charge = _SUBSETS_FIXED_NS, 0
+        for w in range(1, min(rows_h, lightest) + 1):
             leaves = comb(n, w)
             scan_ns += _SUBSETS_LEAF_ROW_NS * rows_h * leaves
-            if scan_ns >= enum_ns:
-                return False
             charge += leaves * rows_h * w * w
-        return charge <= budget
+        if enumerable:
+            messages = (q ** k - 1) // (q - 1)
+            enum_ns = (_ENUM_MESSAGE_NS * messages
+                       + _ENUM_LEAF_NS * (messages // q + 1))
+            enumerate_ = scan_ns >= enum_ns or charge > budget
+        else:
+            enumerate_ = False
+        if lightest <= rows_h or not (enumerable or charge <= budget):
+            return enumerate_, None
+        side, r = ("G", k) if k <= rows_h else ("H", rows_h)
+        subsets = comb(n, r)
+        if (subsets * r ** 3 > budget
+                or _SINGLETON_SUBSET_ROW_NS * subsets * r
+                >= (enum_ns if enumerate_ else scan_ns)):
+            return enumerate_, None
+        return enumerate_, side
 
     def classify(self) -> str:
         """Singleton classification; needs an exactly known distance."""
@@ -437,6 +487,110 @@ def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
     return best, seen
 
 
+def _column_reducer(ctx: gf.FieldCtx):
+    """(children, pivot_rows, pivot_row) for the depth-first walks over
+    column subsets.
+
+    A node holds the columns after its prefix reduced modulo the prefix's
+    span, pivot coordinates dropped.  ``children(rest, need)`` yields, for
+    each rest[i] that leaves at least need - 1 columns after it, the node
+    one column deeper: rest[i + 1:] reduced modulo rest[i], which costs one
+    scaled-row subtraction per later column.  Those rest[i] must be
+    nonzero.  ``pivot_rows`` maps each a looked up so far to the row of
+    -1/a in the muls table, and ``pivot_row(a)`` adds a; a row is never
+    falsy, so ``pivot_rows.get(a) or pivot_row(a)`` reads it."""
+    adds, muls = ctx.tables()
+    pivot_rows = {}
+
+    def pivot_row(a: int):
+        row = pivot_rows[a] = muls[ctx.neg(ctx.inv(a))]
+        return row
+
+    def children(rest, need: int):
+        for i in range(len(rest) - need + 1):
+            v = rest[i]
+            p = 0
+            while not v[p]:
+                p += 1
+            m = pivot_rows.get(v[p]) or pivot_row(v[p])
+            vt = [m[x] for x in v[p + 1:]]                   # -v / v[p]
+            later = []
+            for b in rest[i + 1:]:
+                tail = b[p + 1:]
+                if b[p]:
+                    mb = muls[b[p]]
+                    tail = tuple([adds[x][mb[y]] for x, y in zip(tail, vt)])
+                later.append(b[:p] + tail if p else tail)
+            yield later
+
+    return children, pivot_rows, pivot_row
+
+
+def _every_column_subset_independent(M: MatrixFq) -> bool:
+    """Whether every M.r columns of the full-rank M are independent: the
+    Singleton certificate, d = n - k + 1, when M is a generator or a
+    parity-check matrix of an [n, k] code.
+
+    A depth-first walk from the root at size r = M.r, in the order of the
+    column-subset scan and with its node reduction (``_column_reducer``).
+    It does not know that smaller sets are independent, so a column that
+    reduces to zero at any node, a zero column of M included, ends it: that
+    column and the node's prefix are dependent, and so is every r-set
+    holding them.  With two columns to go every later column is a nonzero
+    2-vector, and two of them are dependent exactly when they are the same
+    projective point, -y/x, or q for x = 0.  So those columns are keyed,
+    not reduced pair by pair, and a node with three to go does not build
+    its children: for each pivot the later columns are reduced to their
+    two coordinates left and keyed at once."""
+    q = M.ctx.q
+    adds, muls = M.ctx.tables()
+    children, pivot_rows, pivot_row = _column_reducer(M.ctx)
+    row_of = pivot_rows.get
+    zeros = [(0,) * need for need in range(M.r + 1)]
+
+    def walk(rest, need: int) -> bool:
+        if zeros[need] in rest:
+            return False
+        if need == 2:                       # only at the root, for r = 2
+            return len({(row_of(x) or pivot_row(x))[y] if x else q
+                        for x, y in rest}) == len(rest)
+        if need != 3:
+            return need == 1 or all(walk(later, need - 1)
+                                    for later in children(rest, need))
+        for i in range(len(rest) - 2):
+            v = rest[i]
+            # the pivot p and the two coordinates left, s < t
+            if v[0]:
+                p, s, t = 0, 1, 2
+            elif v[1]:
+                p, s, t = 1, 0, 2
+            else:
+                p, s, t = 2, 0, 1
+            m = row_of(v[p]) or pivot_row(v[p])
+            # -v / v[p] on the two coordinates left (0 on those before p)
+            vs, vt = m[v[s]], m[v[t]]
+            keys = set()
+            for b in rest[i + 1:]:
+                x, y = b[s], b[t]
+                if b[p]:
+                    mb = muls[b[p]]
+                    x, y = adds[x][mb[vs]], adds[y][mb[vt]]
+                if x:
+                    keys.add((row_of(x) or pivot_row(x))[y])
+                elif y:
+                    keys.add(q)
+                else:
+                    return False
+            if len(keys) < len(rest) - i - 1:
+                return False
+        return True
+
+    # the answer does not depend on the column order, and the most numerous
+    # nodes, the deep ones, reduce the last columns: put the sparse last
+    return walk(sorted((M.col(j) for j in range(M.c)),
+                       key=lambda col: col.count(0)), M.r)
+
+
 def _distance_by_column_subsets(H: MatrixFq, n: int,
                                 budget: int) -> tuple[int, bool, int]:
     """Smallest number of linearly dependent parity-check columns.
@@ -465,9 +619,7 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
     rows_h = H.r
     if rows_h == 0:
         return 1, True, 0
-    ctx = H.ctx
-    adds, muls = ctx.tables()
-    pivot_rows = {}                 # a -> muls[-1/a], filled as pivots occur
+    children = _column_reducer(H.ctx)[0]
 
     def scan(rest, need: int):
         """True at the first dependent leaf, False when the budget runs
@@ -488,23 +640,8 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
             if keep and len(rest) > 1:
                 level.append(rest)
             return None
-        for i in range(len(rest) - need + 1):
-            # rest[i] is nonzero: smaller sets than size w are independent
-            v = rest[i]
-            p = 0
-            while not v[p]:
-                p += 1
-            m = pivot_rows.get(v[p])
-            if m is None:
-                m = pivot_rows[v[p]] = muls[ctx.neg(ctx.inv(v[p]))]
-            vt = [m[x] for x in v[p + 1:]]                   # -v / v[p]
-            later = []
-            for b in rest[i + 1:]:
-                tail = b[p + 1:]
-                if b[p]:
-                    mb = muls[b[p]]
-                    tail = tuple([adds[x][mb[y]] for x, y in zip(tail, vt)])
-                later.append(b[:p] + tail if p else tail)
+        # every column is nonzero: smaller sets than size w are independent
+        for later in children(rest, need):
             found = scan(later, need - 1)
             if found is not None:
                 return found

@@ -4,6 +4,7 @@ import json
 import random
 import time
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from lcdkit import (EXACT, LOWER_BOUND, CodeRecord, LinearCode, MatrixFq,
                     RecordStore, field_create, mplcd_build, parse_field,
                     rs_pipeline)
-from lcdkit.errors import (DistanceNotExact, EmptyResult, LcdError,
-                           ParseError, ZeroMatrix)
+from lcdkit.errors import (DistanceNotExact, EmptyResult, InvalidValue,
+                           LcdError, ParseError, ZeroMatrix)
 from lcdkit.fixtures import product_example
 
 from conftest import (random_code, random_lcd_code, random_matrix,
@@ -205,16 +206,32 @@ def _todays_rule(C, budget, d_enum, scan):
 
 def _full_scan_charge(C):
     """The chooser's charge bound: C(n, w) rows(H) w^2 over w <= u."""
-    from math import comb
     rows_h = C.n - C.k
     top = min(rows_h, min(C.G.row_weights()))
     return sum(comb(C.n, w) * rows_h * w * w for w in range(1, top + 1))
+
+
+def grs_code(ctx, n, k, rng):
+    """A generalized Reed-Solomon [n, k] code, kept as its evaluation rows:
+    MDS, d = n - k + 1."""
+    points = rng.sample(range(ctx.q), n)
+    mults = [rng.randrange(1, ctx.q) for _ in points]
+    return LinearCode.from_basis(MatrixFq.from_rows(ctx, [
+        [ctx.mul(v, ctx.power(a, i)) for a, v in zip(points, mults)]
+        for i in range(k)]))
+
+
+def _certificate_charge(C):
+    """The certificate's charge: C(n, r) r^3 on the side with fewer rows."""
+    r = min(C.k, C.n - C.k)
+    return comb(C.n, r) * r ** 3
 
 
 def test_distance_chooser_keeps_every_answer(monkeypatch):
     from lcdkit import codes
     enumerate_ = codes._distance_by_enumeration
     scan = codes._distance_by_column_subsets
+    certify = codes._every_column_subset_independent
     ran = []
 
     def spy(method, fn):
@@ -227,38 +244,134 @@ def test_distance_chooser_keeps_every_answer(monkeypatch):
                         spy("enumeration", enumerate_))
     monkeypatch.setattr(codes, "_distance_by_column_subsets",
                         spy("subsets", scan))
+    monkeypatch.setattr(codes, "_every_column_subset_independent",
+                        spy("singleton", certify))
     rng = random.Random("chooser")
     methods = set()
     shapes = [("2", 14, 11), ("2", 16, 12), ("2", 12, 6), ("3", 10, 7),
               ("3", 9, 4), ("4", 9, 6), ("5", 8, 3), ("7", 8, 6),
               ("16", 7, 2), ("16", 8, 6), ("9", 6, 6), ("2", 20, 16)]
-    for (desc, n, k), trial in product(shapes, range(3)):
+    # MDS shapes, which reach the certificate
+    grs_shapes = [("13", 12, 5), ("11", 10, 4), ("2^11", 7, 2),
+                  ("16", 8, 5)]
+    for (desc, n, k), trial in product(shapes + grs_shapes, range(3)):
         ctx = parse_field(desc)
-        G = random_code(ctx, n, k, rng).G
+        make = grs_code if (desc, n, k) in grs_shapes else random_code
+        G = make(ctx, n, k, rng).G
         if trial == 1 and k < n:
             # a repeated column keeps d <= 2 whatever was drawn
             G = G.take_cols(list(range(n - 1)) + [0])
         C = LinearCode.from_basis(G)
         charge = _full_scan_charge(C) if k < n else 0
+        single = _certificate_charge(C) if k < n else 0
         d_enum = enumerate_(G.rows(), ctx, n)[0] if k < n else None
         budgets = {codes.DEFAULT_DISTANCE_BUDGET, 0, 1,
                    ctx.q ** k - 1, ctx.q ** k, ctx.q ** k + 1,
-                   charge - 1, charge, charge + 1}
+                   charge - 1, charge, charge + 1,
+                   single - 1, single, single + 1}
         for budget in sorted(b for b in budgets if b >= 0):
             C = LinearCode.from_basis(G)
             ran.clear()
             res = C.distance(budget)
             assert res[:3] == _todays_rule(C, budget, d_enum, scan), (
                 desc, G, budget)
-            # method names the one strategy that ran
-            assert ran == ([] if k == n else [res.method])
+            # method names the strategy that answered; a certificate that
+            # finds a dependent set runs before it
+            if res.method != "singleton" and ran[:1] == ["singleton"]:
+                assert ran == ["singleton", res.method]
+                assert d_enum < n - k + 1
+            else:
+                assert ran == ([] if k == n else [res.method])
             assert res.work <= budget
+            if "singleton" in ran:
+                # tried only on an answer that is exact anyway, and only
+                # when its own charge fits
+                assert single <= budget and res.status == EXACT
+                assert min(G.row_weights()) > n - k
+            if res.method == "singleton":
+                assert res.value == n - k + 1 and res.work == comb(n, k)
             if res.method == "subsets" and ctx.q ** k <= budget:
                 # chosen over enumeration only when the scan's whole
                 # charge fits, so the answer cannot be cut short
                 assert charge <= budget and res.status == EXACT
             methods.add(res.method)
-    assert methods == {"enumeration", "subsets", "trivial"}
+    assert methods == {"enumeration", "subsets", "trivial", "singleton"}
+
+
+def test_negative_distance_budget_is_rejected(F7):
+    # Reed-Solomon [5,2,4]: evaluations of 1 and x at 0..4
+    C = LinearCode.from_basis(MatrixFq.from_rows(F7, [[1, 1, 1, 1, 1],
+                                                      [0, 1, 2, 3, 4]]))
+    with pytest.raises(InvalidValue):
+        C.distance(budget=-5)
+    with pytest.raises(InvalidValue):
+        C.distance(budget=-1, at_least=2)
+    # budget 0 still degrades to a bound, and caches nothing exact
+    res = C.distance(budget=0)
+    assert res[:3] == (1, LOWER_BOUND, 4) and res.work == 0
+    assert C.distance()[:3] == (4, EXACT, None)
+    # a cached exact distance does not excuse a negative budget
+    with pytest.raises(InvalidValue):
+        C.distance(budget=-5)
+
+
+def _independent_by_rank(M):
+    """Whether every M.r columns of M have full rank, subset by subset."""
+    return all(M.take_cols(cols).rank() == M.r
+               for cols in combinations(range(M.c), M.r))
+
+
+@pytest.mark.parametrize("desc", ["2", "3", "4", "7", "8/2", "9", "16",
+                                  "1031"])
+def test_singleton_certificate_matches_rank_oracle(desc):
+    # 1031 lies above the table cap: its table rows are computed on access
+    from lcdkit.codes import (_distance_by_enumeration,
+                              _every_column_subset_independent)
+    ctx = parse_field(desc)
+    rng = random.Random(f"singleton:{desc}")
+    cases = []
+    for n in range(2, 10):
+        for k in sorted({1, n - 1, rng.randrange(1, n)}):
+            G = random_code(ctx, n, k, rng).G
+            cases.append(G)
+            if n <= ctx.q:
+                cases.append(grs_code(ctx, n, k, rng).G)
+            rows = G.rows()
+            # a zero column and a repeated column, where the rank allows
+            for col in ([0] * k, [row[0] for row in rows]):
+                H = MatrixFq.from_rows(
+                    ctx, [list(row[1:]) + [c] for row, c in zip(rows, col)])
+                if H.rank() == k:
+                    cases.append(H)
+    seen = set()
+    for G in cases:
+        C = LinearCode.from_basis(G)
+        n, k = C.n, C.k
+        H = C.dual().G
+        on_g = _every_column_subset_independent(G)
+        on_h = _every_column_subset_independent(H)
+        assert on_g == _independent_by_rank(G), G
+        assert on_h == _independent_by_rank(H), G
+        # every k columns of G independent exactly when every n - k of H
+        assert on_g == on_h
+        if ctx.q ** k <= 1 << 16:
+            d = _distance_by_enumeration(G.rows(), ctx, n)[0]
+            assert on_g == (d == n - k + 1)
+        seen.add(on_g)
+    assert seen == {True, False}
+
+
+def test_singleton_certificate_on_rs_15_7():
+    # Reed-Solomon [15,7]_F16: the polynomials of degree < 7 evaluated at
+    # the 15 nonzero elements
+    from lcdkit.codes import SINGLETON
+    ctx = parse_field("16")
+    C = LinearCode.from_basis(MatrixFq.from_rows(ctx, [
+        [ctx.power(a, i) for a in range(1, 16)] for i in range(7)]))
+    res = C.distance()
+    assert res[:3] == (9, EXACT, None)
+    assert res.method == SINGLETON == "singleton"
+    assert res.work == comb(15, 7) == 6435
 
 
 def _enumeration_reference(rows, ctx, n, at_least):
@@ -450,13 +563,7 @@ def test_deep_column_subset_scans():
                               _distance_by_column_subsets,
                               _distance_by_enumeration)
     # GRS [15,5]_F16: MDS, so d = n - k + 1 = 11
-    ctx = parse_field("16")
-    rng = random.Random("deep:grs")
-    points = rng.sample(range(ctx.q), 15)
-    mults = [rng.randrange(1, ctx.q) for _ in points]
-    grs = LinearCode.from_basis(MatrixFq.from_rows(ctx, [
-        [ctx.mul(v, ctx.power(a, i)) for a, v in zip(points, mults)]
-        for i in range(5)]))
+    grs = grs_code(parse_field("16"), 15, 5, random.Random("deep:grs"))
     # the worked [16,4,12]_F11 product code under a seeded column order
     ex = product_example()
     G = mplcd_build(ex["components"], ex["base"], ex["scalars"]).G

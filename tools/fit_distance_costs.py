@@ -1,22 +1,28 @@
-"""Fit the cost constants that LinearCode.distance prices its two
-strategies with, on the benchmark's certify codes.
+"""Fit the cost constants that LinearCode.distance prices its three
+strategies with, on the benchmark's certify codes and the RS pipeline's.
 
     PYTHONPATH=src python3 tools/fit_distance_costs.py [--seeds 42 1234]
 
 For every code the certify workload builds from the given seeds (GRS,
 the product example, Hamming, random codes on the enumeration side and
-high-rate random codes on the subset side) it times message enumeration
-and the column-subset scan (the dual included) on their own, best of a
-few runs.  It fits
+high-rate random codes on the subset side), and for the cyclic and
+derived codes of the build workload's ``rs-pipeline`` runs, it times
+message enumeration, the column-subset scan (the dual included) and,
+where the lightest generator row admits an MDS code, the Singleton
+certificate on the generator and on the parity-check matrix (the dual
+included), each on its own, best of a few runs.  It fits
 
     enumeration  ns = a * messages + b * leaves
     subsets      ns = c + e * rows(H) * leaf subsets charged
+    singleton    ns = s * C(n, r) * r          (r rows of the side tested)
 
-by least squares on the relative error, prints the four constants next
-to the ones pinned in lcdkit.codes, and a table of each code's times,
-the branch the pinned constants choose, and the faster one.  Standard
-library only; it reads the workload definitions under lcdbench/ and
-writes nothing.
+by least squares on the relative error, the last on the MDS codes and
+both sides, prints the five constants next to the ones pinned in
+lcdkit.codes, and a table of each code's times, the strategy and side
+the pinned constants choose, and the fastest that answers (a
+certificate that finds a dependent set hands over to another strategy).
+Standard library only; it reads the workload definitions under
+lcdbench/ and writes nothing.
 """
 
 from __future__ import annotations
@@ -25,13 +31,14 @@ import argparse
 import sys
 import tempfile
 import time
+from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "lcdbench")]
 
 import workloads  # noqa: E402
-from lcdkit import codes  # noqa: E402
+from lcdkit import codes, construct  # noqa: E402
 from lcdkit.gf import parse_field  # noqa: E402
 from lcdkit.matfq import MatrixFq  # noqa: E402
 
@@ -64,9 +71,15 @@ def fit2(xs: list[tuple[float, float]], ys: list[float]) -> tuple[float, float]:
     return (t1 * s22 - t2 * s12) / det, (s11 * t2 - s12 * t1) / det
 
 
+def fit1(xs: list[float], ys: list[float]) -> float:
+    """u minimising the sum of ((u x - y) / y)^2."""
+    return (sum(x / y for x, y in zip(xs, ys))
+            / sum((x / y) ** 2 for x, y in zip(xs, ys)))
+
+
 def certify_codes(seeds: list[int]) -> list[tuple[str, object]]:
-    """(name, LinearCode) for each seed's certify codes, built as the
-    workload builds them."""
+    """(name, build) for each seed's certify codes, build() making a fresh
+    LinearCode as the workload makes it."""
     out = []
     with tempfile.TemporaryDirectory() as scratch:
         for seed in seeds:
@@ -80,48 +93,83 @@ def certify_codes(seeds: list[int]) -> list[tuple[str, object]]:
     return out
 
 
+def rs_codes() -> list[tuple[str, object]]:
+    """(name, build) for the cyclic and derived codes of the build
+    workload's rs-pipeline runs, kept as the pipeline builds them."""
+    out = []
+    for desc, n, k, k_primes in workloads.BUILD_RS:
+        ctx = parse_field(desc)
+        cyclic = construct.cyclic_mds_self_orthogonal(ctx, n, k)
+        made = [(f"cyclic[{n},{k}]_F{desc}", cyclic)]
+        made += [(f"derived[{n - k},{kp}]_F{desc}",
+                  construct.mds_lcd_from_self_orthogonal(cyclic, kp))
+                 for kp in k_primes]
+        out += [(name, lambda G=code.G: codes.LinearCode.from_basis(
+                    G, verify_rank=False)) for name, code in made]
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[42, 1234])
     args = ap.parse_args(argv)
     budget = codes.DEFAULT_DISTANCE_BUDGET
-    rows, enum_x, enum_y, scan_x, scan_y = [], [], [], [], []
-    for name, build in certify_codes(args.seeds):
+    rows, enum_x, enum_y, scan_x, scan_y, cert_x, cert_y = ([] for _ in range(7))
+    for name, build in certify_codes(args.seeds) + rs_codes():
         code = build()
         q, n, k = code.ctx.q, code.n, code.k
         messages = (q ** k - 1) // (q - 1)
-        t_enum = None
+        times = {}
         if q ** k <= budget and messages <= MAX_MESSAGES:
-            t_enum, (_, seen) = best_time(lambda: codes._distance_by_enumeration(
-                code.G.rows(), code.ctx, n))
+            times["enumeration"], (_, seen) = best_time(
+                lambda: codes._distance_by_enumeration(code.G.rows(),
+                                                       code.ctx, n))
             enum_x.append((seen, seen // q + 1))
-            enum_y.append(t_enum * 1e9)
-        t_scan, (_, exact, leaves) = best_time(
+            enum_y.append(times["enumeration"] * 1e9)
+        times["subsets"], (_, exact, leaves) = best_time(
             lambda: codes._distance_by_column_subsets(build().dual().G, n,
                                                       budget))
         scan_x.append((1, (n - k) * leaves))
-        scan_y.append(t_scan * 1e9)
-        chosen = ("subsets" if q ** k > budget or code._subsets_cheaper(budget)
-                  else "enumeration")
-        rows.append((name, t_enum, t_scan, chosen))
+        scan_y.append(times["subsets"] * 1e9)
+        mds, failed = False, {}
+        if min(code.G.row_weights()) > n - k:
+            for side, r, matrix in (("G", k, lambda: build().G),
+                                    ("H", n - k, lambda: build().dual().G)):
+                took, mds = best_time(
+                    lambda: codes._every_column_subset_independent(matrix()))
+                if mds:
+                    times[f"singleton {side}"] = took
+                    cert_x.append(comb(n, r) * r)
+                    cert_y.append(took * 1e9)
+                else:
+                    failed[f"singleton {side}"] = took
+        enumerate_, side = code._plan(budget, 0)
+        chosen = "enumeration" if enumerate_ else "subsets"
+        if side:
+            chosen = (f"singleton {side}" if mds
+                      else f"singleton {side}, then {chosen}")
+        rows.append((name, times, failed, chosen))
     a, b = fit2(enum_x, enum_y)
     c, e = fit2(scan_x, scan_y)
-    print("constant              pinned     fitted")
+    s = fit1(cert_x, cert_y)
+    print("constant                  pinned     fitted")
     for label, pinned, fitted in (
             ("_ENUM_MESSAGE_NS", codes._ENUM_MESSAGE_NS, a),
             ("_ENUM_LEAF_NS", codes._ENUM_LEAF_NS, b),
             ("_SUBSETS_FIXED_NS", codes._SUBSETS_FIXED_NS, c),
-            ("_SUBSETS_LEAF_ROW_NS", codes._SUBSETS_LEAF_ROW_NS, e)):
-        print(f"{label:<20} {pinned:>8} {fitted:>10.0f}")
+            ("_SUBSETS_LEAF_ROW_NS", codes._SUBSETS_LEAF_ROW_NS, e),
+            ("_SINGLETON_SUBSET_ROW_NS", codes._SINGLETON_SUBSET_ROW_NS, s)):
+        print(f"{label:<24} {pinned:>8} {fitted:>10.0f}")
     print()
-    print("| code | enumeration | column subsets | chosen | faster |")
-    print("|---|---|---|---|---|")
-    for name, t_enum, t_scan, chosen in rows:
-        faster = ("subsets" if t_enum is None or t_scan < t_enum
-                  else "enumeration")
-        enum_txt = "-" if t_enum is None else f"{t_enum * 1e3:.3f} ms"
-        print(f"| {name} | {enum_txt} | {t_scan * 1e3:.3f} ms | {chosen} "
-              f"| {faster} |")
+    columns = ("enumeration", "subsets", "singleton G", "singleton H")
+    print("| code | " + " | ".join(columns) + " | chosen | fastest |")
+    print("|---" * (len(columns) + 3) + "|")
+    for name, times, failed, chosen in rows:
+        cells = [f"{times[col] * 1e3:.3f} ms" if col in times
+                 else f"{failed[col] * 1e3:.3f} ms, not MDS" if col in failed
+                 else "-" for col in columns]
+        fastest = min(times, key=times.get)
+        print(f"| {name} | " + " | ".join(cells) + f" | {chosen} | {fastest} |")
     return 0
 
 
