@@ -26,11 +26,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import construct, fixtures, gf, orthogen
-from .codes import EXACT, CodeRecord, LinearCode, RecordStore, singleton_class
+from .codes import (EXACT, CodeRecord, LinearCode, RecordStore, read_text,
+                    singleton_class)
 from .errors import InvalidValue, LcdError, ParseError
 from .matfq import MatrixFq
 
@@ -44,6 +44,8 @@ TABLE2_TARGETS = (("7", 6, 2, 5), ("4", 8, 4, 4), ("11", 5, 3, 3))
 # projection demos: (tower, base, n, k, d, projected target d)
 TABLE4_DEMO = ("4", 4, 1, 4, 5)
 TABLE5_DEMO = ("27/3", 5, 1, 5, 9)
+# derived sub-seeds a projection demo tries before it reports its best
+DEMO_SEED_TRIES = 128
 
 
 def _int_list(text: str, option: str) -> list[int]:
@@ -60,8 +62,7 @@ def _bool(v: bool) -> str:
 
 
 def _read_code(path: str) -> LinearCode:
-    return LinearCode.from_generator(MatrixFq.from_text(
-        Path(path).read_text()))
+    return LinearCode.from_generator(MatrixFq.from_text(read_text(path)))
 
 
 def _record_line(rec: CodeRecord) -> str:
@@ -154,7 +155,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    base = MatrixFq.from_text(Path(args.base).read_text())
+    base = MatrixFq.from_text(read_text(args.base))
     comps = [_read_code(p) for p in args.components.split(",")]
     _store_and_report(args, [construct.product_record(
         comps, base, args.scalars, args.blocks)])
@@ -234,8 +235,7 @@ def _tables_3(args: argparse.Namespace) -> int:
 
 
 def _projection_demo(args: argparse.Namespace, descriptor: str, n: int,
-                     k: int, d: int, target: int,
-                     seed_tries: int = 128) -> int:
+                     k: int, d: int, target: int) -> int:
     """Search an LCD [n,k,d] code over the tower, project it, and chase
     the published projected distance across derived sub-seeds."""
     ctx = gf.parse_field(descriptor)
@@ -244,7 +244,7 @@ def _projection_demo(args: argparse.Namespace, descriptor: str, n: int,
         print(f"no self-dual basis over GF({ctx.descriptor})")
         return 1
     best = None
-    for offset in range(seed_tries):
+    for offset in range(DEMO_SEED_TRIES):
         found = construct.search_random_lcd(ctx, n, k, d, args.budget,
                                             args.seed + offset,
                                             args.walk_length)

@@ -57,8 +57,6 @@ SINGLETON = "singleton"
 
 DEFAULT_DISTANCE_BUDGET = 1 << 26
 DEFAULT_HULL_BUDGET = 1 << 16
-# most reduced columns one stored level of the column-subset scan may hold
-SUBSET_LEVEL_COLUMNS = 1 << 14
 
 # The distance strategies' time per unit of work, in ns, fitted on the
 # benchmark's certify codes by tools/fit_distance_costs.py: enumeration
@@ -600,16 +598,8 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
     the columns after its prefix reduced modulo the prefix's span, pivot
     coordinates dropped, so its children reuse its elimination: choosing a
     column costs one scaled-row subtraction per later column, and a leaf is
-    dependent exactly when its reduced column is zero.
-
-    Each prefix is reduced once, not once per size.  The nodes that pass w
-    reaches one column above its leaves (prefixes of size w - 1) are kept in
-    visiting order, and pass w + 1 walks down from them instead of from the
-    root, dropping each as it is walked.  Such a level holds one reduced
-    column per leaf of pass w, C(n, w) in all, and is kept only when that is
-    at most ``SUBSET_LEVEL_COLUMNS``; past that, later passes start from the
-    deepest level that was kept, at worst the root.  Either way a pass
-    visits the same leaves in the same order as a walk from the root.
+    dependent exactly when its reduced column is zero.  Every pass walks
+    from the root.
 
     Each size-w subset is charged rows(H) * w^2 against the budget before it
     is tested.  Returns (d, True, leaves) when certified, leaves being the
@@ -636,9 +626,6 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
                 return False
             ops += len(rest) * cost
             leaves += len(rest)
-            # a node with one later column has no children in the next pass
-            if keep and len(rest) > 1:
-                level.append(rest)
             return None
         # every column is nonzero: smaller sets than size w are independent
         for later in children(rest, need):
@@ -647,24 +634,15 @@ def _distance_by_column_subsets(H: MatrixFq, n: int,
                 return found
         return None
 
-    start, depth = [[H.col(j) for j in range(n)]], 0   # nodes, prefix size
+    cols = [H.col(j) for j in range(n)]
     last = min(n, rows_h)
     ops = leaves = 0
     for w in range(1, last + 1):
         cost = rows_h * w * w
         zero = (0,) * (rows_h - w + 1)
-        # the level this pass reaches holds one column per leaf, C(n, w);
-        # the last pass's level would never be read
-        keep = w < last and comb(n, w) <= SUBSET_LEVEL_COLUMNS
-        level = []
-        for i, node in enumerate(start):
-            if keep:
-                start[i] = None             # not read again once replaced
-            found = scan(node, w - depth)
-            if found is not None:
-                return w, found, leaves
-        if keep:
-            start, depth = level, w - 1
+        found = scan(cols, w)
+        if found is not None:
+            return w, found, leaves
     # any rows(H) + 1 columns are dependent
     return last + 1, True, leaves
 
@@ -681,8 +659,36 @@ def singleton_class(n: int, k: int, d: int) -> str:
 # ---------------------------------------------------------------------------
 # persistent records
 
+def read_text(path: str | Path) -> str:
+    """A file's text; ParseError when its bytes are not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+# each CodeRecord field, in declaration order, and the test its JSON value
+# must pass; every one but the timestamp is required
+_RECORD_FIELDS = {
+    "field": _is_str,
+    "n": _is_int,
+    "k": _is_int,
+    "d": lambda v: v is None or _is_int(v),
+    "d_status": _is_str,
+    "tag": _is_str,
+    "provenance": lambda v: isinstance(v, dict),
+    "matrix": _is_str,
+    "timestamp": _is_int,
+}
 
 
 @dataclass
@@ -721,13 +727,7 @@ class CodeRecord:
         return mine > theirs
 
     def to_json(self) -> str:
-        payload = {
-            "field": self.field, "n": self.n, "k": self.k, "d": self.d,
-            "d_status": self.d_status, "tag": self.tag,
-            "provenance": self.provenance, "matrix": self.matrix,
-            "timestamp": self.timestamp,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "CodeRecord":
@@ -740,27 +740,15 @@ class CodeRecord:
             raise ParseError(f"bad record line: {exc}") from None
         if not isinstance(raw, dict):
             raise ParseError("record line is not a JSON object")
-        missing = {"field", "n", "k", "d", "d_status", "tag",
-                   "provenance", "matrix"} - set(raw)
+        missing = set(_RECORD_FIELDS) - {"timestamp"} - set(raw)
         if missing:
             raise ParseError(f"record missing fields {sorted(missing)}")
         raw.setdefault("timestamp", 0)
-        wrong = [name for name, ok in (
-            ("field", isinstance(raw["field"], str)),
-            ("n", _is_int(raw["n"])),
-            ("k", _is_int(raw["k"])),
-            ("d", raw["d"] is None or _is_int(raw["d"])),
-            ("d_status", isinstance(raw["d_status"], str)),
-            ("tag", isinstance(raw["tag"], str)),
-            ("provenance", isinstance(raw["provenance"], dict)),
-            ("matrix", isinstance(raw["matrix"], str)),
-            ("timestamp", _is_int(raw["timestamp"]))) if not ok]
+        wrong = [name for name, ok in _RECORD_FIELDS.items()
+                 if not ok(raw[name])]
         if wrong:
             raise ParseError(f"record fields of the wrong type {wrong}")
-        return cls(field=raw["field"], n=raw["n"], k=raw["k"], d=raw["d"],
-                   d_status=raw["d_status"], tag=raw["tag"],
-                   provenance=raw["provenance"], matrix=raw["matrix"],
-                   timestamp=raw["timestamp"])
+        return cls(**{name: raw[name] for name in _RECORD_FIELDS})
 
     @classmethod
     def from_code(cls, code: LinearCode, tag: str, provenance: dict,
@@ -784,7 +772,7 @@ class RecordStore:
         self.path = Path(path)
         self.records: dict[tuple[str, int, int], CodeRecord] = {}
         if self.path.exists():
-            for line in self.path.read_text().splitlines():
+            for line in read_text(self.path).splitlines():
                 if line.strip():
                     self.add(CodeRecord.from_json(line))
 

@@ -80,10 +80,6 @@ class DimensionTooSmall(LcdError):
     """Generator needs more coordinates than the ambient dimension has."""
 
 
-class UnsupportedShape(LcdError):
-    """No closed-form order is shipped for these parameters."""
-
-
 # code constructions
 
 class NotOrthogonal(LcdError):

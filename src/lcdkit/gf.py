@@ -612,15 +612,6 @@ class FieldCtx:
         assert acc < qb, "trace left the embedded base field"
         return acc
 
-    def embed(self, a: int) -> int:
-        """Code of a base-field element inside this extension (identity on
-        codes by construction)."""
-        if self.base is None:
-            raise NotATower("prime field has no base")
-        if not 0 <= a < self.base.q:
-            raise InvalidValue("code outside the base field")
-        return a
-
     def self_dual_basis(self) -> Optional[list[int]]:
         """Basis e_0..e_{l-1} over the base with Tr(e_i e_j) = delta_ij.
 

@@ -127,11 +127,6 @@ class MatrixFq:
             flat.extend(row[j] for j in idx)
         return MatrixFq(self.ctx, self.r, len(idx), flat)
 
-    def drop_cols(self, idx: Sequence[int]) -> "MatrixFq":
-        drop = set(idx)
-        keep = [j for j in range(self.c) if j not in drop]
-        return self.take_cols(keep)
-
     def hstack(self, other: "MatrixFq") -> "MatrixFq":
         if self.ctx != other.ctx:
             raise ContextMismatch("matrices over different fields")

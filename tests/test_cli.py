@@ -219,6 +219,23 @@ def _malformed_value_args(tmp_path):
     }
 
 
+@pytest.mark.parametrize("verb", ["verify", "product", "search"])
+def test_non_utf8_file_exits_1(tmp_path, capsys, verb):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    good = tmp_path / "c.txt"
+    good.write_text("5 1 4\n1 2 3 4\n")
+    argv = {"verify": ["verify", str(bad)],
+            "product": ["product", "--base", str(bad), "--scalars", "1",
+                        "--components", str(good)],
+            "search": ["search", "--field", "7", "--n", "6", "--k", "2",
+                       "--target-d", "5", "--store", str(bad)]}[verb]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lcdkit: ") and err.count("\n") == 1
+    assert "not UTF-8 text" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", [
     "entry_outside_field", "lambda_count", "lambda_outside_field",
     "basis_outside_field", "scalar_outside_field", "one_entry_block",

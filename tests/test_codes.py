@@ -29,12 +29,13 @@ def ham74(F2):
         [0, 0, 0, 1, 1, 1, 1]]))
 
 
-def ternary_hamming(F3):
-    """The [13,10] Hamming code over GF(3), built fresh from its generator:
-    its parity check has one column per point of PG(2, 3)."""
-    points = [[v % 3, v // 3 % 3, v // 9] for v in range(1, 27)]
+def hamming(ctx, r):
+    """The Hamming code with r parity checks over ctx, built fresh from its
+    generator: its parity check has one column per point of PG(r - 1, q)."""
+    q = ctx.q
+    points = [[v // q ** i % q for i in range(r)] for v in range(1, q ** r)]
     points = [pt for pt in points if next(x for x in pt if x) == 1]
-    H = MatrixFq.from_rows(F3, [[pt[i] for pt in points] for i in range(3)])
+    H = MatrixFq.from_rows(ctx, [[pt[i] for pt in points] for i in range(r)])
     return LinearCode.from_generator(
         LinearCode.from_basis(H).dual().G)
 
@@ -93,7 +94,7 @@ def test_hull_from_brute_force(F2, F3, rng):
         [0, 1, 0, 0, 1, 0, 1, 1],
         [0, 0, 1, 0, 1, 1, 0, 1],
         [0, 0, 0, 1, 1, 1, 1, 0]]))
-    known = [(ham74(F2), 3), (ternary_hamming(F3), 3), (ext84, 4),
+    known = [(ham74(F2), 3), (hamming(F3, 3), 3), (ext84, 4),
              (LinearCode.full(F3, 5), 0)]
     known += [(random_code(F3, 5, rng.randrange(1, 4), rng), None)
               for _ in range(40)]
@@ -106,7 +107,7 @@ def test_hull_from_brute_force(F2, F3, rng):
 
 def test_dual_is_built_once(F3, monkeypatch):
     from lcdkit import gf
-    C = ternary_hamming(F3)
+    C = hamming(F3, 3)
     assert C.dual() is C.dual()
     calls = []
     original = gf._nullspace_rows
@@ -116,7 +117,7 @@ def test_dual_is_built_once(F3, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(gf, "_nullspace_rows", counted)
-    C = ternary_hamming(F3)
+    C = hamming(F3, 3)
     calls.clear()
     # the chooser sends this code to the subset scan, which needs the dual;
     # the hull (2k > n) reads H H^T from the same dual
@@ -124,7 +125,7 @@ def test_dual_is_built_once(F3, monkeypatch):
     hull = C.hull_dim()
     assert len(calls) == 1
     assert d.method == "subsets"
-    fresh = ternary_hamming(F3)
+    fresh = hamming(F3, 3)
     assert d == fresh.distance() and hull == fresh.hull_dim() == 3
 
 
@@ -498,7 +499,7 @@ def _cols_dependent(ctx, cols, height):
 
 @pytest.mark.parametrize("desc", ["2", "5", "13", "4", "8", "16", "9", "25",
                                   "1031"])
-def test_column_subsets_match_from_scratch_oracle(desc, monkeypatch):
+def test_column_subsets_match_from_scratch_oracle(desc):
     # 1031 > 2^10: the tables' rows are computed through ctx.add/mul
     from lcdkit import codes
     ctx = parse_field(desc)
@@ -532,8 +533,7 @@ def test_column_subsets_match_from_scratch_oracle(desc, monkeypatch):
                 row[b] = ctx.mul(c, row[a])
         cases.append((rows, n, budgets(r)))
     # longer scans: n = 11..14 and 5 to 8 rows, one column a combination
-    # of four others, so d <= 5 and the passes past the second resume from
-    # a stored level
+    # of four others, so d <= 5 and several passes walk from the root
     for n in range(11, 15):
         r = rng.randrange(5, 9)
         rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(r)]
@@ -544,17 +544,11 @@ def test_column_subsets_match_from_scratch_oracle(desc, monkeypatch):
             for j, c in zip(sources, scales):
                 row[target] = ctx.add(row[target], ctx.mul(c, row[j]))
         cases.append((rows, n, budgets(r)))
-    # a limit of 0 or 1 keeps no level past the root, and 100 keeps the
-    # first levels of an n >= 11 scan but not the later ones
-    limits = (codes.SUBSET_LEVEL_COLUMNS, 0, 1, 100)
     for rows, n, budgets in cases:
         H = MatrixFq.from_rows(ctx, rows)
         for budget in budgets:
-            expected = _subsets_oracle(H, n, budget)
-            for limit in limits:
-                monkeypatch.setattr(codes, "SUBSET_LEVEL_COLUMNS", limit)
-                assert (codes._distance_by_column_subsets(H, n, budget)
-                        == expected), (rows, budget, limit)
+            assert (codes._distance_by_column_subsets(H, n, budget)
+                    == _subsets_oracle(H, n, budget)), (rows, budget)
 
 
 def test_deep_column_subset_scans():
@@ -577,6 +571,28 @@ def test_deep_column_subset_scans():
                                             )[:2] == (d, True))
         assert _distance_by_enumeration(code.G.rows(), code.ctx,
                                         code.n)[0] == d
+
+
+def test_subset_scan_results_pinned():
+    # whole results, work included, of codes the chooser sends to the scan;
+    # 16^7 messages lie past the default budget, and the last budget stops
+    # the scan part-way through its fifth pass
+    from lcdkit.codes import DEFAULT_DISTANCE_BUDGET, DistanceResult
+    F16 = parse_field("16")
+    for build, budget, want in (
+            (lambda: hamming(parse_field("2"), 4), DEFAULT_DISTANCE_BUDGET,
+             DistanceResult(3, EXACT, None, "subsets", 121)),
+            (lambda: hamming(parse_field("3"), 3), DEFAULT_DISTANCE_BUDGET,
+             DistanceResult(3, EXACT, None, "subsets", 92)),
+            (lambda: random_code(F16, 14, 7, random.Random("pin:0")),
+             DEFAULT_DISTANCE_BUDGET,
+             DistanceResult(5, EXACT, None, "subsets", 2514)),
+            (lambda: random_code(F16, 14, 7, random.Random("pin:1")),
+             DEFAULT_DISTANCE_BUDGET,
+             DistanceResult(6, EXACT, None, "subsets", 4522)),
+            (lambda: random_code(F16, 14, 7, random.Random("pin:1")), 3 * 10**5,
+             DistanceResult(5, LOWER_BOUND, 11, "subsets", 2397))):
+        assert build().distance(budget) == want
 
 
 @pytest.mark.parametrize("desc", ["2", "5", "16", "25", "1031", "2^11"])
@@ -682,6 +698,12 @@ def test_record_round_trip(F7, rng):
         CodeRecord.from_json("5")
     with pytest.raises(ParseError):
         CodeRecord.from_json(json.dumps({**json.loads(text), "n": "x"}))
+
+
+def test_record_field_table_follows_the_dataclass():
+    from dataclasses import fields
+    from lcdkit.codes import _RECORD_FIELDS
+    assert list(_RECORD_FIELDS) == [f.name for f in fields(CodeRecord)]
 
 
 _RECORD = {"field": "7", "n": 3, "k": 1, "d": 3, "d_status": "exact",

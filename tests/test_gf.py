@@ -483,12 +483,6 @@ def test_self_dual_basis_none_for_gf9_over_gf3():
     assert tower_create(F3, 3).self_dual_basis() is not None
 
 
-def test_embed_identity_on_codes():
-    F2 = field_create(2)
-    F4 = tower_create(F2, 2)
-    assert [F4.embed(a) for a in range(2)] == [0, 1]
-
-
 # self_dual_basis is seeded and greedy, so the default basis of `project`
 # and of tables 4 and 5 depends on its exact output: these lists pin it
 PINNED_SELF_DUAL_BASES = [
