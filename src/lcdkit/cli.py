@@ -81,12 +81,12 @@ def _verify_line(code: LinearCode) -> str:
 
 def _store_records(args: argparse.Namespace,
                    records: Sequence[CodeRecord]) -> None:
-    if not args.store:
+    """Add the records to the --store that main loaded, and save it."""
+    if args.store is None:
         return
-    store = RecordStore(args.store)
     for rec in records:
-        store.add(rec)
-    store.save()
+        args.store.add(rec)
+    args.store.save()
 
 
 def _store_and_report(args: argparse.Namespace,
@@ -401,6 +401,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"lcdkit: {exc}", file=sys.stderr)
         return 2
     try:
+        # a malformed store fails here, before the verb does any work
+        store = getattr(args, "store", None)
+        args.store = RecordStore(store) if store else None
         return VERBS[args.verb](args)
     except (LcdError, OSError) as exc:
         print(f"lcdkit: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import gf, orthogen
-from .codes import EXACT, CodeRecord, LinearCode, _is_int
+from .codes import EXACT, CodeRecord, LinearCode, _is_int, _is_str
 from .errors import (
     BlockCountMismatch,
     ComponentNotLCD,
@@ -512,10 +512,6 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
 
 # ---------------------------------------------------------------------------
 # provenance replay
-
-def _is_str(v) -> bool:
-    return isinstance(v, str)
-
 
 def _is_int_list(v, length: Optional[int] = None) -> bool:
     return (isinstance(v, list) and all(_is_int(x) for x in v)

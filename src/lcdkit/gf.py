@@ -319,12 +319,19 @@ class FieldCtx:
 
     def _default_modulus(self) -> tuple[int, ...]:
         """Smallest monic irreducible of the required degree: candidates are
-        ordered by the integer whose base-q digits are the low coefficients."""
+        ordered by the integer whose base-q digits are the low coefficients.
+        The first q are the binomials x^d + c.  None of them is irreducible
+        when a prime factor of d does not divide q - 1, or when 4 | d and
+        q = 3 mod 4 (Lidl and Niederreiter, Finite Fields, Thm 3.75), and
+        the scan then starts past them."""
         base, d = self.base, self.degree
-        for t in range(base.q ** d):
+        q = base.q
+        no_binomial = (any((q - 1) % r for r in prime_factors(d))
+                       or (d % 4 == 0 and q % 4 == 3))
+        for t in range(q if no_binomial else 0, q ** d):
             low, rest = [], t
             for _ in range(d):
-                rest, c = divmod(rest, base.q)
+                rest, c = divmod(rest, q)
                 low.append(c)
             f = tuple(low) + (1,)
             if _poly_irreducible(base, f):
@@ -548,23 +555,34 @@ class FieldCtx:
         return self.power(a, (self.q - 1) // 2) == 1
 
     def sqrt_min(self, a: int) -> Optional[int]:
-        """Smallest code r with r*r = a, or None when a is a non-square."""
+        """Smallest code r with r*r = a, or None when a is a non-square.
+        Below the exp/log cap the root is half the log; above it, Tonelli
+        and Shanks: with q - 1 = s 2^e, s odd, and z a non-square,
+        r = a^((s+1)/2) has r^2 = a t for t = a^s, a root of unity of
+        2-power order, which powers of c = z^s cancel one bit at a time."""
         if a == 0:
             return 0
         if self.p == 2:
             return self.power(a, self.q // 2)
+        if not self.is_square(a):
+            return None
         if self.log is not None:
-            l = self.log[a]
-            if l % 2:
-                return None
-            r = self.exp[l // 2]
+            r = self.exp[self.log[a] // 2]
             return min(r, self.neg(r))
-        best = None  # slow path, only reachable above the exp/log cap
-        for r in range(1, self.q):
-            if self.mul(r, r) == a:
-                best = r
-                break
-        return best
+        s, e = self.q - 1, 0
+        while s % 2 == 0:
+            s, e = s // 2, e + 1
+        z = next(c for c in range(2, self.q) if not self.is_square(c))
+        c, t, r = (self.power(z, s), self.power(a, s),
+                   self.power(a, (s + 1) // 2))
+        while t != 1:
+            i, t2 = 1, self.mul(t, t)       # t has order 2^i, i < e
+            while t2 != 1:
+                i, t2 = i + 1, self.mul(t2, t2)
+            b = self.power(c, 1 << (e - i - 1))
+            e, c = i, self.mul(b, b)
+            t, r = self.mul(t, c), self.mul(r, b)
+        return min(r, self.neg(r))
 
     def primitive_nth_root(self, n: int) -> int:
         if n < 1 or (self.q - 1) % n != 0:
@@ -589,14 +607,12 @@ class FieldCtx:
 
     def isotropic_pair(self) -> Optional[tuple[int, int]]:
         """First (a, b) in lexicographic code order with a, b nonzero and
-        a^2 + b^2 = 0; None exactly when -1 is a non-square (so never for
-        characteristic 2, where (1, 1) works)."""
-        for a in range(1, self.q):
-            t = self.neg(self.mul(a, a))
-            r = self.sqrt_min(t)
-            if r is not None and r != 0:
-                return a, r
-        return None
+        a^2 + b^2 = 0, or None when there is none.  -a^2 is a square
+        exactly when -1 is, so the first is (1, sqrt_min(-1)), and there
+        is none exactly when -1 is a non-square (never in characteristic
+        2, where (1, 1) works)."""
+        r = self.sqrt_min(self.neg(1))
+        return None if r is None else (1, r)
 
     # -- trace and subfield structure --------------------------------------
 

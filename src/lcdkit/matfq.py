@@ -65,13 +65,6 @@ class MatrixFq:
         return cls(ctx, r, c, (0,) * (r * c))
 
     @classmethod
-    def diagonal(cls, ctx: gf.FieldCtx, values: Sequence[int]) -> "MatrixFq":
-        n = len(values)
-        return cls(ctx, n, n,
-                   (values[i] if i == j else 0
-                    for i in range(n) for j in range(n)))
-
-    @classmethod
     def permutation(cls, ctx: gf.FieldCtx, sigma: Sequence[int]) -> "MatrixFq":
         """Matrix sending coordinate i to sigma[i] under right action x -> xP."""
         n = len(sigma)

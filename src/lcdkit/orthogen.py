@@ -5,17 +5,16 @@ for comparison, and seeded random walks that sample orthogonal matrices.
 The generating set for n x n matrices is
   * the transposition swapping coordinates 0 and 1,
   * the full n-cycle,
-  * for n >= 4, a symmetric involution supported on the first four
-    coordinates (identity plus theta times the all-ones 4 x 4 block,
-    with theta chosen so the result is orthogonal), and
-  * the plane map [[a,-b],[b,a]] on coordinates 0 and 1 for the first
-    a != 0 solving a^2 + b^2 = 1 other than the identity's (1, 0).
-    When some solution has b != 0 this is a proper rotation; for odd q
-    with no such solution the scan lands on (a, b) = (-1, 0), a half
-    turn, carried as its own generator (n >= 4).  Over GF(2) the scan
-    finds nothing.  The half-turn fallback is what the published
-    closure orders for q in {3, 5} correspond to; dropping it shrinks
-    the n = 4 closures from 384 to 48.
+  * for n >= 4 and every q, a symmetric involution supported on the
+    first four coordinates (identity plus theta times the all-ones 4 x 4
+    block, with theta chosen so the result is orthogonal), and
+  * one plane map [[a,-b],[b,a]] on coordinates 0 and 1 (plane_matrix):
+    for n >= 2 the rotation by the first pair with a, b nonzero and
+    a^2 + b^2 = 1, which every field but GF(2), GF(3) and GF(5) has;
+    failing that, for odd q and n >= 4, the half turn (a, b) = (-1, 0).
+    The half-turn fallback is what the published closure orders for q
+    in {3, 5} correspond to; dropping it shrinks the n = 4 closures from
+    384 to 48.  Over GF(2) there is no plane map.
 
 group_closure_order builds a deterministic Schreier-Sims stabilizer chain
 (Sims 1970; Seress, Permutation Group Algorithms, 2003) with base
@@ -68,7 +67,7 @@ def transvection_matrix(ctx: gf.FieldCtx, n: int) -> MatrixFq:
     """
     if n < 4:
         raise DimensionTooSmall("need at least 4 coordinates")
-    theta = _theta(ctx)
+    theta = 1 if ctx.p == 2 else (ctx.p - 1) // 2
     entries = []
     for i in range(n):
         for j in range(n):
@@ -79,36 +78,14 @@ def transvection_matrix(ctx: gf.FieldCtx, n: int) -> MatrixFq:
     return MatrixFq(ctx, n, n, tuple(entries))
 
 
-def _theta(ctx: gf.FieldCtx) -> int:
-    return 1 if ctx.p == 2 else (ctx.p - 1) // 2
-
-
-def rotation_matrix(ctx: gf.FieldCtx, n: int) -> Optional[MatrixFq]:
-    """Plane rotation [[a,-b],[b,a]] on coordinates 0,1 when the field
-    admits a^2 + b^2 = 1 with a, b both nonzero; None otherwise."""
+def plane_matrix(ctx: gf.FieldCtx, n: int, a: int, b: int) -> MatrixFq:
+    """The plane map [[a,-b],[b,a]] on coordinates 0 and 1, the identity
+    elsewhere: orthogonal exactly when a^2 + b^2 = 1."""
     if n < 2:
         raise DimensionTooSmall("need at least 2 coordinates")
-    pair = ctx.unit_circle_pair()
-    if pair is None:
-        return None
-    a, b = pair
-    m = MatrixFq.identity(ctx, n)
-    entries = list(m.entries)
-    entries[0] = a
-    entries[1] = ctx.neg(b)
-    entries[n] = b
-    entries[n + 1] = a
+    entries = list(MatrixFq.identity(ctx, n).entries)
+    entries[0], entries[1], entries[n], entries[n + 1] = a, ctx.neg(b), b, a
     return MatrixFq(ctx, n, n, tuple(entries))
-
-
-def half_turn_matrix(ctx: gf.FieldCtx, n: int) -> MatrixFq:
-    """diag(-1, -1, 1, ..., 1): the (alpha, beta) = (-1, 0) member of the
-    plane-map family."""
-    if n < 2:
-        raise DimensionTooSmall("need at least 2 coordinates")
-    d = [1] * n
-    d[0] = d[1] = ctx.neg(1)
-    return MatrixFq.diagonal(ctx, tuple(d))
 
 
 @dataclass(frozen=True)
@@ -121,28 +98,25 @@ class OrthoGenSet:
     swap: MatrixFq
     cycle: MatrixFq
     transvection: Optional[MatrixFq]
-    rotation: Optional[MatrixFq]
-    half_turn: Optional[MatrixFq]
-    theta: int
-    unit_pair: Optional[tuple[int, int]]
+    plane: Optional[MatrixFq]
 
     def matrices(self) -> list[MatrixFq]:
-        extras = (self.transvection, self.rotation, self.half_turn)
+        extras = (self.transvection, self.plane)
         return [self.swap, self.cycle] + [m for m in extras if m is not None]
 
     @functools.cached_property
     def _walk_steps(self) -> list[Callable[[int], _ColOp]]:
         """j -> column op of the j-th power, for any j >= 1, per generator
         past the permutations, in matrices() order; built at the first
-        walk."""
-        ctx = self.ctx
+        walk.  Each reads its parameters from its matrix: theta is
+        T[0,0] - 1, and (a, b) is the plane map's first column."""
+        ctx, T, P = self.ctx, self.transvection, self.plane
         steps = []
-        if self.transvection is not None:
-            ops = (_no_op, _transvection_cols(ctx, self.theta))
+        if T is not None:
+            ops = (_no_op, _transvection_cols(ctx, ctx.sub(T[0, 0], 1)))
             steps.append(lambda j: ops[j % 2])
-        if self.rotation is not None or self.half_turn is not None:
-            a, b = (self.unit_pair if self.rotation is not None
-                    else (ctx.neg(1), 0))
+        if P is not None:
+            a, b = P[0, 0], P[1, 0]
             powers = [(1, 0)]           # (x, y) = (a + b i)^j, i^2 = -1
             x, y = a, b
             while (x, y) != (1, 0):
@@ -182,17 +156,13 @@ def generator_set(ctx: gf.FieldCtx, n: int) -> OrthoGenSet:
         raise DimensionTooSmall("n must be positive")
     swap = MatrixFq.permutation(ctx, _swap_sigma(n))
     cycle = MatrixFq.permutation(ctx, tuple((i + 1) % n for i in range(n)))
-    pair = ctx.unit_circle_pair()
-    rotation = rotation_matrix(ctx, n) if n >= 2 else None
-    half = None
-    if n >= 4 and pair is None and ctx.p != 2:
-        half = half_turn_matrix(ctx, n)
+    pair = ctx.unit_circle_pair() if n >= 2 else None
+    if pair is None and ctx.p != 2 and n >= 4:
+        pair = (ctx.neg(1), 0)
     return OrthoGenSet(ctx=ctx, n=n, swap=swap, cycle=cycle,
                        transvection=transvection_matrix(ctx, n)
                        if n >= 4 else None,
-                       rotation=rotation, half_turn=half,
-                       theta=_theta(ctx),
-                       unit_pair=pair)
+                       plane=plane_matrix(ctx, n, *pair) if pair else None)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +523,7 @@ def random_orthogonal(gens: OrthoGenSet,
     reverse of the draw order.  A run of one other generator becomes its
     power modulo its order when the run ends (involutions cancel in
     pairs; j rotations by a + b i make one by (a + b i)^j).  The matrix is
-    held as n column tuples: the plane maps rewrite columns 0 and 1, the
+    held as n column tuples: the plane map rewrites columns 0 and 1, the
     transvection columns 0..3."""
     if walk_length < 0:
         raise InvalidValue(f"walk length {walk_length} is negative")

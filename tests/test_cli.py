@@ -268,14 +268,21 @@ def test_search_writes_store(tmp_path, capsys):
     assert (rec["n"], rec["k"], rec["d"]) == (6, 2, 5)
 
 
-def test_search_malformed_store_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["search", "--field", "7", "--n", "6", "--k", "2", "--target-d", "5"],
+    ["tables", "2"],
+    ["rs-pipeline", "--field", "16", "--n", "15", "--k", "7"],
+])
+def test_search_malformed_store_exits_1(tmp_path, capsys, argv):
+    # the store is read before the verb runs: no result reaches stdout
     store = tmp_path / "bad.jsonl"
     store.write_text("5\n")
-    assert main(["search", "--field", "7", "--n", "6", "--k", "2",
-                 "--target-d", "5", "--store", str(store)]) == 1
-    err = capsys.readouterr().err
+    assert main(argv + ["--store", str(store)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("lcdkit: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert store.read_text() == "5\n"
 
 
 def test_search_miss_exits_1(capsys):

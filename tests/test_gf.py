@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -390,6 +391,32 @@ def test_default_modulus_pinned(desc, moduli):
     assert got == moduli
 
 
+def scanned_modulus(base, d):
+    """Oracle: the first irreducible x^d + low(x), every low in order."""
+    for t in range(base.q ** d):
+        f = tuple(t // base.q ** i % base.q for i in range(d)) + (1,)
+        if _poly_irreducible(base, f):
+            return f
+
+
+def test_default_modulus_matches_the_unskipped_scan():
+    # the default skips the binomials x^d + c when no degree-d binomial
+    # is irreducible: here (p, d) = (3, 4), (5, 3), (7, 4), (2, d), ...
+    # The search reads only base and degree, so it runs without the
+    # generator and tables a whole field would build.
+    for p in filter(is_prime, range(2, 60)):
+        base = field_create(p)
+        for d in range(2, 7):
+            stub = SimpleNamespace(base=base, degree=d)
+            assert FieldCtx._default_modulus(stub) == scanned_modulus(base, d)
+    # no binomial of these degrees is irreducible, and a Ben-Or test on
+    # each of the q (about 10^6 to 10^15) would not finish
+    for desc in ("1000037^3", "2617860789112463^3", "1000003^4"):
+        start = time.perf_counter()
+        assert parse_field(desc).modulus[1] == 1
+        assert time.perf_counter() - start < 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7, 11]), st.data())
 def test_prime_field_axioms(p, data):
@@ -462,6 +489,18 @@ def test_unit_circle_and_isotropic_pairs():
     # q = 3, 5: no unit circle pair with both entries nonzero
     assert field_create(3).unit_circle_pair() is None
     assert F5.unit_circle_pair() is None
+    # above the exp/log cap the answers come from Euler's criterion and
+    # Tonelli-Shanks, not a scan of every code; -1 is a non-square in both
+    for desc, pair in (("3^13", (12, 767067)), ("1048583", (4, 296878))):
+        start = time.perf_counter()
+        F = parse_field(desc)
+        assert F.unit_circle_pair() == pair
+        assert F.isotropic_pair() is None and F.sqrt_min(F.neg(1)) is None
+        assert time.perf_counter() - start < 1
+        a, b = pair
+        assert F.add(F.mul(a, a), F.mul(b, b)) == 1
+        assert all(F.sqrt_min(F.mul(r, r)) == min(r, F.neg(r))
+                   for r in random.Random(desc).sample(range(1, F.q), 50))
 
 
 def test_self_dual_basis_exists_and_checks():

@@ -129,6 +129,8 @@ _tokens = st.one_of(st.integers(-3, 40).map(str),
 @example("", 2, 0, [], "{d} {r} {c} 0")
 @example(str((1 << 61) - 1), 1, 1, [["5"]], "{d} {r} {c}")
 @example(str(3317044064679887385961997), 1, 1, [["5"]], "{d} {r} {c}")
+@example("2617860789112463^3", 1, 1, [["5"]], "{d} {r} {c}")
+@example("1000003^4", 1, 1, [["5"]], "{d} {r} {c}")
 def test_matrix_text_fuzz(desc, r, c, rows, header):
     head = header.format(d=desc, r=r, c=c)
     text = "\n".join([head] + [" ".join(row) for row in rows])

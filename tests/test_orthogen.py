@@ -1,5 +1,6 @@
 """Orthogonal generators, closure enumeration, classical group orders."""
 
+import hashlib
 import itertools
 import random
 
@@ -12,8 +13,7 @@ from lcdkit.cli import main
 from lcdkit.errors import DimensionTooSmall, InvalidValue
 from lcdkit.fixtures import group_orders
 from lcdkit.orthogen import (DEFAULT_CLOSURE_CAP, _Chain, _words,
-                             half_turn_matrix, rotation_matrix, spinor_norm,
-                             transvection_matrix)
+                             plane_matrix, spinor_norm, transvection_matrix)
 
 
 def all_fields():
@@ -32,39 +32,47 @@ def test_transvection_is_orthogonal_involution():
         transvection_matrix(field_create(3), 3)
 
 
-def test_rotation_matrix_when_pair_exists():
+def test_plane_matrix_rotation_when_pair_exists():
     for ctx in all_fields():
-        R = rotation_matrix(ctx, 4)
-        if ctx.unit_circle_pair() is None:
-            assert R is None
-        else:
-            assert R.is_orthogonal()
-            assert R != MatrixFq.identity(ctx, 4)
+        pair = ctx.unit_circle_pair()
+        if pair is None:
+            assert ctx.q in (2, 3, 5)
+            continue
+        R = plane_matrix(ctx, 4, *pair)
+        assert R.is_orthogonal()
+        assert R != MatrixFq.identity(ctx, 4)
+    with pytest.raises(DimensionTooSmall):
+        plane_matrix(field_create(7), 1, 2, 2)
 
 
-def test_half_turn_matrix():
+def test_plane_matrix_half_turn():
     F5 = field_create(5)
-    H = half_turn_matrix(F5, 4)
+    H = plane_matrix(F5, 4, F5.neg(1), 0)
     assert H.is_orthogonal()
     assert H @ H == MatrixFq.identity(F5, 4)
     assert H[0, 0] == F5.neg(1) and H[2, 2] == 1
 
 
+def plane_pair(gens):
+    """(a, b) of the plane map [[a,-b],[b,a]], or None without one."""
+    P = gens.plane
+    return None if P is None else (P[0, 0], P[1, 0])
+
+
 def test_generator_set_composition():
     # odd q without a unit circle pair gets the half turn
-    gens3 = generator_set(field_create(3), 4)
-    assert gens3.rotation is None and gens3.half_turn is not None
-    gens5 = generator_set(field_create(5), 4)
-    assert gens5.rotation is None and gens5.half_turn is not None
-    # a unit circle pair displaces it
-    gens7 = generator_set(field_create(7), 4)
-    assert gens7.rotation is not None and gens7.half_turn is None
-    # characteristic 2 never needs either
-    gens2 = generator_set(field_create(2), 4)
-    assert gens2.rotation is None and gens2.half_turn is None
+    for ctx in (field_create(3), field_create(5)):
+        gens = generator_set(ctx, 4)
+        assert gens.plane == plane_matrix(ctx, 4, ctx.neg(1), 0)
+        assert plane_pair(gens) == (ctx.neg(1), 0)
+    # a unit circle pair gives the rotation instead
+    F7 = field_create(7)
+    assert plane_pair(generator_set(F7, 4)) == F7.unit_circle_pair()
+    # GF(2) has neither
+    assert generator_set(field_create(2), 4).plane is None
     # small n: permutations only
     small = generator_set(field_create(3), 3)
-    assert small.transvection is None and small.half_turn is None
+    assert small.transvection is None and small.plane is None
     assert len(small.matrices()) == 2
     for ctx in all_fields():
         for M in generator_set(ctx, 5).matrices():
@@ -157,10 +165,10 @@ def test_generators_have_square_spinor_norm(field, n):
                                      ctx.mul(spinor_norm(A), spinor_norm(B))))
     matrices = gens.matrices()
     assert [spinor_norm(M) for M in matrices[:2]] == [2, ctx.power(2, n - 1)]
-    a = gens.unit_pair[0]
+    a = plane_pair(gens)[0]
     assert spinor_norm(gens.transvection) == 1      # 4 up to squares
-    assert spinor_norm(gens.rotation) == ctx.mul(ctx.power(2, 3),  # 4 2(1-a)
-                                                 ctx.sub(1, a))
+    assert spinor_norm(gens.plane) == ctx.mul(ctx.power(2, 3),  # 4 2(1-a)
+                                              ctx.sub(1, a))
     for M in matrices:
         assert ctx.is_square(spinor_norm(M))
 
@@ -217,12 +225,11 @@ def flat_ops(gens):
     ctx, n = gens.ctx, gens.n
     out = [_perm_op(n, (1, 0) + tuple(range(2, n)) if n >= 2 else (0,)),
            _perm_op(n, tuple((i + 1) % n for i in range(n)))]
-    if gens.transvection is not None:
-        out.append(_transvection_op(ctx, n, gens.theta))
-    if gens.rotation is not None:
-        out.append(_rotation_op(ctx, n, *gens.unit_pair))
-    if gens.half_turn is not None:
-        out.append(_rotation_op(ctx, n, ctx.neg(1), 0))
+    if gens.transvection is not None:      # theta = -1/2, or 1 over p = 2
+        theta = 1 if ctx.p == 2 else ctx.neg(ctx.inv(2))
+        out.append(_transvection_op(ctx, n, theta))
+    if gens.plane is not None:
+        out.append(_rotation_op(ctx, n, *plane_pair(gens)))
     return out
 
 
@@ -310,7 +317,7 @@ def test_walk_rejects_a_negative_length():
 
 
 def rotation_order(gens):
-    R = gens.rotation
+    R = gens.plane
     P, order = R, 1
     while P != MatrixFq.identity(gens.ctx, gens.n):
         P, order = P @ R, order + 1
@@ -337,13 +344,39 @@ def test_walk_folds_rotation_runs_past_their_order(field):
 def test_walk_with_one_coordinate(capsys):
     # a unit-circle pair exists over GF(7), but no rotation fits in n = 1
     gens = generator_set(field_create(7), 1)
-    assert gens.unit_pair is not None and gens.rotation is None
+    assert field_create(7).unit_circle_pair() is not None
+    assert gens.plane is None
     for seed in range(5):
         assert random_orthogonal(gens, 64, seed).rows() == [(1,)]
     assert main(["sample", "--field", "7", "--n", "1"]) == 0
     assert capsys.readouterr().out == "7 1 1\n1\n"
     assert main(["search", "--field", "7", "--n", "1", "--k", "1",
                  "--target-d", "1"]) == 0
+
+
+# SHA-256 of matrices() and of three walks at n = 1, 2, 4 and 5, with the
+# values of the generator set that kept the rotation and the half turn in
+# separate slots; a change here moves every search record and replay
+PINNED_GENERATORS = {
+    "2": "6f542293902e1dbcf092a0d3050e4d5579f211dc52976876ea663e6794b9523f",
+    "3": "6cbfe3837ca3182d7d1a6c8c718e502428d0c912d7c652a31c06cdfc339344af",
+    "5": "e88df81bcda82bd8403d6cc81978f3ee6b0b697c0155a72db65fb9d596460061",
+    "7": "cf1d96155c5997b8721729aa66421c2cab9ee102a08e632a11c8250052dcf1e8",
+    "16": "f7e7baf6a0ebc79b2ecc8284cb6759d7e9583267e82ba32eea5a3ba7eae73edc",
+    "25": "c2464f87a95560b7dd02b5bf14af74e9f486de76c552b3aa817a8004a8d95e47",
+}
+
+
+@pytest.mark.parametrize("field,digest", PINNED_GENERATORS.items())
+def test_generators_and_walks_pinned(field, digest):
+    ctx = parse_field(field)
+    data = []
+    for n in (1, 2, 4, 5):
+        gens = generator_set(ctx, n)
+        data.append([M.entries for M in gens.matrices()])
+        data.append([random_orthogonal(gens, 64, seed).entries
+                     for seed in range(3)])
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
 
 
 def flat_group(gens, cap):
