@@ -44,6 +44,7 @@ from .orthogen import (
     generator_set,
     group_closure_order,
     random_orthogonal,
+    random_walk,
 )
 
 __version__ = "0.1.0"
@@ -75,6 +76,7 @@ __all__ = [
     "parse_field",
     "project_to_subfield",
     "random_orthogonal",
+    "random_walk",
     "replay_record",
     "rs_pipeline",
     "search_random_lcd",

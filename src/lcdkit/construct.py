@@ -464,25 +464,23 @@ def _random_twist(ctx: gf.FieldCtx, k: int,
 
 
 def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
-                      budget: int, seed: int = 0,
-                      walk_length: int = orthogen.DEFAULT_WALK_LENGTH,
-                      ) -> Optional[CodeRecord]:
-    """Sample orthogonal matrices by seeded random walk, keep those whose
-    rows all have weight >= target_d, and scan their k-row subsets for an
-    exact minimum distance >= target_d.  The first hit is decorated by a
-    seeded scaling/rotation twist (which cannot change the code's
-    parameters, only the recorded generator) and returned; None when the
-    trial budget runs out.  Trial t uses walk seed seed * 1_000_003 + t,
-    so trials are independent and any schedule replays identically.
+                      budget: int, seed: int = 0) -> Optional[CodeRecord]:
+    """Sample orthogonal matrices uniformly (orthogen.random_orthogonal),
+    keep those whose rows all have weight >= target_d, and scan their
+    k-row subsets for an exact minimum distance >= target_d.  The first
+    hit is decorated by a seeded scaling/rotation twist (which cannot
+    change the code's parameters, only the recorded generator) and
+    returned as a "uniform" record; None when the trial budget runs out.
+    Trial t samples with seed seed * 1_000_003 + t, so trials are
+    independent and any schedule replays identically.
     """
     if budget < 1:
         raise InvalidValue("budget must be positive")
     if not 1 <= k <= n:
         raise InvalidValue(f"k = {k} is outside 1..n = {n}")
-    gens = orthogen.generator_set(ctx, n)
     for trial in range(budget):
-        walk_seed = seed * 1_000_003 + trial
-        A = orthogen.random_orthogonal(gens, walk_length, walk_seed)
+        trial_seed = _trial_seed(seed, trial)
+        A = orthogen.random_orthogonal(ctx, n, trial_seed)
         if any(w < target_d for w in A.row_weights()):
             continue
         for subset in combinations(range(n), k):
@@ -491,15 +489,14 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
             dist = code.distance(at_least=target_d)
             if dist.status != EXACT or dist.value < target_d:
                 continue
-            rng = random.Random(walk_seed * 2 + 1)
+            rng = random.Random(trial_seed * 2 + 1)
             lam, blocks = _random_twist(ctx, k, rng)
             G = _twist(code.G, lam, blocks or None)
             tag = "rotated" if blocks else "scaled"
             provenance = {
-                "kind": "search",
+                "kind": "uniform",
                 "seed": seed,
                 "trial": trial,
-                "walk_length": walk_length,
                 "row_indices": list(subset),
                 "lambdas": lam,
                 "blocks": blocks,
@@ -508,6 +505,11 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
                               d=dist.value, d_status=EXACT, tag=tag,
                               provenance=provenance, matrix=G.to_text())
     return None
+
+
+def _trial_seed(seed: int, trial: int) -> int:
+    """The sampler seed of one search trial."""
+    return seed * 1_000_003 + trial
 
 
 # ---------------------------------------------------------------------------
@@ -526,19 +528,21 @@ def _optional(check):
     return lambda v: v is _ABSENT or v is None or check(v)
 
 
-# the walk's rows and the twist that a search or rows record names
-_WALK_FIELDS = {
-    "walk_length": _is_int, "row_indices": _is_int_list,
+# the rows and the twist that a sampled record names
+_ROW_FIELDS = {
+    "row_indices": _is_int_list,
     "lambdas": _optional(_is_int_list),
     "blocks": _optional(lambda v: isinstance(v, list) and all(
         _is_int_list(b, 2) for b in v)),
 }
+_TRIAL_FIELDS = {"seed": _is_int, "trial": lambda v: _is_int(v) and v >= 0}
 
-# what replay_record reads from the provenance of each kind built above
+# what replay_record reads from the provenance of each kind built above;
+# "search" and "rows" records name a random walk, which only replays them
 _PROVENANCE_FIELDS = {
-    "search": {"seed": _is_int, "trial": lambda v: _is_int(v) and v >= 0,
-               **_WALK_FIELDS},
-    "rows": {"walk_seed": _is_int, **_WALK_FIELDS},
+    "uniform": {**_TRIAL_FIELDS, **_ROW_FIELDS},
+    "search": {**_TRIAL_FIELDS, "walk_length": _is_int, **_ROW_FIELDS},
+    "rows": {"walk_seed": _is_int, "walk_length": _is_int, **_ROW_FIELDS},
     "extended": {"base": _is_str, "pair": lambda v: _is_int_list(v, 2),
                  "lambdas": _is_int_list,
                  "added_row": lambda v: v is None or _is_int_list(v, 2)},
@@ -564,16 +568,20 @@ def replay_record(record: CodeRecord) -> MatrixFq:
     if wrong:
         raise ParseError(f"{kind} provenance fields missing or of the wrong "
                          f"type {wrong}")
-    if kind in ("search", "rows"):
+    if kind in ("uniform", "search", "rows"):
         rows = prov["row_indices"]
         if not (all(0 <= i < record.n for i in rows)
                 and len(set(rows)) == len(rows) == record.k):
             raise ParseError(f"{kind} provenance needs {record.k} distinct "
                              f"row_indices below {record.n}")
-        walk_seed = (prov["walk_seed"] if kind == "rows"
-                     else prov["seed"] * 1_000_003 + prov["trial"])
-        gens = orthogen.generator_set(ctx, record.n)
-        A = orthogen.random_orthogonal(gens, prov["walk_length"], walk_seed)
+        if kind == "uniform":
+            A = orthogen.random_orthogonal(
+                ctx, record.n, _trial_seed(prov["seed"], prov["trial"]))
+        else:
+            walk_seed = (prov["walk_seed"] if kind == "rows"
+                         else _trial_seed(prov["seed"], prov["trial"]))
+            A = orthogen.random_walk(orthogen.generator_set(ctx, record.n),
+                                     prov["walk_length"], walk_seed)
         lam = prov.get("lambdas")
         return _twist(A.take_rows(rows),
                       _elements(ctx, lam, "lambda") if lam else None,

@@ -1,6 +1,11 @@
-"""Generators for orthogonal matrix groups over GF(q) and tools built on
-them: exact group orders from a stabilizer chain, classical group orders
-for comparison, and seeded random walks that sample orthogonal matrices.
+"""Orthogonal matrices over GF(q): exactly uniform samples, generators for
+orthogonal groups, and tools built on them: exact group orders from a
+stabilizer chain, classical group orders for comparison, and the seeded
+random walk over the generated group that earlier search records name.
+
+random_orthogonal samples {A : A A^T = I} exactly uniformly by the
+subgroup algorithm (Diaconis and Shahshahani, "The subgroup algorithm for
+generating uniform random variables", Prob. Eng. Inf. Sci. 1, 1987).
 
 The generating set for n x n matrices is
   * the transposition swapping coordinates 0 and 1,
@@ -30,7 +35,7 @@ the two meet; a capped call also stops as soon as the partial orbits prove
 the order exceeds the cap.  The random walk reads its rng's Mersenne
 Twister words in bulk, in the order randrange and shuffle would, holds its
 matrix as n column tuples, applies each shuffle as column swaps and each
-run of one generator as one power of it (see random_orthogonal).  Both do
+run of one generator as one power of it (see random_walk).  All three do
 their arithmetic by indexing ``ctx.tables()``.
 """
 
@@ -43,14 +48,13 @@ import random
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import gf
 from .errors import DimensionTooSmall, InvalidValue
 from .matfq import MatrixFq
 
 DEFAULT_CLOSURE_CAP = 1 << 21
-DEFAULT_WALK_LENGTH = 64
 
 _State = tuple[int, ...]
 _ColOp = Callable[[list], None]
@@ -117,15 +121,18 @@ class OrthoGenSet:
             steps.append(lambda j: ops[j % 2])
         if P is not None:
             a, b = P[0, 0], P[1, 0]
-            powers = [(1, 0)]           # (x, y) = (a + b i)^j, i^2 = -1
-            x, y = a, b
-            while (x, y) != (1, 0):
-                powers.append((x, y))
-                x, y = (ctx.sub(ctx.mul(x, a), ctx.mul(y, b)),
-                        ctx.add(ctx.mul(x, b), ctx.mul(y, a)))
-            plane = functools.cache(
-                lambda j: _plane_cols(ctx, *powers[j]) if j else _no_op)
-            steps.append(lambda j: plane(j % len(powers)))
+
+            @functools.cache
+            def plane(j: int) -> _ColOp:
+                # (x, y) = (a + b i)^j, i^2 = -1, by repeated squaring
+                x, y, u, v = 1, 0, a, b
+                while j:
+                    if j & 1:
+                        x, y = _gauss_mul(ctx, x, y, u, v)
+                    u, v = _gauss_mul(ctx, u, v, u, v)
+                    j >>= 1
+                return _no_op if (x, y) == (1, 0) else _plane_cols(ctx, x, y)
+            steps.append(plane)
         return steps
 
     @functools.cached_property
@@ -200,6 +207,13 @@ def _transvection_cols(ctx: gf.FieldCtx, theta: int) -> _ColOp:
 
 def _no_op(cols: list) -> None:
     """A generator's power that is the identity."""
+
+
+def _gauss_mul(ctx: gf.FieldCtx, x: int, y: int, u: int, v: int
+               ) -> tuple[int, int]:
+    """(x + y i)(u + v i) with i^2 = -1, as the pair of its parts."""
+    return (ctx.sub(ctx.mul(x, u), ctx.mul(y, v)),
+            ctx.add(ctx.mul(x, v), ctx.mul(y, u)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -500,13 +514,15 @@ def _words(rng: random.Random) -> Iterator[int]:
     return itertools.chain.from_iterable(iter(block, None))
 
 
-def random_orthogonal(gens: OrthoGenSet,
-                      walk_length: int = DEFAULT_WALK_LENGTH,
-                      seed: int = 0) -> MatrixFq:
+def random_walk(gens: OrthoGenSet, walk_length: int, seed: int
+                ) -> MatrixFq:
     """Random walk over the generated group: each step right-multiplies by
     a fresh uniform permutation or by one of the generators past the two
     fixed permutations.  Same seed, same matrix.  InvalidValue for a
-    negative walk length.
+    negative walk length.  The walk stays inside the generated group,
+    which can be a proper subgroup of O (index 3 for O(4,3)), and is not
+    uniform on it; it is kept to replay the "search" and "rows" records
+    that name it, and new samples come from random_orthogonal.
 
     It is the walk that draws, per step, kind = rng.randrange(kinds) and,
     for kind 0, rng.shuffle(sigma) of sigma = [0..n-1], with rng =
@@ -558,3 +574,124 @@ def random_orthogonal(gens: OrthoGenSet,
     if run:
         steps[run - 1](count)(cols)
     return MatrixFq(gens.ctx, n, n, [x for row in zip(*cols) for x in row])
+
+
+# ---------------------------------------------------------------------------
+# exactly uniform samples by the subgroup algorithm
+
+def random_orthogonal(ctx: gf.FieldCtx, n: int, seed: int = 0) -> MatrixFq:
+    """An exactly uniform sample of {A : A A^T = I} over GF(q), by the
+    subgroup algorithm: A = diag(I_{n-1}, R(v_n)) ... diag(1, R(v_2))
+    R(v_1), where v_i is uniform on the orbit of e_1 in the last
+    n - i + 1 coordinates (_unit_draws, from one random.Random(seed)) and
+    R(v) is a fixed isometry taking e_1 to v (_isometry), multiplied out
+    by _orthogonal_product.  Same seed, same matrix.  O(n^3) field
+    operations through ctx.tables(), with no table of its own, so it
+    works for every q."""
+    if n < 1:
+        raise DimensionTooSmall("n must be positive")
+    return _orthogonal_product(ctx, _unit_draws(ctx, n, random.Random(seed)))
+
+
+def _unit_draws(ctx: gf.FieldCtx, n: int, rng: random.Random
+                ) -> list[tuple[int, ...]]:
+    """v_1, ..., v_n, with v_i uniform on the orbit of e_1 in
+    GF(q)^(n-i+1) under its orthogonal matrices: every unit vector (x.x =
+    1) for odd q, by Witt's theorem; for even q every unit vector but the
+    all-ones vector when the length is odd and past 1, since every
+    orthogonal matrix over even q fixes the all-ones vector.
+
+    A draw x has uniform entries (one rng.randrange(q) each) and s = x.x.
+    It is kept when s is a nonzero square (every nonzero s for even q) and
+    scaled by 1 / sqrt_min(s).  A unit vector u then comes from exactly
+    q - 1 draws, c u with sqrt_min(c^2) = c and c (-u) with sqrt_min(c^2)
+    = -c, so the kept draws are uniform on the unit vectors; the all-ones
+    vector, where it lies outside the orbit, is drawn again."""
+    adds, muls = ctx.tables()
+    q, even = ctx.q, ctx.p == 2
+    randrange = rng.randrange
+    draws = []
+    for m in range(n, 0, -1):
+        ones = (1,) * m if even and m % 2 and m > 1 else None
+        while True:
+            x = [randrange(q) for _ in range(m)]
+            s = 0
+            for c in x:
+                s = adds[s][muls[c][c]]
+            r = ctx.sqrt_min(s) if s else None
+            if r is None:
+                continue
+            scale = muls[ctx.inv(r)]
+            v = tuple([scale[c] for c in x])
+            if v != ones:
+                draws.append(v)
+                break
+    return draws
+
+
+def _isometry(ctx: gf.FieldCtx, v: tuple[int, ...]
+              ) -> list[tuple[list[int], list[int]]]:
+    """R(v), a fixed orthogonal map of GF(q)^m with e_1 R(v) = v for a
+    unit vector v in the orbit of e_1, as steps (w, u), each x -> x +
+    (x.w) u with u = -c w, applied in order:
+      * v_1 != 1: w = e_1 - v and c = 1 / (1 - v_1).  For odd q this is
+        the reflection in w, since w.w = 2 (1 - v_1); for even q, where
+        w.w = 0, it is the orthogonal transvection;
+      * v_1 = 1, odd q: the reflection in e_1 + v (c = 1/2, as (e_1 + v).
+        (e_1 + v) = 4) takes e_1 to -v, and the reflection in v (c = 2)
+        takes -v to v;
+      * v_1 = 1, even q: the swap of coordinates 1 and j, for the first j
+        with v_j != 1 (the transvection in e_1 + e_j with c = 1), takes
+        e_1 to e_j, and the transvection in e_j + v with c = 1 / (1 + v_j)
+        takes e_j to v.  Such a j exists: the all-ones vector is not in
+        the orbit, and for length 1 v = e_1;
+    and no step at all for v = e_1."""
+    adds, muls = ctx.tables()
+    minus = muls[ctx.neg(1)]
+
+    def step(w: list[int], c: int) -> tuple[list[int], list[int]]:
+        mc = muls[minus[c]]
+        return w, [mc[x] for x in w]
+
+    def total(a: Sequence[int], b: Sequence[int]) -> list[int]:
+        return [adds[x][y] for x, y in zip(a, b)]
+
+    units = _unit_rows(len(v))
+    e = units[0]
+    if v == e:
+        return []
+    if v[0] != 1:
+        w = [adds[x][minus[y]] for x, y in zip(e, v)]       # e_1 - v
+        return [step(w, ctx.inv(w[0]))]
+    if ctx.p != 2:
+        return [step(total(e, v), ctx.inv(2)), step(list(v), 2)]
+    j = next(k for k, c in enumerate(v) if c != 1)
+    w = total(units[j], v)
+    return [step(total(e, units[j]), 1), step(w, ctx.inv(w[j]))]
+
+
+def _orthogonal_product(ctx: gf.FieldCtx, draws: Sequence[tuple[int, ...]]
+                        ) -> MatrixFq:
+    """diag(I_{n-1}, R(v_n)) ... diag(1, R(v_2)) R(v_1) for draws v_1..v_n
+    of lengths n..1 (see _isometry), a pure function of the draws.  P
+    starts as I and is right-multiplied by diag(I_i, R(v_{i+1})) for i =
+    n-1 down to 0.  Before that step P = diag(I_{i+1}, *), so only rows
+    i..n-1 and columns i..n-1 change.
+
+    Over the orbits of _unit_draws this is a bijection onto {A : A A^T =
+    I}: row 1 of the product is v_1, and A R(v_1)^-1 = diag(1, A') with
+    A' the product of v_2..v_n.  Uniform draws give a uniform A."""
+    adds, muls = ctx.tables()
+    n = len(draws)
+    rows = [list(e) for e in _unit_rows(n)]
+    for i in range(n - 1, -1, -1):
+        for w, u in _isometry(ctx, draws[i]):
+            for row in rows[i:]:
+                x = row[i:]
+                t = 0
+                for a, b in zip(x, w):
+                    t = adds[t][muls[a][b]]
+                if t:
+                    mt = muls[t]
+                    row[i:] = [adds[a][mt[b]] for a, b in zip(x, u)]
+    return MatrixFq(ctx, n, n, [x for row in rows for x in row])

@@ -91,9 +91,8 @@ def test_criterion_05_extension_property():
     rng = random.Random(52)
     checked = 0
     for ctx in (field_create(5), field_create(13)):
-        gens = generator_set(ctx, 6)
         for trial in range(250):
-            A = random_orthogonal(gens, 48, trial)
+            A = random_orthogonal(ctx, 6, trial)
             k = rng.randrange(1, 6)
             C = lcd_from_rows(A, range(k))
             lam = [rng.randrange(ctx.q) for _ in range(k)]
@@ -113,17 +112,16 @@ def test_criterion_05_extension_property():
 def test_criterion_06_mplcd_biconditional():
     rng = random.Random(63)
     ctx = field_create(7)
-    gens = generator_set(ctx, 3)
     forward = backward = 0
     for trial in range(200):
-        base = random_orthogonal(gens, 32, trial)
+        base = random_orthogonal(ctx, 3, trial)
         lam = [rng.randrange(1, 7) for _ in range(3)]
         comps = [random_lcd_code(ctx, 4, rng.randrange(1, 4), rng)
                  for _ in range(3)]
         assert mplcd_build(comps, base, lam).is_lcd()
         forward += 1
     for trial in range(200):
-        base = random_orthogonal(gens, 32, 1000 + trial)
+        base = random_orthogonal(ctx, 3, 1000 + trial)
         lam = [rng.randrange(1, 7) for _ in range(3)]
         comps = [random_lcd_code(ctx, 4, rng.randrange(1, 4), rng)
                  for _ in range(3)]

@@ -93,12 +93,11 @@ def test_parser_serves_every_call_alike(capsys):
     first = run(capsys, *good)
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:
-            main(["sample", "--field", "7", "--walk-length", "x"])
+            main(["sample", "--field", "7", "--n", "x"])
         assert exc.value.code == 2
         assert "invalid int value: 'x'" in capsys.readouterr().err
-        assert main(good[:-1] + ["0", "--walk-length", "0"]) == 2
-        assert capsys.readouterr().err == \
-            "lcdkit: --walk-length must be positive\n"
+        assert main(["sample", "--field", "7", "--n", "0", "--seed", "0"]) == 2
+        assert capsys.readouterr().err == "lcdkit: --n must be positive\n"
         assert run(capsys, *good) == first
 
 
@@ -314,10 +313,21 @@ def test_tables_2_and_3(tmp_path, capsys):
     assert (16, 4) in keys and (6, 2) in keys
 
 
+@pytest.mark.parametrize("which,line", [
+    ("4", "[4,1,4]_F4 -> [8,2,5]_F2 target=5 match seed_offset=0"),
+    # the first offset from --seed 0 that meets the target, and the last
+    # one DEMO_SEED_TRIES lets the demo try
+    ("5", "[5,1,5]_F27 -> [15,3,9]_F3 target=9 match seed_offset=130"),
+])
+def test_tables_4_and_5_meet_their_targets(capsys, which, line):
+    code, out = run(capsys, "tables", which)
+    assert code == 0
+    assert out.splitlines()[0] == line
+
+
 def test_extend_and_grow(tmp_path, capsys):
-    from lcdkit import generator_set, lcd_from_rows, random_orthogonal
-    F5 = field_create(5)
-    A = random_orthogonal(generator_set(F5, 4), 48, 2)
+    from lcdkit import lcd_from_rows, random_orthogonal
+    A = random_orthogonal(field_create(5), 4, 2)
     src = tmp_path / "c.txt"
     src.write_text(lcd_from_rows(A, [0, 1]).G.to_text())
     store = tmp_path / "e.jsonl"

@@ -13,7 +13,7 @@ from lcdkit import (EXACT, CodeRecord, LinearCode, MatrixFq,
                     generator_set, lcd_from_rows, matrix_product_code,
                     matrix_product_generator, mds_lcd_from_self_orthogonal,
                     mplcd_build, project_to_subfield, random_orthogonal,
-                    replay_record, rs_pipeline, search_random_lcd,
+                    random_walk, replay_record, rs_pipeline, search_random_lcd,
                     systematic_parity_part, tower_create)
 from lcdkit.construct import (apply_row_scaling, apply_rotation_blocks,
                               extension_record, product_record,
@@ -28,15 +28,13 @@ from lcdkit.fixtures import product_example
 
 from conftest import random_code, random_lcd_code
 
-
-def sample_orthogonal(ctx, n, seed, walk=48):
-    return random_orthogonal(generator_set(ctx, n), walk, seed)
+_MISSING = object()                # a provenance field deleted by a test
 
 
 # -- rows, scaling, rotation blocks -----------------------------------------
 
 def test_lcd_from_rows_gram_is_identity(F7):
-    A = sample_orthogonal(F7, 5, 4)
+    A = random_orthogonal(F7, 5, 4)
     C = lcd_from_rows(A, [0, 2, 4])
     assert C.gram() == MatrixFq.identity(F7, 3)
     assert C.is_lcd()
@@ -47,7 +45,7 @@ def test_lcd_from_rows_gram_is_identity(F7):
 
 
 def test_row_scaling_keeps_code_and_squares_gram(F5):
-    A = sample_orthogonal(F5, 4, 1)
+    A = random_orthogonal(F5, 4, 1)
     C = lcd_from_rows(A, [0, 1])
     S = apply_row_scaling(C, [2, 3])
     assert S == C                      # same row space
@@ -61,7 +59,7 @@ def test_row_scaling_keeps_code_and_squares_gram(F5):
 
 
 def test_rotation_blocks_layout(F7):
-    A = sample_orthogonal(F7, 6, 2)
+    A = random_orthogonal(F7, 6, 2)
     C = apply_rotation_blocks(A, [0, 1, 2, 3, 4], [1] * 5,
                               [(1, 2), (2, 3)])
     assert C.is_lcd() and C.k == 5
@@ -77,7 +75,7 @@ def test_rotation_blocks_layout(F7):
 
 def test_degenerate_block_isotropic(F13):
     # 5^2 = 25 = -1 mod 13, so (1, 5) is on the isotropic cone
-    A = sample_orthogonal(F13, 4, 3)
+    A = random_orthogonal(F13, 4, 3)
     with pytest.raises(DegenerateBlock):
         apply_rotation_blocks(A, [0, 1], [1, 1], [(1, 5)])
 
@@ -86,7 +84,7 @@ def test_degenerate_block_isotropic(F13):
 
 def test_extend_preserves_gram_exactly(F5, rng):
     for trial in range(60):
-        A = sample_orthogonal(F5, 6, trial)
+        A = random_orthogonal(F5, 6, trial)
         k = rng.randrange(1, 6)
         C = lcd_from_rows(A, range(k))
         lam = [rng.randrange(5) for _ in range(k)]  # zeros allowed
@@ -202,7 +200,7 @@ def test_product_rejects_bad_shapes(F3, F5, rng):
 def test_mplcd_biconditional(F7, rng):
     # both directions, orthogonal-like inner matrix
     for trial in range(60):
-        base = sample_orthogonal(F7, 3, trial)
+        base = random_orthogonal(F7, 3, trial)
         lam = [rng.randrange(1, 7) for _ in range(3)]
         comps = [random_lcd_code(F7, 4, rng.randrange(1, 4), rng)
                  for _ in range(3)]
@@ -220,7 +218,7 @@ def test_mplcd_biconditional(F7, rng):
 
 
 def test_mplcd_error_carries_index(F7, rng):
-    base = sample_orthogonal(F7, 3, 0)
+    base = random_orthogonal(F7, 3, 0)
     comps = [random_lcd_code(F7, 4, 2, rng) for _ in range(3)]
     while True:
         cand = random_code(F7, 4, 2, rng)
@@ -239,7 +237,7 @@ def test_mplcd_error_carries_index(F7, rng):
 def test_product_duality_identity(F5, rng):
     # dual of the product is the product of the duals through (A^-1)^T
     for trial in range(20):
-        A = sample_orthogonal(F5, 3, trial + 100)
+        A = random_orthogonal(F5, 3, trial + 100)
         codes = [random_code(F5, 4, rng.randrange(1, 4), rng)
                  for _ in range(3)]
         left = matrix_product_code(codes, A).dual()
@@ -398,8 +396,9 @@ def test_search_binary_fallback_twist(F2):
     assert replay_record(rec).to_text() == rec.matrix
 
 
-# Records as an earlier, step-by-step version of the walk wrote them: the
-# folded column walk must reproduce them byte for byte.
+# Records that search_random_lcd(*args) wrote while it sampled by random
+# walk, as an earlier, step-by-step version of the walk wrote them: the
+# folded column walk must replay them byte for byte.
 PINNED_SEARCHES = [
     (("11", 5, 3, 3, 200, 9),
      '{"d":3,"d_status":"exact","field":"11","k":3,"matrix":"11 3 5\\n'
@@ -415,8 +414,24 @@ PINNED_SEARCHES = [
      '"tag":"rotated","timestamp":0}'),
 ]
 
+# The "uniform" records search_random_lcd(*args) writes for the same args
+PINNED_UNIFORM = [
+    (("11", 5, 3, 3, 200, 9),
+     '{"d":3,"d_status":"exact","field":"11","k":3,"matrix":"11 3 5\\n'
+     '0 2 4 3 8\\n10 8 0 0 9\\n10 1 2 3 10\\n","n":5,"provenance":'
+     '{"blocks":[[10,2]],"kind":"uniform","lambdas":[10,4,4],'
+     '"row_indices":[0,1,2],"seed":9,"trial":0},'
+     '"tag":"rotated","timestamp":0}'),
+    (("16", 7, 2, 6, 500, 8),
+     '{"d":6,"d_status":"exact","field":"2^4","k":2,"matrix":"2^4 2 7\\n'
+     '14 9 2 1 9 9 11\\n11 5 9 7 4 8 15\\n","n":7,"provenance":'
+     '{"blocks":[[6,7]],"kind":"uniform","lambdas":[15,3],'
+     '"row_indices":[0,1],"seed":8,"trial":1},'
+     '"tag":"rotated","timestamp":0}'),
+]
 
-@pytest.mark.parametrize("args,expected", PINNED_SEARCHES)
+
+@pytest.mark.parametrize("args,expected", PINNED_UNIFORM)
 def test_search_records_are_pinned(args, expected):
     desc, n, k, d, budget, seed = args
     rec = search_random_lcd(parse_field(desc), n, k, d, budget, seed)
@@ -424,9 +439,14 @@ def test_search_records_are_pinned(args, expected):
     assert replay_record(rec).to_text() == rec.matrix
 
 
-def test_negative_walk_length_is_refused(F11):
-    with pytest.raises(InvalidValue):
-        search_random_lcd(F11, 5, 3, 3, budget=200, seed=9, walk_length=-2)
+@pytest.mark.parametrize("args,line", PINNED_SEARCHES)
+def test_walk_search_records_replay(args, line):
+    rec = CodeRecord.from_json(line)
+    assert rec.to_json() == line
+    assert replay_record(rec).to_text() == rec.matrix
+
+
+def test_negative_walk_length_is_refused():
     line = PINNED_SEARCHES[0][1].replace('"walk_length":64',
                                          '"walk_length":-2')
     with pytest.raises(InvalidValue):
@@ -467,6 +487,29 @@ def test_replay_refuses_mistyped_search_provenance(old, new):
     line = line.replace(old, new)
     with pytest.raises(ParseError):
         replay_record(CodeRecord.from_json(line))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("seed", "9"), ("seed", 9.5), ("seed", False), ("seed", None),
+    ("seed", _MISSING), ("trial", -1), ("trial", None), ("trial", True),
+    ("trial", 0.0), ("trial", _MISSING),
+    ("row_indices", "abc"), ("row_indices", [0, 1, True]),
+    ("row_indices", [0, 1, 1]), ("row_indices", [0, 1]),
+    ("row_indices", [0, 1, 5]), ("row_indices", [-1, 1, 2]),
+    ("row_indices", [0, 1, 2.0]), ("row_indices", _MISSING),
+    ("lambdas", 5), ("lambdas", "abc"), ("lambdas", [10, 4, True]),
+    ("lambdas", [10, 4, 4.0]),
+    ("blocks", 7), ("blocks", [10, 2]), ("blocks", [[10, 2.0]]),
+    ("blocks", [[10, False]]), ("blocks", [[10, 2, 3]]),
+])
+def test_replay_refuses_mistyped_uniform_provenance(name, value):
+    raw = json.loads(PINNED_UNIFORM[0][1])
+    if value is _MISSING:
+        del raw["provenance"][name]
+    else:
+        raw["provenance"][name] = value
+    with pytest.raises(ParseError):
+        replay_record(CodeRecord.from_json(json.dumps(raw)))
 
 
 @pytest.mark.parametrize("lambdas", ["[10,4,-1]", "[10,4,11]"])
@@ -581,9 +624,6 @@ def test_built_records_are_pinned(case):
     assert replay_record(rec).to_text() == rec.matrix
 
 
-_MISSING = object()
-
-
 # every edit names a field replay reads; an earlier version met each one
 # with a raw TypeError, KeyError or AttributeError, or replayed it as if
 # true were 1 and 2.0 were 2
@@ -645,8 +685,8 @@ def test_hand_made_rows_record_replays(F13, n, prov, matrix):
                      d_status="lower_bound", tag="rows", provenance=prov,
                      matrix=matrix)
     assert replay_record(rec).to_text() == matrix
-    G = sample_orthogonal(F13, n, prov["walk_seed"], prov["walk_length"]
-                          ).take_rows(prov["row_indices"])
+    G = random_walk(generator_set(F13, n), prov["walk_length"],
+                    prov["walk_seed"]).take_rows(prov["row_indices"])
     if prov.get("blocks"):
         G = rotation_block_diagonal(F13, prov["blocks"], G.r) @ G
     if prov.get("lambdas"):

@@ -8,11 +8,12 @@ import pytest
 
 from lcdkit import (MatrixFq, classical_orthogonal_order, field_create,
                     generator_set, group_closure_order, parse_field,
-                    random_orthogonal)
+                    random_orthogonal, random_walk)
 from lcdkit.cli import main
 from lcdkit.errors import DimensionTooSmall, InvalidValue
 from lcdkit.fixtures import group_orders
-from lcdkit.orthogen import (DEFAULT_CLOSURE_CAP, _Chain, _words,
+from lcdkit.orthogen import (DEFAULT_CLOSURE_CAP, _Chain,
+                             _orthogonal_product, _unit_draws, _words,
                              plane_matrix, spinor_norm, transvection_matrix)
 
 
@@ -159,8 +160,8 @@ def test_generators_have_square_spinor_norm(field, n):
         assert ctx.is_square(ctx.mul(spinor_norm(R), ctx.inv(vv)))
         nonsquare = not ctx.is_square(vv)   # the norm is onto F*/F*^2
     for seed in range(5):                   # and multiplicative
-        A = random_orthogonal(gens, 64, seed)
-        B = random_orthogonal(gens, 64, seed + 5)
+        A = random_orthogonal(ctx, n, seed)
+        B = random_orthogonal(ctx, n, seed + 5)
         assert ctx.is_square(ctx.mul(spinor_norm(A @ B),
                                      ctx.mul(spinor_norm(A), spinor_norm(B))))
     matrices = gens.matrices()
@@ -274,7 +275,7 @@ def test_walk_matches_flat_oracle(field):
     for n, walk_length, seeds in cases:
         gens = generator_set(ctx, n)
         for seed in range(seeds):
-            A = random_orthogonal(gens, walk_length, seed)
+            A = random_walk(gens, walk_length, seed)
             assert A.entries == flat_walk(gens, walk_length, seed)[0]
 
 
@@ -310,10 +311,10 @@ def test_words_replay_randrange_and_shuffle():
 
 def test_walk_rejects_a_negative_length():
     gens = generator_set(field_create(5), 4)
-    assert random_orthogonal(gens, 0, 1) == MatrixFq.identity(gens.ctx, 4)
+    assert random_walk(gens, 0, 1) == MatrixFq.identity(gens.ctx, 4)
     for walk_length in (-1, -3):
         with pytest.raises(InvalidValue):
-            random_orthogonal(gens, walk_length, 1)
+            random_walk(gens, walk_length, 1)
 
 
 def rotation_order(gens):
@@ -336,7 +337,7 @@ def test_walk_folds_rotation_runs_past_their_order(field):
         order = rotation_order(gens)
         for seed in range(5):
             entries, longest = flat_walk(gens, 600, seed)
-            assert random_orthogonal(gens, 600, seed).entries == entries
+            assert random_walk(gens, 600, seed).entries == entries
             wrapped += longest >= order
     assert wrapped
 
@@ -347,9 +348,13 @@ def test_walk_with_one_coordinate(capsys):
     assert field_create(7).unit_circle_pair() is not None
     assert gens.plane is None
     for seed in range(5):
-        assert random_orthogonal(gens, 64, seed).rows() == [(1,)]
+        assert random_walk(gens, 64, seed).rows() == [(1,)]
+    # the uniform sampler draws O_1(7) = {1, -1}
+    assert {random_orthogonal(field_create(7), 1, seed).rows()[0]
+            for seed in range(20)} == {(1,), (6,)}
     assert main(["sample", "--field", "7", "--n", "1"]) == 0
-    assert capsys.readouterr().out == "7 1 1\n1\n"
+    assert capsys.readouterr().out == random_orthogonal(
+        field_create(7), 1, 0).to_text()
     assert main(["search", "--field", "7", "--n", "1", "--k", "1",
                  "--target-d", "1"]) == 0
 
@@ -374,7 +379,7 @@ def test_generators_and_walks_pinned(field, digest):
     for n in (1, 2, 4, 5):
         gens = generator_set(ctx, n)
         data.append([M.entries for M in gens.matrices()])
-        data.append([random_orthogonal(gens, 64, seed).entries
+        data.append([random_walk(gens, 64, seed).entries
                      for seed in range(3)])
     assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
 
@@ -732,23 +737,114 @@ def test_classical_matches_brute_count(field, n):
         ctx, n)
 
 
-def test_random_orthogonal_properties():
-    F11 = field_create(11)
-    gens = generator_set(F11, 6)
-    seen = set()
-    for seed in range(40):
-        A = random_orthogonal(gens, 64, seed)
-        assert A.is_orthogonal()
-        seen.add(A)
-    assert len(seen) > 30              # walks spread out
-    assert random_orthogonal(gens, 64, 7) == random_orthogonal(gens, 64, 7)
-
-
-def test_random_orthogonal_perm_only_group():
+def test_random_walk_perm_only_group():
     # n = 3 over GF(3): generators are permutations, so walks stay there
     gens = generator_set(field_create(3), 3)
-    A = random_orthogonal(gens, 50, 1)
+    A = random_walk(gens, 50, 1)
     assert sorted(A.rows()) == sorted(
         MatrixFq.permutation(field_create(3),
                              [0, 1, 2]).rows()) or all(
         sum(1 for v in row if v) == 1 for row in A.rows())
+
+
+def test_rows_record_replays_above_the_exp_log_cap():
+    # over GF(3^13) a step of the walk costs four table-free products,
+    # and the plane map's order divides q + 1 = 4 * 398581, so listing
+    # its powers took minutes; the matrix is pinned from that version
+    from lcdkit import CodeRecord, replay_record
+    ctx = parse_field("3^13")
+    prov = {"kind": "rows", "walk_seed": 5, "walk_length": 64,
+            "row_indices": [3, 0]}
+    matrix = ("3^13 2 4\n1451280 709588 1375947 212169\n"
+              "330511 910540 1313202 1083063\n")
+    rec = CodeRecord(field="3^13", n=4, k=2, d=None, d_status="lower_bound",
+                     tag="rows", provenance=prov, matrix=matrix)
+    assert replay_record(rec).to_text() == matrix
+    gens = generator_set(ctx, 4)
+    entries = flat_walk(gens, 64, 5)[0]
+    assert MatrixFq(ctx, 4, 4, entries).take_rows([3, 0]).to_text() == matrix
+
+
+# ---------------------------------------------------------------------------
+# the uniform sampler
+
+def dot(ctx, u, v):
+    s = 0
+    for x, y in zip(u, v):
+        s = ctx.add(s, ctx.mul(x, y))
+    return s
+
+
+def unit_orbit(ctx, m):
+    """Oracle: the orbit of e_1 in GF(q)^m, by brute force: the unit
+    vectors, less the all-ones vector for even q and odd m > 1."""
+    return [x for x in itertools.product(range(ctx.q), repeat=m)
+            if dot(ctx, x, x) == 1
+            and not (ctx.p == 2 and m % 2 and m > 1 and set(x) == {1})]
+
+
+def all_orthogonal(ctx, n):
+    """Every A with A A^T = I, as the product over every tuple of draws."""
+    orbits = [unit_orbit(ctx, m) for m in range(n, 0, -1)]
+    return [_orthogonal_product(ctx, draws)
+            for draws in itertools.product(*orbits)]
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (3, 4), (5, 3), (4, 3), (4, 4),
+                                 (2, 5), (8, 3), (9, 3), (7, 3)])
+def test_product_of_draws_is_a_bijection_onto_O(q, n):
+    ctx = parse_field(str(q))
+    mats = all_orthogonal(ctx, n)
+    assert all(A.is_orthogonal() for A in mats)
+    assert len({A.entries for A in mats}) == len(mats) \
+        == classical_orthogonal_order(n, q)
+
+
+@pytest.mark.parametrize("field", ["2", "3", "4", "9", "16", "27", "1031",
+                                   "3^13"])
+def test_random_orthogonal_samples(field):
+    # 3^13 lies above the exp/log cap: roots by Tonelli-Shanks, products
+    # and sums computed on access
+    ctx = parse_field(field)
+    for n in range(1, 9):
+        for seed in range(1 if ctx.q > 1 << 20 else 6):
+            A = random_orthogonal(ctx, n, seed)
+            assert (A.r, A.c) == (n, n) and A.is_orthogonal()
+            draws = _unit_draws(ctx, n, random.Random(seed))
+            assert [len(v) for v in draws] == list(range(n, 0, -1))
+            assert all(dot(ctx, v, v) == 1 for v in draws)
+            assert A == _orthogonal_product(ctx, draws)
+            assert A.row(0) == draws[0]
+    assert random_orthogonal(ctx, 5, 11) == random_orthogonal(ctx, 5, 11)
+    with pytest.raises(DimensionTooSmall):
+        random_orthogonal(ctx, 0, 1)
+
+
+def test_random_orthogonal_spreads_over_O():
+    # 2,000 samples of O(3,3), 48 elements: each turns up, none more than
+    # twice its share
+    ctx = field_create(3)
+    counts = {}
+    for seed in range(2000):
+        key = random_orthogonal(ctx, 3, seed).entries
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 48
+    assert max(counts.values()) < 2 * 2000 / 48
+
+
+def test_search_trials_to_hit_match_the_exact_hit_probability():
+    # [4,1,4]_F3: a trial hits when some row of A has full weight.  Over
+    # all of O(4,3) that holds for p = 2/3 of the matrices, so trials to
+    # a hit are geometric with mean 1/p.  The walk's group, of index 3,
+    # reads a mean near 2 here, about 10 standard errors off.
+    from lcdkit import search_random_lcd
+    ctx = field_create(3)
+    hits = sum(any(w == 4 for w in A.row_weights())
+               for A in all_orthogonal(ctx, 4))
+    p = hits / classical_orthogonal_order(4, 3)
+    assert p == 2 / 3
+    seeds = 300
+    trials = [search_random_lcd(ctx, 4, 1, 4, 1000, seed).provenance["trial"]
+              + 1 for seed in range(seeds)]
+    se = ((1 - p) / p ** 2 / seeds) ** 0.5
+    assert abs(sum(trials) / seeds - 1 / p) < 4 * se
