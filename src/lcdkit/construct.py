@@ -465,23 +465,29 @@ def _random_twist(ctx: gf.FieldCtx, k: int,
 
 def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
                       budget: int, seed: int = 0) -> Optional[CodeRecord]:
-    """Sample orthogonal matrices uniformly (orthogen.random_orthogonal),
-    keep those whose rows all have weight >= target_d, and scan their
-    k-row subsets for an exact minimum distance >= target_d.  The first
-    hit is decorated by a seeded scaling/rotation twist (which cannot
-    change the code's parameters, only the recorded generator) and
-    returned as a "uniform" record; None when the trial budget runs out.
-    Trial t samples with seed seed * 1_000_003 + t, so trials are
-    independent and any schedule replays identically.
+    """Sample orthogonal matrices uniformly (orthogen.random_orthogonal)
+    and scan the k-row subsets of each for an exact minimum distance >=
+    target_d.  A row of a hit has weight >= target_d, so each sample is
+    gated row by row as it is built (min_weight=target_d): the trial ends
+    at its first lighter row, before the rest of the matrix is drawn.
+    The first hit is decorated by a seeded scaling/rotation twist (which
+    cannot change the code's parameters, only the recorded generator) and
+    returned as a "uniform" record; None when the trial budget runs out,
+    and at once, without a trial, when target_d passes the Singleton
+    bound n - k + 1.  Trial t samples with seed seed * 1_000_003 + t, so
+    trials are independent and any schedule replays identically.
     """
     if budget < 1:
         raise InvalidValue("budget must be positive")
     if not 1 <= k <= n:
         raise InvalidValue(f"k = {k} is outside 1..n = {n}")
+    if target_d > n - k + 1:
+        return None
     for trial in range(budget):
         trial_seed = _trial_seed(seed, trial)
-        A = orthogen.random_orthogonal(ctx, n, trial_seed)
-        if any(w < target_d for w in A.row_weights()):
+        A = orthogen.random_orthogonal(ctx, n, trial_seed,
+                                       min_weight=target_d)
+        if A is None:
             continue
         for subset in combinations(range(n), k):
             code = LinearCode.from_basis(A.take_rows(subset),

@@ -163,8 +163,10 @@ def prime_factors(n: int) -> list[int]:
 # polynomial helpers over a base context
 #
 # Polynomials are little-endian lists of base-field codes with no trailing
-# zeros.  Only construction-time work (irreducibility, default modulus
-# search, the products that find the generator) runs through these; element
+# zeros, and their coefficients are added and multiplied by reading the
+# base field's tables() rows.  Construction-time work (irreducibility,
+# default modulus search, the products that find the generator) runs
+# through these, and so do products above the exp/log cap; below it element
 # arithmetic uses tables afterwards.
 
 def _pstrip(a: list[int]) -> list[int]:
@@ -174,17 +176,21 @@ def _pstrip(a: list[int]) -> list[int]:
 
 
 def _pmod(base: "FieldCtx", a: list[int], f: Sequence[int]) -> list[int]:
+    """a mod f.  Each step adds coef * (-f), with -f negated once here, by
+    reading the base field's tables() rows."""
+    adds, muls = base.tables()
     a = list(a)
     df = len(f) - 1
-    lead_inv = base.inv(f[-1])
+    by_lead_inv = muls[base.inv(f[-1])]
+    minus_f = [(j, base.neg(c)) for j, c in enumerate(f) if c]
     while len(a) - 1 >= df and a:
         if a[-1] == 0:
             a.pop()
             continue
-        coef = base.mul(a[-1], lead_inv)
+        mc = muls[by_lead_inv[a[-1]]]
         shift = len(a) - 1 - df
-        for j in range(df + 1):
-            a[shift + j] = base.sub(a[shift + j], base.mul(coef, f[j]))
+        for j, c in minus_f:
+            a[shift + j] = adds[a[shift + j]][mc[c]]
         _pstrip(a)
     return a
 
@@ -193,13 +199,15 @@ def _pmulmod(base: "FieldCtx", a: Sequence[int], b: Sequence[int],
              f: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
+    adds, muls = base.tables()
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
+        mi = muls[ai]
         for j, bj in enumerate(b):
             if bj:
-                prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
+                prod[i + j] = adds[prod[i + j]][mi[bj]]
     return _pmod(base, _pstrip(prod), f)
 
 

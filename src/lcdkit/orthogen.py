@@ -6,6 +6,8 @@ random walk over the generated group that earlier search records name.
 random_orthogonal samples {A : A A^T = I} exactly uniformly by the
 subgroup algorithm (Diaconis and Shahshahani, "The subgroup algorithm for
 generating uniform random variables", Prob. Eng. Inf. Sci. 1, 1987).
+It builds the sample row by row as it draws, reading its rng's words in
+bulk, and can stop at the first row lighter than a given weight.
 
 The generating set for n x n matrices is
   * the transposition swapping coordinates 0 and 1,
@@ -44,11 +46,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import gf
 from .errors import DimensionTooSmall, InvalidValue
@@ -579,42 +582,64 @@ def random_walk(gens: OrthoGenSet, walk_length: int, seed: int
 # ---------------------------------------------------------------------------
 # exactly uniform samples by the subgroup algorithm
 
-def random_orthogonal(ctx: gf.FieldCtx, n: int, seed: int = 0) -> MatrixFq:
+def random_orthogonal(ctx: gf.FieldCtx, n: int, seed: int = 0,
+                      min_weight: int = 0) -> Optional[MatrixFq]:
     """An exactly uniform sample of {A : A A^T = I} over GF(q), by the
     subgroup algorithm: A = diag(I_{n-1}, R(v_n)) ... diag(1, R(v_2))
     R(v_1), where v_i is uniform on the orbit of e_1 in the last
     n - i + 1 coordinates (_unit_draws, from one random.Random(seed)) and
     R(v) is a fixed isometry taking e_1 to v (_isometry), multiplied out
-    by _orthogonal_product.  Same seed, same matrix.  O(n^3) field
-    operations through ctx.tables(), with no table of its own, so it
-    works for every q."""
+    row by row by _orthogonal_product.  Same seed, same matrix.  O(n^3)
+    field operations through ctx.tables(), with no table of its own, so
+    it works for every q.
+
+    Row i of A needs only v_1..v_{i+1}, so the rows are built in order as
+    the draws are made.  With min_weight > 0 the sample is None at the
+    first row with fewer than min_weight nonzero entries, and the draws
+    past that row are never made; otherwise it is the matrix the same
+    seed gives without the gate."""
     if n < 1:
         raise DimensionTooSmall("n must be positive")
-    return _orthogonal_product(ctx, _unit_draws(ctx, n, random.Random(seed)))
+    return _orthogonal_product(ctx, _unit_draws(ctx, n, random.Random(seed)),
+                               min_weight)
+
+
+def _uniform_codes(rng: random.Random, q: int) -> Iterator[int]:
+    """The values of repeated rng.randrange(q) calls, as one stream.
+    CPython draws randrange(q) as _randbelow(q): w >> (32 -
+    q.bit_length()) for the next 32-bit word w, drawn again while it is
+    >= q.  Every draw shares q, so the stream is the shifted words of
+    _words(rng) less those >= q.  Above 32 bits a draw reads more than
+    one word, and randrange itself is called."""
+    shift = 32 - q.bit_length()
+    if shift < 0:
+        return iter(functools.partial(rng.randrange, q), None)
+    return filter(q.__gt__, map(operator.rshift, _words(rng),
+                                itertools.repeat(shift)))
 
 
 def _unit_draws(ctx: gf.FieldCtx, n: int, rng: random.Random
-                ) -> list[tuple[int, ...]]:
-    """v_1, ..., v_n, with v_i uniform on the orbit of e_1 in
-    GF(q)^(n-i+1) under its orthogonal matrices: every unit vector (x.x =
-    1) for odd q, by Witt's theorem; for even q every unit vector but the
-    all-ones vector when the length is odd and past 1, since every
+                ) -> Iterator[tuple[int, ...]]:
+    """v_1, ..., v_n, drawn lazily, with v_i uniform on the orbit of e_1
+    in GF(q)^(n-i+1) under its orthogonal matrices: every unit vector (x.x
+    = 1) for odd q, by Witt's theorem; for even q every unit vector but
+    the all-ones vector when the length is odd and past 1, since every
     orthogonal matrix over even q fixes the all-ones vector.
 
-    A draw x has uniform entries (one rng.randrange(q) each) and s = x.x.
-    It is kept when s is a nonzero square (every nonzero s for even q) and
-    scaled by 1 / sqrt_min(s).  A unit vector u then comes from exactly
-    q - 1 draws, c u with sqrt_min(c^2) = c and c (-u) with sqrt_min(c^2)
-    = -c, so the kept draws are uniform on the unit vectors; the all-ones
-    vector, where it lies outside the orbit, is drawn again."""
+    A draw x has uniform entries (the next values of _uniform_codes, one
+    rng.randrange(q) each) and s = x.x.  It is kept when s is a nonzero
+    square (every nonzero s for even q) and scaled by 1 / sqrt_min(s).  A
+    unit vector u then comes from exactly q - 1 draws, c u with
+    sqrt_min(c^2) = c and c (-u) with sqrt_min(c^2) = -c, so the kept
+    draws are uniform on the unit vectors; the all-ones vector, where it
+    lies outside the orbit, is drawn again."""
     adds, muls = ctx.tables()
-    q, even = ctx.q, ctx.p == 2
-    randrange = rng.randrange
-    draws = []
+    even = ctx.p == 2
+    codes = _uniform_codes(rng, ctx.q)
     for m in range(n, 0, -1):
         ones = (1,) * m if even and m % 2 and m > 1 else None
         while True:
-            x = [randrange(q) for _ in range(m)]
+            x = list(itertools.islice(codes, m))
             s = 0
             for c in x:
                 s = adds[s][muls[c][c]]
@@ -624,15 +649,16 @@ def _unit_draws(ctx: gf.FieldCtx, n: int, rng: random.Random
             scale = muls[ctx.inv(r)]
             v = tuple([scale[c] for c in x])
             if v != ones:
-                draws.append(v)
+                yield v
                 break
-    return draws
 
 
-def _isometry(ctx: gf.FieldCtx, v: tuple[int, ...]
-              ) -> list[tuple[list[int], list[int]]]:
-    """R(v), a fixed orthogonal map of GF(q)^m with e_1 R(v) = v for a
-    unit vector v in the orbit of e_1, as steps (w, u), each x -> x +
+_Steps = list[tuple[list[int], list[int]]]     # (w, u): x -> x + (x.w) u
+
+
+def _isometry(ctx: gf.FieldCtx) -> Callable[[tuple[int, ...]], _Steps]:
+    """v -> R(v), a fixed orthogonal map of GF(q)^m with e_1 R(v) = v for
+    a unit vector v in the orbit of e_1, as steps (w, u), each x -> x +
     (x.w) u with u = -c w, applied in order:
       * v_1 != 1: w = e_1 - v and c = 1 / (1 - v_1).  For odd q this is
         the reflection in w, since w.w = 2 (1 - v_1); for even q, where
@@ -645,53 +671,67 @@ def _isometry(ctx: gf.FieldCtx, v: tuple[int, ...]
         e_1 to e_j, and the transvection in e_j + v with c = 1 / (1 + v_j)
         takes e_j to v.  Such a j exists: the all-ones vector is not in
         the orbit, and for length 1 v = e_1;
-    and no step at all for v = e_1."""
+    and no step at all for v = e_1.  The tables are read once, here."""
     adds, muls = ctx.tables()
     minus = muls[ctx.neg(1)]
+    inv, odd = ctx.inv, ctx.p != 2
 
     def step(w: list[int], c: int) -> tuple[list[int], list[int]]:
         mc = muls[minus[c]]
         return w, [mc[x] for x in w]
 
-    def total(a: Sequence[int], b: Sequence[int]) -> list[int]:
-        return [adds[x][y] for x, y in zip(a, b)]
+    def steps(v: tuple[int, ...]) -> _Steps:
+        if v[0] != 1:
+            w = [minus[c] for c in v]
+            w[0] = adds[1][w[0]]                            # e_1 - v
+            return [step(w, inv(w[0]))]
+        if not any(v[1:]):
+            return []
+        w = list(v)
+        if odd:
+            w[0] = adds[1][1]                               # e_1 + v
+            return [step(w, inv(2)), step(list(v), 2)]
+        j = next(k for k, c in enumerate(v) if c != 1)
+        swap = [0] * len(v)
+        swap[0] = swap[j] = 1                               # e_1 + e_j
+        w[j] = adds[1][w[j]]                                # e_j + v
+        return [step(swap, 1), step(w, inv(w[j]))]
 
-    units = _unit_rows(len(v))
-    e = units[0]
-    if v == e:
-        return []
-    if v[0] != 1:
-        w = [adds[x][minus[y]] for x, y in zip(e, v)]       # e_1 - v
-        return [step(w, ctx.inv(w[0]))]
-    if ctx.p != 2:
-        return [step(total(e, v), ctx.inv(2)), step(list(v), 2)]
-    j = next(k for k, c in enumerate(v) if c != 1)
-    w = total(units[j], v)
-    return [step(total(e, units[j]), 1), step(w, ctx.inv(w[j]))]
+    return steps
 
 
-def _orthogonal_product(ctx: gf.FieldCtx, draws: Sequence[tuple[int, ...]]
-                        ) -> MatrixFq:
+def _orthogonal_product(ctx: gf.FieldCtx,
+                        draws: Iterable[tuple[int, ...]],
+                        min_weight: int = 0) -> Optional[MatrixFq]:
     """diag(I_{n-1}, R(v_n)) ... diag(1, R(v_2)) R(v_1) for draws v_1..v_n
-    of lengths n..1 (see _isometry), a pure function of the draws.  P
-    starts as I and is right-multiplied by diag(I_i, R(v_{i+1})) for i =
-    n-1 down to 0.  Before that step P = diag(I_{i+1}, *), so only rows
-    i..n-1 and columns i..n-1 change.
+    of lengths n..1 (see _isometry), a pure function of the draws, or None
+    at the first row with fewer than min_weight nonzero entries.  The
+    factors past diag(I_i, R(v_{i+1})) fix e_i, so row i is (0^i, v_{i+1})
+    right-multiplied by diag(I_{i-1}, R(v_i)), ..., R(v_1), each of which
+    changes coordinates j..n-1 of it only, j the block's offset.  Row i is
+    built once v_{i+1} is read, before the next draw is asked for.
 
     Over the orbits of _unit_draws this is a bijection onto {A : A A^T =
     I}: row 1 of the product is v_1, and A R(v_1)^-1 = diag(1, A') with
     A' the product of v_2..v_n.  Uniform draws give a uniform A."""
     adds, muls = ctx.tables()
-    n = len(draws)
-    rows = [list(e) for e in _unit_rows(n)]
-    for i in range(n - 1, -1, -1):
-        for w, u in _isometry(ctx, draws[i]):
-            for row in rows[i:]:
-                x = row[i:]
+    isometry = _isometry(ctx)
+    rows: list[list[int]] = []
+    isometries = []
+    for i, v in enumerate(draws):
+        row = [0] * i + list(v)
+        for j in range(i - 1, -1, -1):
+            for w, u in isometries[j]:
+                x = row[j:]
                 t = 0
                 for a, b in zip(x, w):
                     t = adds[t][muls[a][b]]
                 if t:
                     mt = muls[t]
-                    row[i:] = [adds[a][mt[b]] for a, b in zip(x, u)]
+                    row[j:] = [adds[a][mt[b]] for a, b in zip(x, u)]
+        if len(row) - row.count(0) < min_weight:
+            return None
+        rows.append(row)
+        isometries.append(isometry(v))
+    n = len(rows)
     return MatrixFq(ctx, n, n, [x for row in rows for x in row])

@@ -291,6 +291,14 @@ def test_search_miss_exits_1(capsys):
     assert "no [4,2,>=4]" in out
 
 
+def test_search_past_the_singleton_bound_exits_1(capsys):
+    # the full default budget, answered without a trial
+    code, out = run(capsys, "search", "--field", "2", "--n", "4", "--k",
+                    "2", "--target-d", "4")
+    assert code == 1
+    assert out == "no [4,2,>=4]_F2 within 100000 trials\n"
+
+
 def test_tables_1_all_match(capsys):
     code, out = run(capsys, "tables", "1")
     assert code == 0

@@ -383,6 +383,20 @@ def test_search_rejects_k_outside_1_to_n(F7, monkeypatch, n, k):
         search_random_lcd(F7, n, k, 2, budget=200, seed=0)
 
 
+def test_search_past_the_singleton_bound_runs_no_trial(F2, F7, monkeypatch):
+    # d <= n - k + 1 for every [n, k] code, so no trial can hit; at the
+    # bound itself trials still run
+    def sample(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(orthogen, "random_orthogonal", sample)
+    assert search_random_lcd(F2, 4, 2, 4, budget=100_000, seed=0) is None
+    assert search_random_lcd(F7, 6, 2, 6, budget=10, seed=3) is None
+    assert search_random_lcd(F7, 1, 1, 2, budget=10, seed=3) is None
+    with pytest.raises(AssertionError):
+        search_random_lcd(F7, 6, 2, 5, budget=10, seed=3)
+
+
 def test_search_deterministic(F11):
     a = search_random_lcd(F11, 5, 3, 3, budget=200, seed=9)
     b = search_random_lcd(F11, 5, 3, 3, budget=200, seed=9)

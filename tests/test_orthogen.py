@@ -810,7 +810,7 @@ def test_random_orthogonal_samples(field):
         for seed in range(1 if ctx.q > 1 << 20 else 6):
             A = random_orthogonal(ctx, n, seed)
             assert (A.r, A.c) == (n, n) and A.is_orthogonal()
-            draws = _unit_draws(ctx, n, random.Random(seed))
+            draws = list(_unit_draws(ctx, n, random.Random(seed)))
             assert [len(v) for v in draws] == list(range(n, 0, -1))
             assert all(dot(ctx, v, v) == 1 for v in draws)
             assert A == _orthogonal_product(ctx, draws)
@@ -818,6 +818,85 @@ def test_random_orthogonal_samples(field):
     assert random_orthogonal(ctx, 5, 11) == random_orthogonal(ctx, 5, 11)
     with pytest.raises(DimensionTooSmall):
         random_orthogonal(ctx, 0, 1)
+
+
+def draw_oracle(ctx, n, seed):
+    """Oracle: the draws of random_orthogonal(ctx, n, seed), one plain
+    rng.randrange(q) per entry and the field's own add, mul, inv and
+    sqrt_min: entries x kept when x.x is a nonzero square, scaled to a
+    unit vector, and drawn again at the all-ones vector for even q and odd
+    length past 1."""
+    rng = random.Random(seed)
+    out = []
+    for m in range(n, 0, -1):
+        while True:
+            x = [rng.randrange(ctx.q) for _ in range(m)]
+            s = dot(ctx, x, x)
+            r = ctx.sqrt_min(s) if s else None
+            if r is None:
+                continue
+            v = tuple(ctx.mul(ctx.inv(r), c) for c in x)
+            if not (ctx.p == 2 and m % 2 and m > 1 and set(v) == {1}):
+                out.append(v)
+                break
+    return out
+
+
+@pytest.mark.parametrize("field", ["2", "3", "4", "9", "16", "1031",
+                                   "3^13", "2^40"])
+def test_draws_read_the_rng_as_randrange_would(field):
+    # the draws come from bulk Mersenne Twister words; 2^40 lies past 32
+    # bits, where randrange itself is called
+    ctx = parse_field(field)
+    for n in range(1, 7):
+        for seed in range(2 if ctx.q > 1 << 20 else 25):
+            draws = list(_unit_draws(ctx, n, random.Random(seed)))
+            assert draws == draw_oracle(ctx, n, seed)
+
+
+@pytest.mark.parametrize("field", ["2", "3", "4", "9", "16", "1031"])
+def test_min_weight_gate_matches_the_full_sample(field):
+    # None exactly when some row of the full sample weighs less than the
+    # gate, and otherwise the same matrix
+    ctx = parse_field(field)
+    outcomes = set()
+    for n in range(1, 8):
+        for seed in range(40):
+            A = random_orthogonal(ctx, n, seed)
+            weights = A.row_weights()
+            for w in range(n + 2):
+                B = random_orthogonal(ctx, n, seed, min_weight=w)
+                light = any(x < w for x in weights)
+                assert (B is None) == light
+                assert B is None or B == A
+                if 0 < w <= n:
+                    outcomes.add(light)
+    assert outcomes == {False, True}
+
+
+def test_gate_draws_nothing_past_the_light_row():
+    # row i is built from v_1..v_{i+1} alone, so a sample gated out at
+    # row i has asked for i + 1 draws
+    ctx = field_create(7)
+    stops = set()
+    for seed in range(200):
+        A = random_orthogonal(ctx, 6, seed)
+        light = [i for i, w in enumerate(A.row_weights()) if w < 5]
+        asked = []
+
+        def counted(draws):
+            for v in draws:
+                asked.append(v)
+                yield v
+
+        B = _orthogonal_product(
+            ctx, counted(_unit_draws(ctx, 6, random.Random(seed))), 5)
+        if light:
+            assert B is None and len(asked) == light[0] + 1
+            stops.add(light[0])
+        else:
+            assert B == A and len(asked) == 6
+    assert {0, 1, 2} <= stops
 
 
 def test_random_orthogonal_spreads_over_O():
