@@ -23,7 +23,9 @@ Minimum distance has three exact strategies, priced before any runs
 column-subset scan, and the Singleton certificate.  A code is MDS,
 d = n - k + 1, exactly when every k columns of G are independent, or
 every n - k columns of H; the certificate tests that one size, and when
-it finds a dependent set the strategy it was priced against answers.
+it finds a dependent set the strategy it was priced against answers.  A
+threshold call at t = n - k + 1, the MDS question, may be answered by the
+certificate on G alone: a dependent set there proves d <= n - k < t.
 """
 
 from __future__ import annotations
@@ -75,7 +77,10 @@ class DistanceResult(NamedTuple):
     value: int
     status: str
     upper: Optional[int] = None
-    # ENUMERATION, SUBSETS, SINGLETON or TRIVIAL, and its work: messages
+    # upper: on a lower bound, d <= upper.  A threshold call stopped by
+    # enumeration gives the weight of a codeword it found; one stopped by a
+    # failed Singleton certificate the proven bound n - k, with no codeword.
+    # method: ENUMERATION, SUBSETS, SINGLETON or TRIVIAL, and work: messages
     # visited, leaf subsets charged against the budget (never more than
     # the budget), or the C(n, k) subsets the certificate tested
     method: Optional[str] = None
@@ -208,25 +213,33 @@ class LinearCode:
         scan runs, and a budget blow-up there degrades to a certified lower
         bound plus a generator-row upper bound.  A k = n code has d = 1.
 
-        The certificate is tried first on a code whose lightest generator
-        row weighs at least n - k + 1 (every MDS code passes), when the
-        strategy above would return an exact value anyway (q^k <= budget,
-        or the scan's whole charge fits), its own charge of C(n, k) r^3
-        fits, and it is estimated faster than that strategy.  It tests
+        On a plain call (t = 0, or q^k > budget; below) the certificate is
+        tried first on a code whose lightest generator row weighs at least
+        n - k + 1 (every MDS code passes), when the strategy above would
+        return an exact value anyway (q^k <= budget, or the scan's whole
+        charge fits), its own charge of C(n, r) r^3 fits, and it is
+        estimated faster than that strategy.  It tests
         whether every r columns of M are independent, M being the
         generator (r = k) when k <= n - k and the parity-check matrix
         (r = n - k) otherwise (``_every_column_subset_independent``), with
         the last two columns of each subset compared as projective points.
         When they are, d = n - k + 1; when some are not, the strategy above
-        runs as if the certificate had not.  So value, status and upper
-        never depend on whether it ran.
+        runs as if the certificate had not.  So a plain call's value,
+        status and upper never depend on whether it ran.
 
-        ``at_least = t > 0`` asks only whether d >= t, and is answered by
-        enumeration whenever q^k <= budget, without pricing: it stops at
-        the first codeword of weight w < t and returns (1, lower_bound, w),
-        which is not cached.  When d >= t the enumeration runs to the end
-        and the result is the exact d.  Only enumeration reads t: the
-        subset scan's iterative deepening already stops at d.
+        ``at_least = t > 0`` asks only whether d >= t.  When q^k <= budget
+        it is answered without the plan above.  At t = n - k + 1 it is the
+        MDS question, and the certificate answers it on G alone when its
+        charge C(n, k) k^3 fits and it is estimated faster than enumeration:
+        d = n - k + 1, exact and cached, or else some k columns of G are
+        dependent, so a nonzero codeword vanishes on them and
+        d <= n - k < t, which returns (1, lower_bound, n - k) uncached.
+        Otherwise it enumerates, stops at the first codeword of weight
+        w < t and returns (1, lower_bound, w), not cached; when d >= t the
+        enumeration runs to the end and the result is the exact d.  A
+        threshold code is often new for each call, as in search, so it never
+        builds the dual for the certificate.  When q^k > budget t is not
+        read: the subset scan's iterative deepening already stops at d.
 
         The result's ``method`` names the strategy that answered and
         ``work`` its messages visited, leaf subsets charged, or, for
@@ -242,12 +255,16 @@ class LinearCode:
         if k == n:
             self._dist = DistanceResult(1, EXACT, method=TRIVIAL)
             return self._dist
-        enumerate_, side = self._plan(budget, at_least)
+        fallback, side = self._plan(budget, at_least)
         if side is not None and _every_column_subset_independent(
                 self.G if side == "G" else self.dual().G):
             result = DistanceResult(n - k + 1, EXACT, None, SINGLETON,
                                     comb(n, k))
-        elif enumerate_:
+        elif fallback is None:
+            # some k columns of G are dependent: d <= n - k < at_least
+            return DistanceResult(1, LOWER_BOUND, n - k, SINGLETON,
+                                  comb(n, k))
+        elif fallback == ENUMERATION:
             w, seen = _distance_by_enumeration(self.G.rows(), self.ctx,
                                                n, at_least)
             if w < at_least:
@@ -262,23 +279,41 @@ class LinearCode:
         self._dist = result
         return result
 
-    def _plan(self, budget: int, at_least: int) -> tuple[bool, Optional[str]]:
-        """(enumerate?, the side the Singleton certificate tests first, or
-        None), for 0 < k < n.
+    def _plan(self, budget: int,
+              at_least: int) -> tuple[Optional[str], Optional[str]]:
+        """(the strategy that answers when the Singleton certificate does
+        not run or finds a dependent set, ENUMERATION or SUBSETS, or None
+        when a failed certificate answers by itself; the side the
+        certificate tests first, "G", "H" or None), for 0 < k < n.
 
-        The scan stops at d, which is at most u, the smaller of n - k (it
-        has no pass past rows(H) = n - k) and the lightest generator row.
-        So it charges at most the sum over w <= u of C(n, w) rows(H) w^2,
-        and takes about the fixed cost plus rows(H) per leaf subset in that
-        range.  Enumeration runs when q^k <= budget and either t > 0 or the
-        scan is not both estimated faster and sure to fit the budget.  The
-        certificate charges C(n, r) r^3, the scan's rule for its C(n, r)
-        subsets of size r, and takes about one unit per subset and row of
-        the smaller side, G on a tie since it needs no dual."""
+        A threshold call (t > 0) with q^k <= budget enumerates, unless
+        t = n - k + 1 and the certificate on G, charged C(n, k) k^3, fits
+        the budget and is estimated faster than enumeration: then it is
+        (None, "G").  Enumeration visits (q^k - 1) / (q - 1) messages and
+        (q^k - 1) / (q (q - 1)) + 1 leaves.
+
+        Otherwise the scan stops at d, which is at most u, the smaller of
+        n - k (it has no pass past rows(H) = n - k) and the lightest
+        generator row.  So it charges at most the sum over w <= u of
+        C(n, w) rows(H) w^2, and takes about the fixed cost plus rows(H)
+        per leaf subset in that range.  Enumeration runs when q^k <= budget
+        and the scan is not both estimated faster and sure to fit the
+        budget.  The certificate charges C(n, r) r^3, the scan's rule for
+        its C(n, r) subsets of size r, and takes about one unit per subset
+        and row of the smaller side, G on a tie since it needs no dual."""
         q, n, k = self.ctx.q, self.n, self.k
         enumerable = q ** k <= budget
-        if enumerable and at_least > 0:
-            return True, None
+        if enumerable:
+            messages = (q ** k - 1) // (q - 1)
+            enum_ns = (_ENUM_MESSAGE_NS * messages
+                       + _ENUM_LEAF_NS * (messages // q + 1))
+            if at_least > 0:
+                subsets = comb(n, k)
+                if (at_least == n - k + 1 and subsets * k ** 3 <= budget
+                        and _SINGLETON_SUBSET_ROW_NS * subsets * k
+                        < enum_ns):
+                    return None, "G"
+                return ENUMERATION, None
         lightest = min(self.G.row_weights())
         rows_h = n - k
         scan_ns, charge = _SUBSETS_FIXED_NS, 0
@@ -286,22 +321,18 @@ class LinearCode:
             leaves = comb(n, w)
             scan_ns += _SUBSETS_LEAF_ROW_NS * rows_h * leaves
             charge += leaves * rows_h * w * w
-        if enumerable:
-            messages = (q ** k - 1) // (q - 1)
-            enum_ns = (_ENUM_MESSAGE_NS * messages
-                       + _ENUM_LEAF_NS * (messages // q + 1))
-            enumerate_ = scan_ns >= enum_ns or charge > budget
-        else:
-            enumerate_ = False
+        fallback = (ENUMERATION if enumerable and (scan_ns >= enum_ns
+                                                   or charge > budget)
+                    else SUBSETS)
         if lightest <= rows_h or not (enumerable or charge <= budget):
-            return enumerate_, None
+            return fallback, None
         side, r = ("G", k) if k <= rows_h else ("H", rows_h)
         subsets = comb(n, r)
         if (subsets * r ** 3 > budget
                 or _SINGLETON_SUBSET_ROW_NS * subsets * r
-                >= (enum_ns if enumerate_ else scan_ns)):
-            return enumerate_, None
-        return enumerate_, side
+                >= (enum_ns if fallback == ENUMERATION else scan_ns)):
+            return fallback, None
+        return fallback, side
 
     def classify(self) -> str:
         """Singleton classification; needs an exactly known distance."""

@@ -595,6 +595,22 @@ def test_subset_scan_results_pinned():
         assert build().distance(budget) == want
 
 
+def _answers_mds_question(C, budget, t):
+    """Whether a threshold call distance(budget, at_least=t) asks the
+    Singleton certificate on G: t = n - k + 1, q^k <= budget, the charge
+    C(n, k) k^3 fits, and the certificate is priced below enumeration by the
+    pinned constants."""
+    from lcdkit import codes
+    q, n, k = C.ctx.q, C.n, C.k
+    messages = (q ** k - 1) // (q - 1)
+    enum_ns = (codes._ENUM_MESSAGE_NS * messages
+               + codes._ENUM_LEAF_NS * (messages // q + 1))
+    subsets = comb(n, k)
+    return (t == n - k + 1 and q ** k <= budget
+            and subsets * k ** 3 <= budget
+            and codes._SINGLETON_SUBSET_ROW_NS * subsets * k < enum_ns)
+
+
 @pytest.mark.parametrize("desc", ["2", "5", "16", "25", "1031", "2^11"])
 def test_distance_at_least(desc):
     # 1031 and 2^11 lie above the table cap
@@ -604,10 +620,13 @@ def test_distance_at_least(desc):
     k_max = 1
     while ctx.q ** (k_max + 1) <= DEFAULT_DISTANCE_BUDGET and k_max < 4:
         k_max += 1
-    for _ in range(12):
-        n = rng.randrange(2, 10)
-        G = random_code(ctx, n, rng.randrange(1, min(n - 1, k_max) + 1),
-                        rng).G
+    methods, mds_methods = set(), set()
+    # the last code is [9, k_max]: over GF(2) enumerating its 15 messages
+    # is priced below the certificate's 126 subsets
+    for trial in range(13):
+        n = rng.randrange(2, 10) if trial < 12 else 9
+        k = rng.randrange(1, min(n - 1, k_max) + 1) if trial < 12 else k_max
+        G = random_code(ctx, n, k, rng).G
         # the chooser may answer a plain call by either strategy, so the
         # results are compared on (value, status, upper)
         exact = LinearCode.from_basis(G).distance()[:3]
@@ -616,26 +635,94 @@ def test_distance_at_least(desc):
         for t in range(n + 2):
             C = LinearCode.from_basis(G)
             res = C.distance(at_least=t)
-            if t > 0 and G.r < n:
-                # a threshold call enumerates whenever q^k <= budget
-                assert res.method == "enumeration"
-                assert 0 < res.work <= (ctx.q ** G.r - 1) // (ctx.q - 1)
+            if t > 0 and k < n:
+                # a threshold call at t = n - k + 1 asks the certificate
+                # when it is priced cheaper; every other one enumerates
+                if _answers_mds_question(C, DEFAULT_DISTANCE_BUDGET, t):
+                    assert C._plan(DEFAULT_DISTANCE_BUDGET, t) == (None, "G")
+                    assert res.method == "singleton"
+                    assert res.work == comb(n, k)
+                else:
+                    assert C._plan(DEFAULT_DISTANCE_BUDGET, t) == (
+                        "enumeration", None)
+                    assert res.method == "enumeration"
+                    assert 0 < res.work <= (ctx.q ** k - 1) // (ctx.q - 1)
+                methods.add(res.method)
+                if t == n - k + 1:
+                    mds_methods.add(res.method)
             if d >= t:
                 assert res[:3] == exact
             else:
                 assert res.status == LOWER_BOUND and res.value == 1
                 assert d <= res.upper < t
+                if res.method == "singleton":
+                    # the proven bound, not a codeword found
+                    assert res.upper == n - k
                 # the early answer is not cached; the exact one still comes
                 assert C._dist is None and C.distance()[:3] == exact
             # a cached exact distance answers every threshold unchanged
             assert C.distance(at_least=t) is C._dist
             assert C._dist[:3] == exact
-        # the column-subset path ignores the threshold
-        budget = ctx.q ** G.r - 1
-        if G.r < n:
+        if k < n:
+            # at the least budget that lets enumeration run, the
+            # certificate's charge C(n, k) k^3 must fit it too
+            t, budget = n - k + 1, ctx.q ** k
+            C = LinearCode.from_basis(G)
+            res = C.distance(budget, at_least=t)
+            assert res.method == ("singleton"
+                                  if _answers_mds_question(C, budget, t)
+                                  else "enumeration")
+            assert (res.status == EXACT) == (d >= t)
+            mds_methods.add(res.method)
+            # the column-subset path ignores the threshold
+            budget -= 1
             by_subsets = LinearCode.from_basis(G).distance(budget)
             assert LinearCode.from_basis(G).distance(
                 budget, at_least=n + 1) == by_subsets
+    assert methods == {"enumeration", "singleton"}
+    if desc == "2":
+        assert mds_methods == {"enumeration", "singleton"}
+
+
+@pytest.mark.parametrize("desc", ["2", "3", "4", "7", "16", "25", "1031",
+                                  "2^11"])
+def test_mds_question_matches_enumeration(desc, monkeypatch):
+    # distance(at_least=n-k+1) decides d >= n - k + 1 as the enumeration
+    # does, on GRS codes (MDS), GRS codes with a column zeroed or repeated
+    # (not MDS) and random codes; the dual is never built for it
+    from lcdkit import codes
+    ctx = parse_field(desc)
+    rng = random.Random(f"mds-question:{desc}")
+    k_max = 1
+    while ctx.q ** (k_max + 1) <= 1 << 16 and k_max < 5:
+        k_max += 1
+    monkeypatch.setattr(LinearCode, "dual", None)
+    answers = set()
+    for trial in range(40):
+        kind = trial % 4
+        # a GRS code needs n distinct points
+        n = rng.randrange(2, (9 if kind == 3 else min(ctx.q, 9)) + 1)
+        k = rng.randrange(1, min(n - 1, k_max) + 1)
+        if kind == 3:
+            G = random_code(ctx, n, k, rng).G
+        else:
+            G = grs_code(ctx, n, k, rng).G
+            if kind:
+                rows = [list(row) for row in G.rows()]
+                a, b = rng.sample(range(n), 2)
+                for row in rows:
+                    row[b] = 0 if kind == 1 else row[a]
+                G = MatrixFq.from_rows(ctx, rows)
+                if G.rank() < k:
+                    continue
+        t = n - k + 1
+        res = LinearCode.from_basis(G).distance(at_least=t)
+        w, _ = codes._distance_by_enumeration(G.rows(), ctx, n, t)
+        assert (res.status == EXACT and res.value >= t) == (w >= t), G
+        if w >= t:
+            assert res[:3] == (t, EXACT, None)
+        answers.add((res.method, w >= t))
+    assert ("singleton", True) in answers and ("singleton", False) in answers
 
 
 def test_distance_budget_degrades_to_bound(F2):

@@ -3,6 +3,7 @@ the cyclic pipeline, each against its defining algebraic property."""
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -451,6 +452,61 @@ def test_search_records_are_pinned(args, expected):
     rec = search_random_lcd(parse_field(desc), n, k, d, budget, seed)
     assert rec.to_json() == expected
     assert replay_record(rec).to_text() == rec.matrix
+
+
+# The benchmark's search targets, (field, n, k, d): all but [8,4,4]_F4 ask
+# for an MDS code, d = n - k + 1
+SEARCH_SHAPES = [("7", 6, 2, 5), ("4", 8, 4, 4), ("11", 5, 3, 3),
+                 ("11", 7, 3, 5), ("17", 7, 3, 5), ("16", 7, 2, 6),
+                 ("16", 5, 2, 4), ("25", 6, 3, 4), ("13", 6, 3, 4)]
+
+
+def _reference_search(ctx, n, k, target_d, budget, seed):
+    """search_random_lcd with each subset's distance decided by enumerating
+    its messages directly, not by LinearCode.distance."""
+    from lcdkit import construct
+    from lcdkit.codes import _distance_by_enumeration
+    for trial in range(budget):
+        trial_seed = construct._trial_seed(seed, trial)
+        A = random_orthogonal(ctx, n, trial_seed, min_weight=target_d)
+        if A is None:
+            continue
+        for subset in combinations(range(n), k):
+            G = A.take_rows(subset)
+            d, _ = _distance_by_enumeration(G.rows(), ctx, n, target_d)
+            if d < target_d:
+                continue
+            rng = random.Random(trial_seed * 2 + 1)
+            lam, blocks = construct._random_twist(ctx, k, rng)
+            provenance = {"kind": "uniform", "seed": seed, "trial": trial,
+                          "row_indices": list(subset), "lambdas": lam,
+                          "blocks": blocks}
+            return CodeRecord(
+                field=ctx.descriptor, n=n, k=k, d=d, d_status=EXACT,
+                tag="rotated" if blocks else "scaled", provenance=provenance,
+                matrix=construct._twist(G, lam, blocks or None).to_text())
+    return None
+
+
+@pytest.mark.parametrize("desc,n,k,d", SEARCH_SHAPES)
+def test_search_matches_enumerating_reference(desc, n, k, d, monkeypatch):
+    # the MDS question answered by the Singleton certificate picks the same
+    # subsets, so the same records, as enumerating every subset's messages
+    distance, methods = LinearCode.distance, set()
+
+    def spy(code, *args, **kwargs):
+        result = distance(code, *args, **kwargs)
+        methods.add(result.method)
+        return result
+
+    monkeypatch.setattr(LinearCode, "distance", spy)
+    ctx = parse_field(desc)
+    for seed in range(10):
+        rec = search_random_lcd(ctx, n, k, d, 100_000, seed)
+        assert rec is not None
+        assert rec.to_json() == _reference_search(
+            ctx, n, k, d, 100_000, seed).to_json()
+    assert methods == ({"singleton"} if d == n - k + 1 else {"enumeration"})
 
 
 @pytest.mark.parametrize("args,line", PINNED_SEARCHES)

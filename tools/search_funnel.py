@@ -12,7 +12,10 @@ workload calls it, and counts per target:
     rows        rows built (one unit-vector draw each)
     whole       rows that building every sample in full would take
     subsets     k-row subsets scanned, one distance call each
-    messages    messages the distance calls enumerated (their work)
+    messages    messages the distance calls that enumerated visited
+    certified   distance calls the Singleton certificate answered, as
+                passed/failed: d = n - k + 1, or some k columns of the
+                subset dependent, so d < target_d
 
 The counts are deterministic: they follow from the seeds alone.  rows
 against whole is the work the row gate saves.  Standard library only; it
@@ -36,7 +39,7 @@ from lcdkit import codes, construct, orthogen  # noqa: E402
 from lcdkit.gf import parse_field  # noqa: E402
 
 COLUMNS = ("jobs", "trials", "light", "rows", "whole", "subsets",
-           "messages")
+           "messages", "certified")
 
 
 class Funnel:
@@ -70,7 +73,11 @@ class Funnel:
         def counted_distance(code, *args, **kwargs):
             result = distance(code, *args, **kwargs)
             self.counts["subsets"] += 1
-            self.counts["messages"] += result.work
+            if result.method == codes.SINGLETON:
+                self.counts["passed" if result.status == codes.EXACT
+                            else "failed"] += 1
+            else:
+                self.counts["messages"] += result.work
             return result
 
         patches = [(orthogen, "_unit_draws", draws, counted_draws),
@@ -123,7 +130,9 @@ def row(counts: Counter, stops: Counter) -> str:
     """The table cells of one target: the counts, then light samples by the
     row they stopped at."""
     by_row = " ".join(f"{i}:{stops[i]}" for i in sorted(stops)) or "-"
-    return " | ".join(str(counts[c]) for c in COLUMNS) + f" | {by_row} |"
+    cells = [f"{counts['passed']}/{counts['failed']}" if c == "certified"
+             else str(counts[c]) for c in COLUMNS]
+    return " | ".join(cells) + f" | {by_row} |"
 
 
 if __name__ == "__main__":
