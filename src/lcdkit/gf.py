@@ -15,7 +15,8 @@ of order q - 1; found on first use above the exp/log cap) plus exp/log
 tables for fields of desk scale, so products, inverses, and square roots
 cost one or two list lookups.  Primality is a deterministic Miller-Rabin
 test, proven for every value below about 3.3e24 and refusing larger ones;
-q - 1 is factored by Pollard-Brent rho to find g.
+q - 1 is factored by Pollard-Brent rho to find g.  A field order q must be
+below the square of that bound (_Q_LIMIT), checked before any work.
 
 The hot loops, here and elsewhere in the package, do their arithmetic
 through ``FieldCtx.tables()``, one interface for every q: adds[a][b] and
@@ -59,6 +60,9 @@ _SELF_DUAL_RETRIES = 64  # its attempts before the complete fallback
 # (Sorenson and Webster, Math. Comp. 86, 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+# every field order is below this, which keeps GF(p^2) for each prime p
+# that is_prime proves; a larger one is refused before any work
+_Q_LIMIT = _MR_LIMIT ** 2
 
 
 def is_prime(n: int) -> bool:
@@ -298,6 +302,12 @@ class FieldCtx:
         else:
             if degree < 2:
                 raise InvalidValue("extension degree must be at least 2")
+            # base.q >= 2, so a degree of the cap's bit length passes it,
+            # and q is formed only for smaller degrees
+            if (degree >= _Q_LIMIT.bit_length()
+                    or base.q ** degree >= _Q_LIMIT):
+                raise InvalidValue(f"GF({base.q}^{degree}) is too large: "
+                                   f"q must be below {_Q_LIMIT:.3g}")
             self.p, self.base, self.degree = base.p, base, degree
             self.m = base.m * degree
             self.q = base.q ** degree

@@ -34,11 +34,10 @@ product of the partial orbit sizes is a proven lower bound on |G| at every
 step, and classical_orthogonal_order (halved when every generator has
 square spinor norm) a proven upper bound, so the chain stops as soon as
 the two meet; a capped call also stops as soon as the partial orbits prove
-the order exceeds the cap.  The random walk reads its rng's Mersenne
-Twister words in bulk, in the order randrange and shuffle would, holds its
-matrix as n column tuples, applies each shuffle as column swaps and each
-run of one generator as one power of it (see random_walk).  All three do
-their arithmetic by indexing ``ctx.tables()``.
+the order exceeds the cap.  The random walk applies its steps one at a
+time and rewrites, per generator step, only the columns that generator
+moves (see random_walk).  The sampler, the chain and the walk do their
+arithmetic by indexing ``ctx.tables()``.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .matfq import MatrixFq
 DEFAULT_CLOSURE_CAP = 1 << 21
 
 _State = tuple[int, ...]
-_ColOp = Callable[[list], None]
 
 
 def transvection_matrix(ctx: gf.FieldCtx, n: int) -> MatrixFq:
@@ -112,33 +110,6 @@ class OrthoGenSet:
         return [self.swap, self.cycle] + [m for m in extras if m is not None]
 
     @functools.cached_property
-    def _walk_steps(self) -> list[Callable[[int], _ColOp]]:
-        """j -> column op of the j-th power, for any j >= 1, per generator
-        past the permutations, in matrices() order; built at the first
-        walk.  Each reads its parameters from its matrix: theta is
-        T[0,0] - 1, and (a, b) is the plane map's first column."""
-        ctx, T, P = self.ctx, self.transvection, self.plane
-        steps = []
-        if T is not None:
-            ops = (_no_op, _transvection_cols(ctx, ctx.sub(T[0, 0], 1)))
-            steps.append(lambda j: ops[j % 2])
-        if P is not None:
-            a, b = P[0, 0], P[1, 0]
-
-            @functools.cache
-            def plane(j: int) -> _ColOp:
-                # (x, y) = (a + b i)^j, i^2 = -1, by repeated squaring
-                x, y, u, v = 1, 0, a, b
-                while j:
-                    if j & 1:
-                        x, y = _gauss_mul(ctx, x, y, u, v)
-                    u, v = _gauss_mul(ctx, u, v, u, v)
-                    j >>= 1
-                return _no_op if (x, y) == (1, 0) else _plane_cols(ctx, x, y)
-            steps.append(plane)
-        return steps
-
-    @functools.cached_property
     def _order_bound(self) -> int:
         """A proven upper bound on the generated group's order: the order
         of {A : A A^T = I}, halved for odd q and n >= 2 when every
@@ -161,7 +132,7 @@ def _swap_sigma(n: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def generator_set(ctx: gf.FieldCtx, n: int) -> OrthoGenSet:
     """The generating set for (ctx, n).  It is immutable, so one instance
-    per (ctx, n) is built and shared, walk ops included."""
+    per (ctx, n) is built and shared."""
     if n < 1:
         raise DimensionTooSmall("n must be positive")
     swap = MatrixFq.permutation(ctx, _swap_sigma(n))
@@ -173,50 +144,6 @@ def generator_set(ctx: gf.FieldCtx, n: int) -> OrthoGenSet:
                        transvection=transvection_matrix(ctx, n)
                        if n >= 4 else None,
                        plane=plane_matrix(ctx, n, *pair) if pair else None)
-
-
-# ---------------------------------------------------------------------------
-# right-multiplication ops on a list of column tuples, rewritten in place
-
-def _plane_cols(ctx: gf.FieldCtx, a: int, b: int) -> _ColOp:
-    """Right multiply by [[a,-b],[b,a]] on coordinates 0 and 1: columns
-    x, y become a x + b y and a y - b x."""
-    adds, muls = ctx.tables()
-    ma, mb, mnb = muls[a], muls[b], muls[ctx.neg(b)]
-
-    def op(cols: list) -> None:
-        x, y = cols[0], cols[1]
-        cols[0] = tuple([adds[ma[u]][mb[v]] for u, v in zip(x, y)])
-        cols[1] = tuple([adds[mnb[u]][ma[v]] for u, v in zip(x, y)])
-
-    return op
-
-
-def _transvection_cols(ctx: gf.FieldCtx, theta: int) -> _ColOp:
-    """Right multiply by I + theta * ones(4): each row gains t = theta
-    times the sum of its first four entries, on those same four columns.
-    One pass builds each row's new 4-tuple, and zip turns them back into
-    columns."""
-    adds, muls = ctx.tables()
-    mth = muls[theta]
-
-    def op(cols: list) -> None:
-        cols[:4] = zip(*[(at[a], at[b], at[c], at[d])
-                         for a, b, c, d in zip(*cols[:4])
-                         for at in (adds[mth[adds[adds[a][b]][adds[c][d]]]],)])
-
-    return op
-
-
-def _no_op(cols: list) -> None:
-    """A generator's power that is the identity."""
-
-
-def _gauss_mul(ctx: gf.FieldCtx, x: int, y: int, u: int, v: int
-               ) -> tuple[int, int]:
-    """(x + y i)(u + v i) with i^2 = -1, as the pair of its parts."""
-    return (ctx.sub(ctx.mul(x, u), ctx.mul(y, v)),
-            ctx.add(ctx.mul(x, v), ctx.mul(y, u)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -503,20 +430,6 @@ def spinor_norm(M: MatrixFq) -> int:
     return ctx.mul(theta, ctx.power(2, len(R)))
 
 
-_BLOCK = 128                    # Mersenne Twister words per getrandbits call
-_UNPACK = struct.Struct(f"<{_BLOCK}I").unpack
-
-
-def _words(rng: random.Random) -> Iterator[int]:
-    """rng's 32-bit Mersenne Twister outputs, in the order its own calls
-    would consume them: getrandbits(32 B) holds B consecutive outputs, the
-    first in the low 32 bits.  Drawn B at a time and never exhausted."""
-    def block() -> tuple[int, ...]:
-        return _UNPACK(rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK,
-                                                             "little"))
-    return itertools.chain.from_iterable(iter(block, None))
-
-
 def random_walk(gens: OrthoGenSet, walk_length: int, seed: int
                 ) -> MatrixFq:
     """Random walk over the generated group: each step right-multiplies by
@@ -527,56 +440,41 @@ def random_walk(gens: OrthoGenSet, walk_length: int, seed: int
     uniform on it; it is kept to replay the "search" and "rows" records
     that name it, and new samples come from random_orthogonal.
 
-    It is the walk that draws, per step, kind = rng.randrange(kinds) and,
-    for kind 0, rng.shuffle(sigma) of sigma = [0..n-1], with rng =
-    Random(seed), and reads the same words of that rng in the same order.
-    CPython draws randrange(m), and each index of a shuffle, as
-    _randbelow(m): a word w >> (32 - m.bit_length()), drawn again while it
-    is >= m.  _words yields the words those calls would read, in order,
-    from bulk getrandbits calls; the rng is private to the call, so what
-    it reads past the last word used is never seen.
-
-    Shuffle draws j_{n-1}, ..., j_1 and swaps sigma[i] with sigma[j_i].
-    Multiplying by the matrix of sigma moves column i to column sigma[i],
-    which is the same as swapping columns i and j_i for i = 1..n-1, the
-    reverse of the draw order.  A run of one other generator becomes its
-    power modulo its order when the run ends (involutions cancel in
-    pairs; j rotations by a + b i make one by (a + b i)^j).  The matrix is
-    held as n column tuples: the plane map rewrites columns 0 and 1, the
-    transvection columns 0..3."""
+    With rng = Random(seed), each step draws kind = rng.randrange(1 +
+    len(extras)), extras = gens.matrices()[2:].  Kind 0 applies
+    rng.shuffle(sigma) of sigma = [0..n-1], which moves column j to column
+    sigma[j]; kind k right-multiplies by extras[k - 1].  The matrix is held
+    as n column tuples, and a generator rewrites only the columns where it
+    differs from the identity, each a combination of the old columns that
+    its own column's nonzero entries name."""
     if walk_length < 0:
         raise InvalidValue(f"walk length {walk_length} is negative")
-    n = gens.n
-    word = _words(random.Random(seed)).__next__
-    steps = gens._walk_steps
-    kinds = 1 + len(steps)
-    shift = 32 - kinds.bit_length()
-    draws = [(i, 32 - (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
-    cols = list(_unit_rows(n))
-    # the pending run: count steps of kind run, and none while run is 0
-    run, count = 0, 0
+    ctx, n = gens.ctx, gens.n
+    adds, muls = ctx.tables()
+    units = _unit_rows(n)
+    # per generator: (j, [(i, muls[M[i, j]]) for M[i, j] != 0]) per moved j
+    extras = [[(j, [(i, muls[c]) for i, c in enumerate(col) if c])
+               for j, col in enumerate(zip(*M.rows())) if col != units[j]]
+              for M in gens.matrices()[2:]]
+    rng = random.Random(seed)
+    cols = list(units)
     for _ in range(walk_length):
-        kind = word() >> shift
-        while kind >= kinds:
-            kind = word() >> shift
-        if kind and kind == run:
-            count += 1
-            continue
-        if run:
-            steps[run - 1](count)(cols)
-        run, count = kind, 1
+        kind = rng.randrange(1 + len(extras))
         if not kind:
-            swaps = []
-            for i, s in draws:
-                j = word() >> s
-                while j > i:
-                    j = word() >> s
-                swaps.append((i, j))
-            for i, j in reversed(swaps):
-                cols[i], cols[j] = cols[j], cols[i]
-    if run:
-        steps[run - 1](count)(cols)
-    return MatrixFq(gens.ctx, n, n, [x for row in zip(*cols) for x in row])
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            moved = cols[:]
+            for j, s in enumerate(sigma):
+                moved[s] = cols[j]
+            cols = moved
+            continue
+        old = cols[:]
+        for j, terms in extras[kind - 1]:
+            col = [0] * n
+            for i, mc in terms:
+                col = [adds[s][mc[x]] for s, x in zip(col, old[i])]
+            cols[j] = tuple(col)
+    return MatrixFq(ctx, n, n, [x for row in zip(*cols) for x in row])
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +500,20 @@ def random_orthogonal(ctx: gf.FieldCtx, n: int, seed: int = 0,
         raise DimensionTooSmall("n must be positive")
     return _orthogonal_product(ctx, _unit_draws(ctx, n, random.Random(seed)),
                                min_weight)
+
+
+_BLOCK = 128                    # Mersenne Twister words per getrandbits call
+_UNPACK = struct.Struct(f"<{_BLOCK}I").unpack
+
+
+def _words(rng: random.Random) -> Iterator[int]:
+    """rng's 32-bit Mersenne Twister outputs, in the order its own calls
+    would consume them: getrandbits(32 B) holds B consecutive outputs, the
+    first in the low 32 bits.  Drawn B at a time and never exhausted."""
+    def block() -> tuple[int, ...]:
+        return _UNPACK(rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK,
+                                                             "little"))
+    return itertools.chain.from_iterable(iter(block, None))
 
 
 def _uniform_codes(rng: random.Random, q: int) -> Iterator[int]:

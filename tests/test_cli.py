@@ -84,6 +84,12 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     assert main(["search", "--field", "3", "--n", "4", "--k", "2",
                  "--target-d", "0"]) == 2
+    capsys.readouterr()
+    # a field past the order cap is refused before any work
+    assert main(["sample", "--field", "2^1000", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lcdkit: ") and err.count("\n") == 1
+    assert "too large" in err
 
 
 def test_parser_serves_every_call_alike(capsys):
@@ -179,7 +185,11 @@ def test_extend_non_integer_option_is_a_usage_error(tmp_path, capsys,
 BAD_HEADER_FIELDS = {"degree_zero": "2^0", "degree_negative": "2^-1",
                      "tower_over_itself": "3/3",
                      "tower_degree_one": "3^1/3",
-                     "extension_tower_over_itself": "4/4"}
+                     "extension_tower_over_itself": "4/4",
+                     # orders past the field cap, refused before any work
+                     "order_past_the_cap": "2^1000",
+                     "degree_past_any_cap": "2^99999999999999999999",
+                     "decimal_order_past_the_cap": str(2 ** 1000)}
 
 
 def _malformed_value_args(tmp_path):

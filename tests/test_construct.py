@@ -412,8 +412,7 @@ def test_search_binary_fallback_twist(F2):
 
 
 # Records that search_random_lcd(*args) wrote while it sampled by random
-# walk, as an earlier, step-by-step version of the walk wrote them: the
-# folded column walk must replay them byte for byte.
+# walk: random_walk must replay them byte for byte.
 PINNED_SEARCHES = [
     (("11", 5, 3, 3, 200, 9),
      '{"d":3,"d_status":"exact","field":"11","k":3,"matrix":"11 3 5\\n'

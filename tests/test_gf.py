@@ -292,6 +292,21 @@ def test_parse_field_by_integer_roots():
         parse_field(str(2 ** 89 - 1))
 
 
+def test_field_order_is_capped_before_any_work():
+    # the cap is _MR_LIMIT^2, about 1.1e49: 3^102 is below it, 3^103 past
+    assert field_create(3, 102).q == 3 ** 102
+    start = time.perf_counter()
+    for make in (lambda: field_create(3, 103),
+                 lambda: field_create(2, 10 ** 20),
+                 lambda: tower_create(parse_field("4"), 82),
+                 lambda: parse_field("2^99999999999999999999"),
+                 lambda: parse_field(str(2 ** 1000)),
+                 lambda: parse_field("4^500/4")):
+        with pytest.raises(InvalidValue, match="too large"):
+            make()
+    assert time.perf_counter() - start < 2
+
+
 def test_reducible_modulus_rejected():
     F2 = field_create(2)
     with pytest.raises(ReducibleModulus):
