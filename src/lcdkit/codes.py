@@ -18,14 +18,15 @@ column-subset scan and the hull share one nullspace.  ``brute_hull``
 re-derives the hull by enumerating codewords, which is the oracle the
 fast path is tested against.
 
-Minimum distance has three exact strategies, priced before any runs
-(``LinearCode.distance``): message enumeration, the parity-check
-column-subset scan, and the Singleton certificate.  A code is MDS,
-d = n - k + 1, exactly when every k columns of G are independent, or
-every n - k columns of H; the certificate tests that one size, and when
-it finds a dependent set the strategy it was priced against answers.  A
-threshold call at t = n - k + 1, the MDS question, may be answered by the
-certificate on G alone: a dependent set there proves d <= n - k < t.
+Minimum distance has three exact strategies (``LinearCode.distance``):
+message enumeration and the parity-check column-subset scan, priced
+against each other, and the Singleton certificate, run by rule.  A code
+is MDS, d = n - k + 1, exactly when every k columns of G are independent,
+or every n - k columns of H; the certificate tests that one size when
+the code can be MDS, and when it finds a dependent set the priced
+strategy answers.  A threshold call at t = n - k + 1, the MDS question,
+is answered by the certificate on G alone: a dependent set there proves
+d <= n - k < t.
 """
 
 from __future__ import annotations
@@ -60,17 +61,16 @@ SINGLETON = "singleton"
 DEFAULT_DISTANCE_BUDGET = 1 << 26
 DEFAULT_HULL_BUDGET = 1 << 16
 
-# The distance strategies' time per unit of work, in ns, fitted on the
-# benchmark's certify codes by tools/fit_distance_costs.py: enumeration
-# pays per message and per leaf (q messages each), the column-subset scan
-# a fixed part (the dual, the set-up) plus one per leaf subset and
-# parity-check row, and the Singleton certificate one per subset of its
-# size and row of the matrix it tests.
+# The time per unit of work, in ns, of the two strategies that _plan
+# prices against each other, fitted on the benchmark's certify codes by
+# tools/fit_distance_costs.py: enumeration pays per message and per leaf
+# (q messages each), the column-subset scan a fixed part (the dual, the
+# set-up) plus one per leaf subset and parity-check row.  The Singleton
+# certificate is not priced.
 _ENUM_MESSAGE_NS = 85
 _ENUM_LEAF_NS = 600
 _SUBSETS_FIXED_NS = 110_000
 _SUBSETS_LEAF_ROW_NS = 75
-_SINGLETON_SUBSET_ROW_NS = 28
 
 
 class DistanceResult(NamedTuple):
@@ -82,7 +82,8 @@ class DistanceResult(NamedTuple):
     # failed Singleton certificate the proven bound n - k, with no codeword.
     # method: ENUMERATION, SUBSETS, SINGLETON or TRIVIAL, and work: messages
     # visited, leaf subsets charged against the budget (never more than
-    # the budget), or the C(n, k) subsets the certificate tested
+    # the budget), or the C(n, k) subsets the certificate tested; they
+    # follow the plan, while value, status and upper do not
     method: Optional[str] = None
     work: int = 0
 
@@ -201,8 +202,8 @@ class LinearCode:
 
     def distance(self, budget: int = DEFAULT_DISTANCE_BUDGET,
                  at_least: int = 0) -> DistanceResult:
-        """Minimum distance by the cheapest of three exact strategies:
-        message enumeration, which visits (q^k - 1) / (q - 1) messages; the
+        """Minimum distance by one of three exact strategies: message
+        enumeration, which visits (q^k - 1) / (q - 1) messages; the
         parity-check column-subset scan; and the Singleton certificate,
         which proves d = n - k + 1 from the subsets of one size.
 
@@ -214,12 +215,12 @@ class LinearCode:
         bound plus a generator-row upper bound.  A k = n code has d = 1.
 
         On a plain call (t = 0, or q^k > budget; below) the certificate is
-        tried first on a code whose lightest generator row weighs at least
-        n - k + 1 (every MDS code passes), when the strategy above would
-        return an exact value anyway (q^k <= budget, or the scan's whole
-        charge fits), its own charge of C(n, r) r^3 fits, and it is
-        estimated faster than that strategy.  It tests
-        whether every r columns of M are independent, M being the
+        tried first, by rule and not by price, on a code whose lightest
+        generator row weighs at least n - k + 1 (every MDS code passes),
+        when the strategy above would return an exact value anyway
+        (q^k <= budget, or the scan's whole charge fits) and its own charge
+        of C(n, r) r^3 fits.  It tests whether every r columns of M are
+        independent, M being the
         generator (r = k) when k <= n - k and the parity-check matrix
         (r = n - k) otherwise (``_every_column_subset_independent``), with
         the last two columns of each subset compared as projective points.
@@ -229,11 +230,11 @@ class LinearCode:
 
         ``at_least = t > 0`` asks only whether d >= t.  When q^k <= budget
         it is answered without the plan above.  At t = n - k + 1 it is the
-        MDS question, and the certificate answers it on G alone when its
-        charge C(n, k) k^3 fits and it is estimated faster than enumeration:
-        d = n - k + 1, exact and cached, or else some k columns of G are
-        dependent, so a nonzero codeword vanishes on them and
-        d <= n - k < t, which returns (1, lower_bound, n - k) uncached.
+        MDS question, and the certificate answers it on G alone whenever its
+        charge C(n, k) k^3 fits: d = n - k + 1, exact and cached, or else
+        some k columns of G are dependent, so a nonzero codeword vanishes
+        on them and d <= n - k < t, which returns (1, lower_bound, n - k)
+        uncached.
         Otherwise it enumerates, stops at the first codeword of weight
         w < t and returns (1, lower_bound, w), not cached; when d >= t the
         enumeration runs to the end and the result is the exact d.  A
@@ -288,9 +289,8 @@ class LinearCode:
 
         A threshold call (t > 0) with q^k <= budget enumerates, unless
         t = n - k + 1 and the certificate on G, charged C(n, k) k^3, fits
-        the budget and is estimated faster than enumeration: then it is
-        (None, "G").  Enumeration visits (q^k - 1) / (q - 1) messages and
-        (q^k - 1) / (q (q - 1)) + 1 leaves.
+        the budget: then it is (None, "G").  Enumeration visits
+        (q^k - 1) / (q - 1) messages and (q^k - 1) / (q (q - 1)) + 1 leaves.
 
         Otherwise the scan stops at d, which is at most u, the smaller of
         n - k (it has no pass past rows(H) = n - k) and the lightest
@@ -298,22 +298,20 @@ class LinearCode:
         C(n, w) rows(H) w^2, and takes about the fixed cost plus rows(H)
         per leaf subset in that range.  Enumeration runs when q^k <= budget
         and the scan is not both estimated faster and sure to fit the
-        budget.  The certificate charges C(n, r) r^3, the scan's rule for
-        its C(n, r) subsets of size r, and takes about one unit per subset
-        and row of the smaller side, G on a tie since it needs no dual."""
+        budget.  The certificate is not priced: it runs when the lightest
+        generator row exceeds n - k, that strategy's answer is exact, and
+        its charge C(n, r) r^3, the scan's rule for its C(n, r) subsets of
+        size r, fits; on the side with fewer rows, G on a tie since it
+        needs no dual."""
         q, n, k = self.ctx.q, self.n, self.k
         enumerable = q ** k <= budget
         if enumerable:
+            if at_least > 0:
+                mds = at_least == n - k + 1 and comb(n, k) * k ** 3 <= budget
+                return (None, "G") if mds else (ENUMERATION, None)
             messages = (q ** k - 1) // (q - 1)
             enum_ns = (_ENUM_MESSAGE_NS * messages
                        + _ENUM_LEAF_NS * (messages // q + 1))
-            if at_least > 0:
-                subsets = comb(n, k)
-                if (at_least == n - k + 1 and subsets * k ** 3 <= budget
-                        and _SINGLETON_SUBSET_ROW_NS * subsets * k
-                        < enum_ns):
-                    return None, "G"
-                return ENUMERATION, None
         lightest = min(self.G.row_weights())
         rows_h = n - k
         scan_ns, charge = _SUBSETS_FIXED_NS, 0
@@ -324,15 +322,11 @@ class LinearCode:
         fallback = (ENUMERATION if enumerable and (scan_ns >= enum_ns
                                                    or charge > budget)
                     else SUBSETS)
-        if lightest <= rows_h or not (enumerable or charge <= budget):
+        r = min(k, rows_h)
+        if (lightest <= rows_h or not (enumerable or charge <= budget)
+                or comb(n, r) * r ** 3 > budget):
             return fallback, None
-        side, r = ("G", k) if k <= rows_h else ("H", rows_h)
-        subsets = comb(n, r)
-        if (subsets * r ** 3 > budget
-                or _SINGLETON_SUBSET_ROW_NS * subsets * r
-                >= (enum_ns if fallback == ENUMERATION else scan_ns)):
-            return fallback, None
-        return fallback, side
+        return fallback, "G" if k <= rows_h else "H"
 
     def classify(self) -> str:
         """Singleton classification; needs an exactly known distance."""
@@ -516,24 +510,26 @@ def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
     return best, seen
 
 
+@lru_cache(maxsize=None)
 def _column_reducer(ctx: gf.FieldCtx):
-    """(children, pivot_rows, pivot_row) for the depth-first walks over
-    column subsets.
+    """(children, pivots) for the depth-first walks over column subsets,
+    built once per field, so every walk shares one pivot table.
 
     A node holds the columns after its prefix reduced modulo the prefix's
     span, pivot coordinates dropped.  ``children(rest, need)`` yields, for
     each rest[i] that leaves at least need - 1 columns after it, the node
     one column deeper: rest[i + 1:] reduced modulo rest[i], which costs one
     scaled-row subtraction per later column.  Those rest[i] must be
-    nonzero.  ``pivot_rows`` maps each a looked up so far to the row of
-    -1/a in the muls table, and ``pivot_row(a)`` adds a; a row is never
-    falsy, so ``pivot_rows.get(a) or pivot_row(a)`` reads it."""
+    nonzero.  ``pivots[a]`` is the row of -1/a in the muls table, built
+    on its first lookup."""
     adds, muls = ctx.tables()
-    pivot_rows = {}
 
-    def pivot_row(a: int):
-        row = pivot_rows[a] = muls[ctx.neg(ctx.inv(a))]
-        return row
+    class Pivots(dict):
+        def __missing__(self, a: int):
+            row = self[a] = muls[ctx.neg(ctx.inv(a))]
+            return row
+
+    pivots = Pivots()
 
     def children(rest, need: int):
         for i in range(len(rest) - need + 1):
@@ -541,7 +537,7 @@ def _column_reducer(ctx: gf.FieldCtx):
             p = 0
             while not v[p]:
                 p += 1
-            m = pivot_rows.get(v[p]) or pivot_row(v[p])
+            m = pivots[v[p]]
             vt = [m[x] for x in v[p + 1:]]                   # -v / v[p]
             later = []
             for b in rest[i + 1:]:
@@ -552,7 +548,7 @@ def _column_reducer(ctx: gf.FieldCtx):
                 later.append(b[:p] + tail if p else tail)
             yield later
 
-    return children, pivot_rows, pivot_row
+    return children, pivots
 
 
 def _every_column_subset_independent(M: MatrixFq) -> bool:
@@ -573,15 +569,14 @@ def _every_column_subset_independent(M: MatrixFq) -> bool:
     two coordinates left and keyed at once."""
     q = M.ctx.q
     adds, muls = M.ctx.tables()
-    children, pivot_rows, pivot_row = _column_reducer(M.ctx)
-    row_of = pivot_rows.get
+    children, pivots = _column_reducer(M.ctx)
     zeros = [(0,) * need for need in range(M.r + 1)]
 
     def walk(rest, need: int) -> bool:
         if zeros[need] in rest:
             return False
         if need == 2:                       # only at the root, for r = 2
-            return len({(row_of(x) or pivot_row(x))[y] if x else q
+            return len({pivots[x][y] if x else q
                         for x, y in rest}) == len(rest)
         if need != 3:
             return need == 1 or all(walk(later, need - 1)
@@ -595,7 +590,7 @@ def _every_column_subset_independent(M: MatrixFq) -> bool:
                 p, s, t = 1, 0, 2
             else:
                 p, s, t = 2, 0, 1
-            m = row_of(v[p]) or pivot_row(v[p])
+            m = pivots[v[p]]
             # -v / v[p] on the two coordinates left (0 on those before p)
             vs, vt = m[v[s]], m[v[t]]
             keys = set()
@@ -605,7 +600,7 @@ def _every_column_subset_independent(M: MatrixFq) -> bool:
                     mb = muls[b[p]]
                     x, y = adds[x][mb[vs]], adds[y][mb[vt]]
                 if x:
-                    keys.add((row_of(x) or pivot_row(x))[y])
+                    keys.add(pivots[x][y])
                 elif y:
                     keys.add(q)
                 else:

@@ -375,6 +375,49 @@ def test_singleton_certificate_on_rs_15_7():
     assert res.work == comb(15, 7) == 6435
 
 
+@pytest.mark.parametrize("k_prime", [2, 3])
+def test_certificate_runs_by_rule_on_derived_codes(k_prime):
+    # derived [20, k']_F25 codes from rs-pipeline: enumeration would visit
+    # only 26 or 651 messages, and the certificate still answers, by rule,
+    # with enumeration's (value, status, upper)
+    from lcdkit.codes import _distance_by_enumeration
+    from lcdkit.construct import (cyclic_mds_self_orthogonal,
+                                  mds_lcd_from_self_orthogonal)
+    ctx = parse_field("5^2")
+    C = cyclic_mds_self_orthogonal(ctx, 24, 4)
+    G = mds_lcd_from_self_orthogonal(C, k_prime).G
+    res = LinearCode.from_basis(G, verify_rank=False).distance()
+    assert res.method == "singleton" and res.work == comb(20, k_prime)
+    d = _distance_by_enumeration(G.rows(), ctx, G.c)[0]
+    assert res[:3] == (d, EXACT, None) == (21 - k_prime, EXACT, None)
+
+
+@pytest.mark.parametrize("desc", ["16", "1031"])
+def test_column_walks_share_one_pivot_table_per_field(desc, monkeypatch):
+    # 1031 lies above the table cap: its pivot rows are computed rows
+    from lcdkit import codes, gf
+    ctx = parse_field(desc)
+    C = grs_code(ctx, 10, 4, random.Random(f"pivots:{desc}"))
+    G, H = C.G, C.dual().G
+    inv, calls = gf.FieldCtx.inv, []
+
+    def counted(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(gf.FieldCtx, "inv", counted)
+    for _ in range(2):
+        calls.clear()
+        # the certificate on both sides, then the scan, which stops at d
+        assert codes._every_column_subset_independent(G)
+        assert codes._every_column_subset_independent(H)
+        assert codes._distance_by_column_subsets(H, 10, 1 << 20)[:2] == (
+            7, True)
+    # the first round may fill the field's table; the second only reads it
+    assert calls == []
+    assert ctx.inv(1) == 1 and calls == [1]         # the spy sees a call
+
+
 def _enumeration_reference(rows, ctx, n, at_least):
     """The enumeration's visiting order on plain tuples through ctx.add and
     ctx.mul: lead row pinned to 1, the rows after it by coefficient 0 first
@@ -597,18 +640,11 @@ def test_subset_scan_results_pinned():
 
 def _answers_mds_question(C, budget, t):
     """Whether a threshold call distance(budget, at_least=t) asks the
-    Singleton certificate on G: t = n - k + 1, q^k <= budget, the charge
-    C(n, k) k^3 fits, and the certificate is priced below enumeration by the
-    pinned constants."""
-    from lcdkit import codes
+    Singleton certificate on G: t = n - k + 1, q^k <= budget and the
+    charge C(n, k) k^3 fits, whatever enumeration would cost."""
     q, n, k = C.ctx.q, C.n, C.k
-    messages = (q ** k - 1) // (q - 1)
-    enum_ns = (codes._ENUM_MESSAGE_NS * messages
-               + codes._ENUM_LEAF_NS * (messages // q + 1))
-    subsets = comb(n, k)
     return (t == n - k + 1 and q ** k <= budget
-            and subsets * k ** 3 <= budget
-            and codes._SINGLETON_SUBSET_ROW_NS * subsets * k < enum_ns)
+            and comb(n, k) * k ** 3 <= budget)
 
 
 @pytest.mark.parametrize("desc", ["2", "5", "16", "25", "1031", "2^11"])
@@ -621,8 +657,9 @@ def test_distance_at_least(desc):
     while ctx.q ** (k_max + 1) <= DEFAULT_DISTANCE_BUDGET and k_max < 4:
         k_max += 1
     methods, mds_methods = set(), set()
-    # the last code is [9, k_max]: over GF(2) enumerating its 15 messages
-    # is priced below the certificate's 126 subsets
+    # the last code is [9, k_max]: over GF(2) its 15 messages are fewer
+    # than the certificate's 126 subsets, and the certificate still
+    # answers its MDS question, since the rule does not price it
     for trial in range(13):
         n = rng.randrange(2, 10) if trial < 12 else 9
         k = rng.randrange(1, min(n - 1, k_max) + 1) if trial < 12 else k_max
@@ -637,7 +674,7 @@ def test_distance_at_least(desc):
             res = C.distance(at_least=t)
             if t > 0 and k < n:
                 # a threshold call at t = n - k + 1 asks the certificate
-                # when it is priced cheaper; every other one enumerates
+                # when its charge fits; every other one enumerates
                 if _answers_mds_question(C, DEFAULT_DISTANCE_BUDGET, t):
                     assert C._plan(DEFAULT_DISTANCE_BUDGET, t) == (None, "G")
                     assert res.method == "singleton"

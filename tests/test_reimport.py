@@ -22,6 +22,8 @@ for _ in range(3):
     ctx = pkg.parse_field("16")
     ctx.tables()
     pkg.generator_set(ctx, 5).matrices()
+    # fills the per-field pivot table that the column walks cache
+    pkg.codes._every_column_subset_independent(pkg.MatrixFq.identity(ctx, 3))
 gc.collect()
 print(sum(isinstance(o, type) and o.__name__ == "FieldCtx"
           and o.__module__ == "lcdkit.gf" for o in gc.get_objects()))
