@@ -258,7 +258,7 @@ class LinearCode:
             return self._dist
         fallback, side = self._plan(budget, at_least)
         if side is not None and _every_column_subset_independent(
-                self.G if side == "G" else self.dual().G):
+                self.ctx, (self.G if side == "G" else self.dual().G).rows()):
             result = DistanceResult(n - k + 1, EXACT, None, SINGLETON,
                                     comb(n, k))
         elif fallback is None:
@@ -551,12 +551,13 @@ def _column_reducer(ctx: gf.FieldCtx):
     return children, pivots
 
 
-def _every_column_subset_independent(M: MatrixFq) -> bool:
-    """Whether every M.r columns of the full-rank M are independent: the
-    Singleton certificate, d = n - k + 1, when M is a generator or a
-    parity-check matrix of an [n, k] code.
+def _every_column_subset_independent(ctx: gf.FieldCtx,
+                                     rows: Sequence[Sequence[int]]) -> bool:
+    """Whether every r columns of the full-rank r x n matrix with these
+    rows are independent: the Singleton certificate, d = n - k + 1, when
+    the rows span an [n, k] code (r = k) or its dual (r = n - k).
 
-    A depth-first walk from the root at size r = M.r, in the order of the
+    A depth-first walk from the root at size r, in the order of the
     column-subset scan and with its node reduction (``_column_reducer``).
     It does not know that smaller sets are independent, so a column that
     reduces to zero at any node, a zero column of M included, ends it: that
@@ -567,10 +568,10 @@ def _every_column_subset_independent(M: MatrixFq) -> bool:
     not reduced pair by pair, and a node with three to go does not build
     its children: for each pivot the later columns are reduced to their
     two coordinates left and keyed at once."""
-    q = M.ctx.q
-    adds, muls = M.ctx.tables()
-    children, pivots = _column_reducer(M.ctx)
-    zeros = [(0,) * need for need in range(M.r + 1)]
+    q, r = ctx.q, len(rows)
+    adds, muls = ctx.tables()
+    children, pivots = _column_reducer(ctx)
+    zeros = [(0,) * need for need in range(r + 1)]
 
     def walk(rest, need: int) -> bool:
         if zeros[need] in rest:
@@ -609,10 +610,13 @@ def _every_column_subset_independent(M: MatrixFq) -> bool:
                 return False
         return True
 
-    # the answer does not depend on the column order, and the most numerous
-    # nodes, the deep ones, reduce the last columns: put the sparse last
-    return walk(sorted((M.col(j) for j in range(M.c)),
-                       key=lambda col: col.count(0)), M.r)
+    # the answer does not depend on the column order, and from r = 3 on
+    # the most numerous nodes, the deep ones, reduce the last columns: put
+    # the sparse last
+    cols = list(zip(*rows))
+    if r >= 3:
+        cols.sort(key=lambda col: col.count(0))
+    return walk(cols, r)
 
 
 def _distance_by_column_subsets(H: MatrixFq, n: int,

@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import gf, orthogen
-from .codes import EXACT, CodeRecord, LinearCode, _is_int, _is_str
+from .codes import (DEFAULT_DISTANCE_BUDGET, EXACT, CodeRecord, LinearCode,
+                    _column_reducer, _every_column_subset_independent,
+                    _is_int, _is_str)
 from .errors import (
     BlockCountMismatch,
     ComponentNotLCD,
@@ -49,6 +51,7 @@ from .errors import (
     NotSelfDualBasis,
     ParseError,
     RankDeficient,
+    ShapeMismatch,
     ZeroScalar,
 )
 from .matfq import MatrixFq
@@ -95,21 +98,32 @@ def apply_row_scaling(C: LinearCode, scalars: Sequence[int]) -> LinearCode:
     return LinearCode.from_basis(C.G.scale_rows(lam), verify_rank=False)
 
 
-def rotation_block_diagonal(ctx: gf.FieldCtx, blocks: Sequence[Sequence[int]],
-                            k: int) -> MatrixFq:
-    """blockdiag(D_1, ..., D_{k//2}[, 1]) with D = [[a, b], [-b, a]]; each
-    block is given as its pair (a, b)."""
+def _block_pairs(ctx: gf.FieldCtx, blocks: Sequence[Sequence[int]],
+                 k: int) -> list[tuple[int, int]]:
+    """The blocks of a k-row rotation as checked (a, b) pairs: k // 2 of
+    them, each with entries in the field, nonzero, and a^2 + b^2 != 0."""
     if len(blocks) != k // 2:
         raise BlockCountMismatch(f"need {k // 2} blocks for k={k}")
-    m = [[0] * k for _ in range(k)]
+    adds, muls = ctx.tables()
+    pairs = []
     for i, blk in enumerate(blocks):
         if len(blk) != 2:
             raise InvalidValue(f"block {i} needs 2 entries, got {len(blk)}")
         a, b = _elements(ctx, blk, "block entry")
         if a == 0 or b == 0:
             raise DegenerateBlock("block entries must be nonzero")
-        if ctx.add(ctx.mul(a, a), ctx.mul(b, b)) == 0:
+        if adds[muls[a][a]][muls[b][b]] == 0:
             raise DegenerateBlock("a^2 + b^2 = 0 makes the block singular")
+        pairs.append((a, b))
+    return pairs
+
+
+def rotation_block_diagonal(ctx: gf.FieldCtx, blocks: Sequence[Sequence[int]],
+                            k: int) -> MatrixFq:
+    """blockdiag(D_1, ..., D_{k//2}[, 1]) with D = [[a, b], [-b, a]]; each
+    block is given as its pair (a, b)."""
+    m = [[0] * k for _ in range(k)]
+    for i, (a, b) in enumerate(_block_pairs(ctx, blocks, k)):
         r = 2 * i
         m[r][r], m[r][r + 1] = a, b
         m[r + 1][r], m[r + 1][r + 1] = ctx.neg(b), a
@@ -120,10 +134,32 @@ def rotation_block_diagonal(ctx: gf.FieldCtx, blocks: Sequence[Sequence[int]],
 
 def _twist(G: MatrixFq, lam: Optional[Sequence[int]],
            blocks: Optional[Sequence[Sequence[int]]]) -> MatrixFq:
-    """diag(lam) blockdiag(D_i) G; None skips the rotation or the scaling."""
-    if blocks is not None:
-        G = rotation_block_diagonal(G.ctx, blocks, G.r) @ G
-    return G if lam is None else G.scale_rows(lam)
+    """diag(lam) blockdiag(D_i) G; None skips the rotation or the scaling.
+    Each block D = [[a, b], [-b, a]] turns its two rows x, y into a x + b y
+    and -b x + a y, and row i is then scaled by lam_i, in one pass over the
+    rows through the field's tables: the product with the block diagonal
+    matrix is never formed, and the entries are the same."""
+    ctx, r = G.ctx, G.r
+    pairs = [] if blocks is None else _block_pairs(ctx, blocks, r)
+    if lam is None:
+        lam = [1] * r
+    elif len(lam) != r:
+        raise ShapeMismatch("one scalar per row required")
+    adds, muls = ctx.tables()
+    minus = muls[ctx.neg(1)]
+    rows = G.rows()
+    flat: list[int] = []
+    for i, (a, b) in enumerate(pairs):
+        x, y = rows[2 * i], rows[2 * i + 1]
+        s, t = muls[lam[2 * i]], muls[lam[2 * i + 1]]
+        xa, xb = muls[s[a]], muls[s[b]]                 # s a, s b
+        ya, yb = muls[t[minus[b]]], muls[t[a]]          # -t b, t a
+        flat += [adds[xa[u]][xb[v]] for u, v in zip(x, y)]
+        flat += [adds[ya[u]][yb[v]] for u, v in zip(x, y)]
+    for i in range(2 * len(pairs), r):
+        m = muls[lam[i]]
+        flat += [m[u] for u in rows[i]]
+    return MatrixFq(ctx, r, G.c, flat)
 
 
 def apply_rotation_blocks(A: MatrixFq, row_indices: Sequence[int],
@@ -453,12 +489,12 @@ def _random_twist(ctx: gf.FieldCtx, k: int,
     """Up to TWIST_ATTEMPTS draws of (lambdas, blocks); a draw is valid
     when every block has nonzero entries and a^2 + b^2 != 0.  Fields with
     no valid block at all (only GF(2)) fall back to the identity twist."""
+    adds, muls = ctx.tables()
     for _ in range(TWIST_ATTEMPTS):
         lam = [rng.randrange(1, ctx.q) for _ in range(k)]
         blocks = [[rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)]
                   for _ in range(k // 2)]
-        if all(ctx.add(ctx.mul(a, a), ctx.mul(b, b)) != 0
-               for a, b in blocks):
+        if all(adds[muls[a][a]][muls[b][b]] for a, b in blocks):
             return lam, blocks
     return [1] * k, []
 
@@ -466,10 +502,19 @@ def _random_twist(ctx: gf.FieldCtx, k: int,
 def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
                       budget: int, seed: int = 0) -> Optional[CodeRecord]:
     """Sample orthogonal matrices uniformly (orthogen.random_orthogonal)
-    and scan the k-row subsets of each for an exact minimum distance >=
-    target_d.  A row of a hit has weight >= target_d, so each sample is
-    gated row by row as it is built (min_weight=target_d): the trial ends
-    at its first lighter row, before the rest of the matrix is drawn.
+    and scan the k-row subsets of each, in combinations order, for an
+    exact minimum distance >= target_d.  A row of a hit has weight >=
+    target_d, so each sample is gated row by row as it is built
+    (min_weight=target_d): the trial ends at its first lighter row, before
+    the rest of the matrix is drawn.
+
+    An MDS target, target_d = n - k + 1 with q^k <= DEFAULT_DISTANCE_BUDGET
+    (where distance(at_least=target_d) is always exact), is decided by
+    _mds_subsets on the sample's rows, with no LinearCode per subset;
+    only its hit goes through LinearCode.distance, which certifies the
+    record's d and raises AssertionError should it disagree.  Any other
+    target asks distance(at_least=target_d) of every subset.
+
     The first hit is decorated by a seeded scaling/rotation twist (which
     cannot change the code's parameters, only the recorded generator) and
     returned as a "uniform" record; None when the trial budget runs out,
@@ -483,34 +528,100 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
         raise InvalidValue(f"k = {k} is outside 1..n = {n}")
     if target_d > n - k + 1:
         return None
+    mds = target_d == n - k + 1 and ctx.q ** k <= DEFAULT_DISTANCE_BUDGET
     for trial in range(budget):
         trial_seed = _trial_seed(seed, trial)
         A = orthogen.random_orthogonal(ctx, n, trial_seed,
                                        min_weight=target_d)
         if A is None:
             continue
-        for subset in combinations(range(n), k):
-            code = LinearCode.from_basis(A.take_rows(subset),
-                                         verify_rank=False)
-            dist = code.distance(at_least=target_d)
-            if dist.status != EXACT or dist.value < target_d:
-                continue
-            rng = random.Random(trial_seed * 2 + 1)
-            lam, blocks = _random_twist(ctx, k, rng)
-            G = _twist(code.G, lam, blocks or None)
-            tag = "rotated" if blocks else "scaled"
-            provenance = {
-                "kind": "uniform",
-                "seed": seed,
-                "trial": trial,
-                "row_indices": list(subset),
-                "lambdas": lam,
-                "blocks": blocks,
-            }
-            return CodeRecord(field=ctx.descriptor, n=n, k=k,
-                              d=dist.value, d_status=EXACT, tag=tag,
-                              provenance=provenance, matrix=G.to_text())
+        hit = (_certified_mds_hit(A, k) if mds
+               else _first_hit_by_distance(A, k, target_d))
+        if hit is None:
+            continue
+        subset, d = hit
+        rng = random.Random(trial_seed * 2 + 1)
+        lam, blocks = _random_twist(ctx, k, rng)
+        G = _twist(A.take_rows(subset), lam, blocks or None)
+        tag = "rotated" if blocks else "scaled"
+        provenance = {
+            "kind": "uniform",
+            "seed": seed,
+            "trial": trial,
+            "row_indices": list(subset),
+            "lambdas": lam,
+            "blocks": blocks,
+        }
+        return CodeRecord(field=ctx.descriptor, n=n, k=k, d=d,
+                          d_status=EXACT, tag=tag, provenance=provenance,
+                          matrix=G.to_text())
     return None
+
+
+def _first_hit_by_distance(A: MatrixFq, k: int, target_d: int
+                           ) -> Optional[tuple[tuple[int, ...], int]]:
+    """(the first k-subset of A's rows whose code has exact d >= target_d,
+    d), asking distance(at_least=target_d) of each subset; or None."""
+    for subset in combinations(range(A.r), k):
+        code = LinearCode.from_basis(A.take_rows(subset), verify_rank=False)
+        dist = code.distance(at_least=target_d)
+        if dist.status == EXACT and dist.value >= target_d:
+            return subset, dist.value
+    return None
+
+
+def _certified_mds_hit(A: MatrixFq, k: int
+                       ) -> Optional[tuple[tuple[int, ...], int]]:
+    """(the first k-subset S of the orthogonal A's rows that _mds_subsets
+    passes, n - k + 1), or None.  The hit is certified by one distance
+    call on the side the kernel tested: the complement of S at t = k + 1
+    when n > k > n - k, else S itself at t = n - k + 1."""
+    n = A.r
+    subset = next((S for S, mds in _mds_subsets(A.ctx, A.rows(), k) if mds),
+                  None)
+    if subset is None:
+        return None
+    if n > k > n - k:
+        side, t = [i for i in range(n) if i not in subset], k + 1
+    else:
+        side, t = subset, n - k + 1
+    dist = LinearCode.from_basis(A.take_rows(side),
+                                 verify_rank=False).distance(at_least=t)
+    if dist.status != EXACT or dist.value < t:
+        raise AssertionError(f"rows {subset} passed the MDS kernel, but "
+                             f"distance() reads {dist}")
+    return subset, n - k + 1
+
+
+def _mds_subsets(ctx: gf.FieldCtx, rows: Sequence[Sequence[int]], k: int
+                 ) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """(S, whether the rows in S span an MDS code) for every k-subset S of
+    the rows of an orthogonal n x n matrix, in combinations order, drawn
+    lazily: the search kernel.
+
+    A A^T = I, so the rows outside S span the dual of the code of S, and
+    the dual of an MDS code is MDS (MacWilliams and Sloane 1977, ch. 11):
+    each S is decided on the side R with fewer rows, S when k <= n - k and
+    else its complement.  R spans an MDS code exactly when every |R| of
+    its columns are independent: an empty R (k = n) always, one row when
+    it has no zero, two rows when their n columns are nonzero and distinct
+    projective points (keyed -y/x from the shared pivot table, or q for
+    x = 0), and three or more by _every_column_subset_independent."""
+    n, q = len(rows), ctx.q
+    pivots = _column_reducer(ctx)[1]
+    complement = k > n - k
+    for subset in combinations(range(n), k):
+        side = ([rows[i] for i in range(n) if i not in subset] if complement
+                else [rows[i] for i in subset])
+        r = len(side)
+        if r == 2:
+            keys = {pivots[x][y] if x else q if y else -1
+                    for x, y in zip(*side)}
+            yield subset, len(keys) == n and -1 not in keys
+        elif r > 2:
+            yield subset, _every_column_subset_independent(ctx, side)
+        else:
+            yield subset, not side or 0 not in side[0]
 
 
 def _trial_seed(seed: int, trial: int) -> int:

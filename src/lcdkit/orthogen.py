@@ -7,7 +7,7 @@ random_orthogonal samples {A : A A^T = I} exactly uniformly by the
 subgroup algorithm (Diaconis and Shahshahani, "The subgroup algorithm for
 generating uniform random variables", Prob. Eng. Inf. Sci. 1, 1987).
 It builds the sample row by row as it draws, reading its rng's words in
-bulk, and can stop at the first row lighter than a given weight.
+blocks, and can stop at the first row lighter than a given weight.
 
 The generating set for n x n matrices is
   * the transposition swapping coordinates 0 and 1,
@@ -50,7 +50,7 @@ import random
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import gf
 from .errors import DimensionTooSmall, InvalidValue
@@ -488,8 +488,9 @@ def random_orthogonal(ctx: gf.FieldCtx, n: int, seed: int = 0,
     n - i + 1 coordinates (_unit_draws, from one random.Random(seed)) and
     R(v) is a fixed isometry taking e_1 to v (_isometry), multiplied out
     row by row by _orthogonal_product.  Same seed, same matrix.  O(n^3)
-    field operations through ctx.tables(), with no table of its own, so
-    it works for every q.
+    field operations through ctx.tables() and the field's _unit_tables,
+    which are lists only up to _UNIT_TABLE_MAX elements, so it works for
+    every q.
 
     Row i of A needs only v_1..v_{i+1}, so the rows are built in order as
     the draws are made.  With min_weight > 0 the sample is None at the
@@ -502,8 +503,9 @@ def random_orthogonal(ctx: gf.FieldCtx, n: int, seed: int = 0,
                                min_weight)
 
 
-_BLOCK = 128                    # Mersenne Twister words per getrandbits call
+_BLOCK = 32                     # Mersenne Twister words per getrandbits call
 _UNPACK = struct.Struct(f"<{_BLOCK}I").unpack
+_UNIT_TABLE_MAX = 1 << 12       # _unit_tables are lists up to here
 
 
 def _words(rng: random.Random) -> Iterator[int]:
@@ -521,13 +523,61 @@ def _uniform_codes(rng: random.Random, q: int) -> Iterator[int]:
     CPython draws randrange(q) as _randbelow(q): w >> (32 -
     q.bit_length()) for the next 32-bit word w, drawn again while it is
     >= q.  Every draw shares q, so the stream is the shifted words of
-    _words(rng) less those >= q.  Above 32 bits a draw reads more than
-    one word, and randrange itself is called."""
+    _words(rng) less those >= q.  Below 2^8 the shifted word is its top
+    byte shifted, so a block's top bytes are mapped and filtered at once
+    by bytes.translate (_top_byte_codes).  Above 32 bits a draw reads more
+    than one word, and randrange itself is called."""
     shift = 32 - q.bit_length()
     if shift < 0:
         return iter(functools.partial(rng.randrange, q), None)
+    if shift >= 24:
+        table, delete = _top_byte_codes(q)
+
+        def block() -> bytes:
+            words = rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK,
+                                                          "little")
+            return words[3::4].translate(table, delete)
+        return itertools.chain.from_iterable(iter(block, None))
     return filter(q.__gt__, map(operator.rshift, _words(rng),
                                 itertools.repeat(shift)))
+
+
+@functools.lru_cache(maxsize=None)
+def _top_byte_codes(q: int) -> tuple[bytes, bytes]:
+    """(table, delete) for bytes.translate, for q < 2^8: a word's top byte
+    b maps to b >> (8 - q.bit_length()), its draw, and is deleted when
+    that draw is >= q."""
+    shift = 8 - q.bit_length()
+    return (bytes(b >> shift for b in range(256)),
+            bytes(b for b in range(256) if b >> shift >= q))
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_tables(ctx: gf.FieldCtx) -> tuple[Sequence, Sequence]:
+    """(squares, scales) for the draws over one field, built once per
+    field: squares[c] = c^2, and scales[s] the muls row of 1 / sqrt_min(s),
+    or None when s is 0 or a non-square.  Up to _UNIT_TABLE_MAX elements
+    they are lists, so a sample calls neither sqrt_min nor inv; above it
+    they compute every lookup and keep nothing."""
+    muls = ctx.tables()[1]
+
+    def scale(s: int):
+        r = ctx.sqrt_min(s) if s else None
+        return None if r is None else muls[ctx.inv(r)]
+
+    if ctx.q <= _UNIT_TABLE_MAX:
+        return [muls[c][c] for c in range(ctx.q)], list(map(scale,
+                                                            range(ctx.q)))
+
+    class Computed(dict):
+        def __init__(self, entry: Callable):
+            super().__init__()
+            self.entry = entry
+
+        def __missing__(self, key: int):
+            return self.entry(key)
+
+    return Computed(lambda c: muls[c][c]), Computed(scale)
 
 
 def _unit_draws(ctx: gf.FieldCtx, n: int, rng: random.Random
@@ -544,8 +594,10 @@ def _unit_draws(ctx: gf.FieldCtx, n: int, rng: random.Random
     unit vector u then comes from exactly q - 1 draws, c u with
     sqrt_min(c^2) = c and c (-u) with sqrt_min(c^2) = -c, so the kept
     draws are uniform on the unit vectors; the all-ones vector, where it
-    lies outside the orbit, is drawn again."""
-    adds, muls = ctx.tables()
+    lies outside the orbit, is drawn again.  The squares and the scales
+    are read from _unit_tables."""
+    adds = ctx.tables()[0]
+    squares, scales = _unit_tables(ctx)
     even = ctx.p == 2
     codes = _uniform_codes(rng, ctx.q)
     for m in range(n, 0, -1):
@@ -554,18 +606,18 @@ def _unit_draws(ctx: gf.FieldCtx, n: int, rng: random.Random
             x = list(itertools.islice(codes, m))
             s = 0
             for c in x:
-                s = adds[s][muls[c][c]]
-            r = ctx.sqrt_min(s) if s else None
-            if r is None:
+                s = adds[s][squares[c]]
+            scale = scales[s]
+            if scale is None:
                 continue
-            scale = muls[ctx.inv(r)]
             v = tuple([scale[c] for c in x])
             if v != ones:
                 yield v
                 break
 
 
-_Steps = list[tuple[list[int], list[int]]]     # (w, u): x -> x + (x.w) u
+# x -> x + (x.w) u, held as the muls rows of the entries of w and of u
+_Steps = list[tuple[list, list]]
 
 
 def _isometry(ctx: gf.FieldCtx) -> Callable[[tuple[int, ...]], _Steps]:
@@ -588,9 +640,9 @@ def _isometry(ctx: gf.FieldCtx) -> Callable[[tuple[int, ...]], _Steps]:
     minus = muls[ctx.neg(1)]
     inv, odd = ctx.inv, ctx.p != 2
 
-    def step(w: list[int], c: int) -> tuple[list[int], list[int]]:
+    def step(w: list[int], c: int) -> tuple[list, list]:
         mc = muls[minus[c]]
-        return w, [mc[x] for x in w]
+        return [muls[x] for x in w], [muls[mc[x]] for x in w]
 
     def steps(v: tuple[int, ...]) -> _Steps:
         if v[0] != 1:
@@ -619,31 +671,35 @@ def _orthogonal_product(ctx: gf.FieldCtx,
     of lengths n..1 (see _isometry), a pure function of the draws, or None
     at the first row with fewer than min_weight nonzero entries.  The
     factors past diag(I_i, R(v_{i+1})) fix e_i, so row i is (0^i, v_{i+1})
-    right-multiplied by diag(I_{i-1}, R(v_i)), ..., R(v_1), each of which
-    changes coordinates j..n-1 of it only, j the block's offset.  Row i is
-    built once v_{i+1} is read, before the next draw is asked for.
+    right-multiplied by diag(I_{i-1}, R(v_i)), ..., R(v_1), and the level
+    diag(I_j, R(v_{j+1})) changes coordinates j..n-1 only.  So row i starts
+    as v_{i+1} and meets the levels newest first, j = i-1 down to 0: each
+    prepends one zero, which makes the row span coordinates j..n-1, and
+    applies its steps to the whole row.  Row i is built once v_{i+1} is
+    read, before the next draw is asked for; the last draw, of length 1,
+    gets no steps, since no row meets its level.
 
     Over the orbits of _unit_draws this is a bijection onto {A : A A^T =
     I}: row 1 of the product is v_1, and A R(v_1)^-1 = diag(1, A') with
     A' the product of v_2..v_n.  Uniform draws give a uniform A."""
-    adds, muls = ctx.tables()
+    adds = ctx.tables()[0]
     isometry = _isometry(ctx)
-    rows: list[list[int]] = []
-    isometries = []
-    for i, v in enumerate(draws):
-        row = [0] * i + list(v)
-        for j in range(i - 1, -1, -1):
-            for w, u in isometries[j]:
-                x = row[j:]
+    flat: list[int] = []
+    levels: list[_Steps] = []
+    for v in draws:
+        row = list(v)
+        for steps in reversed(levels):
+            row.insert(0, 0)
+            for w, u in steps:
                 t = 0
-                for a, b in zip(x, w):
-                    t = adds[t][muls[a][b]]
+                for a, mw in zip(row, w):
+                    t = adds[t][mw[a]]
                 if t:
-                    mt = muls[t]
-                    row[j:] = [adds[a][mt[b]] for a, b in zip(x, u)]
+                    row = [adds[a][mu[t]] for a, mu in zip(row, u)]
         if len(row) - row.count(0) < min_weight:
             return None
-        rows.append(row)
-        isometries.append(isometry(v))
-    n = len(rows)
-    return MatrixFq(ctx, n, n, [x for row in rows for x in row])
+        flat += row
+        if len(v) > 1:
+            levels.append(isometry(v))
+    n = math.isqrt(len(flat))
+    return MatrixFq(ctx, n, n, flat)

@@ -349,8 +349,8 @@ def test_singleton_certificate_matches_rank_oracle(desc):
         C = LinearCode.from_basis(G)
         n, k = C.n, C.k
         H = C.dual().G
-        on_g = _every_column_subset_independent(G)
-        on_h = _every_column_subset_independent(H)
+        on_g = _every_column_subset_independent(ctx, G.rows())
+        on_h = _every_column_subset_independent(ctx, H.rows())
         assert on_g == _independent_by_rank(G), G
         assert on_h == _independent_by_rank(H), G
         # every k columns of G independent exactly when every n - k of H
@@ -409,8 +409,8 @@ def test_column_walks_share_one_pivot_table_per_field(desc, monkeypatch):
     for _ in range(2):
         calls.clear()
         # the certificate on both sides, then the scan, which stops at d
-        assert codes._every_column_subset_independent(G)
-        assert codes._every_column_subset_independent(H)
+        assert codes._every_column_subset_independent(ctx, G.rows())
+        assert codes._every_column_subset_independent(ctx, H.rows())
         assert codes._distance_by_column_subsets(H, 10, 1 << 20)[:2] == (
             7, True)
     # the first round may fill the field's table; the second only reads it

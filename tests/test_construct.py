@@ -81,6 +81,55 @@ def test_degenerate_block_isotropic(F13):
         apply_rotation_blocks(A, [0, 1], [1, 1], [(1, 5)])
 
 
+def _valid_blocks(ctx, count, rng):
+    """count random (a, b) with a, b nonzero and a^2 + b^2 != 0, through
+    the field's own add and mul."""
+    blocks = []
+    while len(blocks) < count:
+        a, b = rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
+        if ctx.add(ctx.mul(a, a), ctx.mul(b, b)):
+            blocks.append([a, b])
+    return blocks
+
+
+@pytest.mark.parametrize("desc", ["3", "4", "7", "9", "16", "1031"])
+def test_twist_matches_the_block_diagonal_product(desc):
+    # rows rotated pair by pair, then scaled, against the k x k product;
+    # 1031 lies above the table cap, where table rows are computed
+    from lcdkit.construct import _twist
+    ctx = parse_field(desc)
+    rng = random.Random(f"twist:{desc}")
+    for k in range(1, 7):
+        for n in (1, k, 7):
+            G = MatrixFq(ctx, k, n, [rng.randrange(ctx.q)
+                                     for _ in range(k * n)])
+            lam = [rng.randrange(1, ctx.q) for _ in range(k)]
+            blocks = _valid_blocks(ctx, k // 2, rng)
+            rotated = rotation_block_diagonal(ctx, blocks, k) @ G
+            assert _twist(G, None, blocks) == rotated
+            assert _twist(G, lam, blocks) == rotated.scale_rows(lam)
+            assert _twist(G, lam, None) == G.scale_rows(lam)
+            assert _twist(G, None, None) == G
+        # malformed blocks raise as the block diagonal matrix does
+        bad = [blocks + [[1, 1]], [[0, 1]] + blocks[1:],
+               [[1, ctx.q]] + blocks[1:], [[1]] + blocks[1:]]
+        for blk in bad if k >= 2 else bad[:1]:
+            with pytest.raises(LcdError) as want:
+                rotation_block_diagonal(ctx, blk, k)
+            with pytest.raises(type(want.value)):
+                _twist(G, lam, blk)
+    with pytest.raises(BlockCountMismatch):
+        _twist(G, None, [])
+    with pytest.raises(DegenerateBlock):
+        _twist(G, None, [[1, 0], [1, 1], [2, 2]])
+    isotropic = [[a, b] for a in range(1, min(ctx.q, 50))
+                 for b in range(1, min(ctx.q, 50))
+                 if ctx.add(ctx.mul(a, a), ctx.mul(b, b)) == 0][:1]
+    if isotropic:
+        with pytest.raises(DegenerateBlock):
+            _twist(G.take_rows([0, 1]), None, isotropic)
+
+
 # -- two-column extension ----------------------------------------------------
 
 def test_extend_preserves_gram_exactly(F5, rng):
@@ -506,6 +555,111 @@ def test_search_matches_enumerating_reference(desc, n, k, d, monkeypatch):
         assert rec.to_json() == _reference_search(
             ctx, n, k, d, 100_000, seed).to_json()
     assert methods == ({"singleton"} if d == n - k + 1 else {"enumeration"})
+
+
+KERNEL_FIELDS = ["2", "3", "4", "5", "7", "8", "9", "11", "13", "16", "25",
+                 "1031"]
+
+
+def test_mds_kernel_matches_enumeration():
+    # every k-subset of uniform samples, decided on the side with fewer
+    # rows, against enumerating the messages of the subset's own code,
+    # wherever that visits at most 2^12 messages
+    from lcdkit.codes import _distance_by_enumeration
+    from lcdkit.construct import _mds_subsets
+    seen = set()
+    for desc in KERNEL_FIELDS:
+        ctx = parse_field(desc)
+        sides = set()
+        for n in range(1, 9):
+            for seed in range(3):
+                rows = random_orthogonal(ctx, n, seed).rows()
+                for k in range(1, n + 1):
+                    got = list(_mds_subsets(ctx, rows, k))
+                    assert [S for S, _ in got] == list(
+                        combinations(range(n), k))
+                    if (ctx.q ** k - 1) // (ctx.q - 1) > 1 << 12:
+                        continue
+                    sides.add((k > n - k, k == n))
+                    for S, mds in got:
+                        d = _distance_by_enumeration(
+                            [rows[i] for i in S], ctx, n)[0]
+                        assert mds == (d >= n - k + 1), (desc, n, k, S)
+                        # the side tested, its rows, and the answer
+                        seen.add((k > n - k, min(k, n - k, 3), mds))
+        # S itself, a complement, and the empty complement of k = n
+        assert sides == {(False, False), (True, False), (True, True)}, desc
+    # every kind of side gave both answers, but k = n, always MDS
+    assert seen == {(c, r, m) for c in (False, True) for r in (1, 2, 3)
+                    for m in (False, True)} | {(True, 0, True)}
+
+
+def _distance_reference_search(ctx, n, k, target_d, budget, seed):
+    """search_random_lcd as it was before its kernel: every subset's code
+    asked distance(at_least=target_d), d the value of the first hit."""
+    from lcdkit import construct
+    for trial in range(budget):
+        trial_seed = construct._trial_seed(seed, trial)
+        A = random_orthogonal(ctx, n, trial_seed, min_weight=target_d)
+        if A is None:
+            continue
+        for subset in combinations(range(n), k):
+            G = A.take_rows(subset)
+            dist = LinearCode.from_basis(G, verify_rank=False).distance(
+                at_least=target_d)
+            if dist.status != EXACT or dist.value < target_d:
+                continue
+            rng = random.Random(trial_seed * 2 + 1)
+            lam, blocks = construct._random_twist(ctx, k, rng)
+            provenance = {"kind": "uniform", "seed": seed, "trial": trial,
+                          "row_indices": list(subset), "lambdas": lam,
+                          "blocks": blocks}
+            return CodeRecord(
+                field=ctx.descriptor, n=n, k=k, d=dist.value, d_status=EXACT,
+                tag="rotated" if blocks else "scaled", provenance=provenance,
+                matrix=construct._twist(G, lam, blocks or None).to_text())
+    return None
+
+
+@pytest.mark.parametrize("desc,n,k,d,kernel", [
+    ("7", 5, 5, 1, True),           # k = n: the empty side
+    ("7", 1, 1, 1, True),
+    ("11", 6, 5, 2, True),          # n - k = 1: one complement row
+    ("4", 5, 3, 3, True),           # two complement rows, even q
+    ("8209", 4, 2, 3, False),       # q^k above the distance budget
+    ("7", 6, 3, 3, False),          # below the Singleton bound
+])
+def test_search_edges_match_the_distance_reference(desc, n, k, d, kernel,
+                                                   monkeypatch):
+    from lcdkit import construct
+    from lcdkit.codes import DEFAULT_DISTANCE_BUDGET
+    ctx = parse_field(desc)
+    assert kernel == (d == n - k + 1
+                      and ctx.q ** k <= DEFAULT_DISTANCE_BUDGET)
+    if not kernel:
+        def refuse(*args):
+            raise AssertionError("the kernel ran")
+        monkeypatch.setattr(construct, "_mds_subsets", refuse)
+    for seed in range(8):
+        rec = search_random_lcd(ctx, n, k, d, 2000, seed)
+        assert rec is not None
+        assert rec.to_json() == _distance_reference_search(
+            ctx, n, k, d, 2000, seed).to_json()
+        assert replay_record(rec).to_text() == rec.matrix
+
+
+def test_kernel_hit_that_distance_refutes_raises(F7, monkeypatch):
+    # the hit's distance call certifies the record: a kernel passing a
+    # subset that distance() refutes stops the search, never skips it
+    from lcdkit import construct
+
+    def every(ctx, rows, k):
+        return ((S, True) for S in combinations(range(len(rows)), k))
+
+    monkeypatch.setattr(construct, "_mds_subsets", every)
+    with pytest.raises(AssertionError):
+        for seed in range(20):
+            search_random_lcd(F7, 6, 2, 5, 1, seed)
 
 
 @pytest.mark.parametrize("args,line", PINNED_SEARCHES)

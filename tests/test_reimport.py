@@ -22,8 +22,10 @@ for _ in range(3):
     ctx = pkg.parse_field("16")
     ctx.tables()
     pkg.generator_set(ctx, 5).matrices()
-    # fills the per-field pivot table that the column walks cache
-    pkg.codes._every_column_subset_independent(pkg.MatrixFq.identity(ctx, 3))
+    # fills the per-field tables that the column walks and the sampler cache
+    pkg.codes._every_column_subset_independent(
+        ctx, pkg.MatrixFq.identity(ctx, 3).rows())
+    pkg.random_orthogonal(ctx, 4, 1)
 gc.collect()
 print(sum(isinstance(o, type) and o.__name__ == "FieldCtx"
           and o.__module__ == "lcdkit.gf" for o in gc.get_objects()))

@@ -131,7 +131,8 @@ def main(argv=None) -> int:
             for side, matrix in (("G", lambda: build().G),
                                  ("H", lambda: build().dual().G)):
                 took, mds = best_time(
-                    lambda: codes._every_column_subset_independent(matrix()))
+                    lambda: codes._every_column_subset_independent(
+                        code.ctx, matrix().rows()))
                 if mds:
                     times[f"singleton {side}"] = took
                 else:

@@ -11,11 +11,14 @@ workload calls it, and counts per target:
                 target_d, with the row indices they stopped at
     rows        rows built (one unit-vector draw each)
     whole       rows that building every sample in full would take
-    subsets     k-row subsets scanned, one distance call each
+    subsets     k-row subsets scanned: decided by the MDS kernel
+                (construct._mds_subsets) on an MDS target, by one
+                distance call each otherwise
     messages    messages the distance calls that enumerated visited
-    certified   distance calls the Singleton certificate answered, as
-                passed/failed: d = n - k + 1, or some k columns of the
-                subset dependent, so d < target_d
+    certified   subsets the kernel or the Singleton certificate decided,
+                as passed/failed: d = n - k + 1, or some k columns of
+                the subset dependent, so d < target_d
+    checks      distance calls that certify a hit of the kernel
 
 The counts are deterministic: they follow from the seeds alone.  rows
 against whole is the work the row gate saves.  Standard library only; it
@@ -39,20 +42,22 @@ from lcdkit import codes, construct, orthogen  # noqa: E402
 from lcdkit.gf import parse_field  # noqa: E402
 
 COLUMNS = ("jobs", "trials", "light", "rows", "whole", "subsets",
-           "messages", "certified")
+           "messages", "certified", "checks")
 
 
 class Funnel:
-    """Wraps the sampler, its draws and the distance while installed, and
-    counts into the Counter of the current target."""
+    """Wraps the sampler, its draws, the MDS kernel and the distance while
+    installed, and counts into the Counter of the current target."""
 
     def __init__(self):
         self.counts: Counter = Counter()
         self.stops: Counter = Counter()     # light samples by stopping row
+        self.checking = False               # the next distance call checks
 
     @contextlib.contextmanager
     def installed(self):
         draws, sample = orthogen._unit_draws, orthogen.random_orthogonal
+        kernel = construct._mds_subsets
         distance = codes.LinearCode.distance
 
         def counted_draws(ctx, n, rng):
@@ -70,8 +75,19 @@ class Funnel:
                 self.stops[self.counts["rows"] - before - 1] += 1
             return A
 
+        def counted_kernel(ctx, rows, k):
+            for subset, mds in kernel(ctx, rows, k):
+                self.counts["subsets"] += 1
+                self.counts["passed" if mds else "failed"] += 1
+                self.checking = mds
+                yield subset, mds
+
         def counted_distance(code, *args, **kwargs):
             result = distance(code, *args, **kwargs)
+            if self.checking:
+                self.checking = False
+                self.counts["checks"] += 1
+                return result
             self.counts["subsets"] += 1
             if result.method == codes.SINGLETON:
                 self.counts["passed" if result.status == codes.EXACT
@@ -82,6 +98,7 @@ class Funnel:
 
         patches = [(orthogen, "_unit_draws", draws, counted_draws),
                    (orthogen, "random_orthogonal", sample, counted_sample),
+                   (construct, "_mds_subsets", kernel, counted_kernel),
                    (codes.LinearCode, "distance", distance, counted_distance)]
         for owner, name, _, wrapper in patches:
             setattr(owner, name, wrapper)
