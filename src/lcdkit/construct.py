@@ -32,8 +32,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import gf, orthogen
 from .codes import (DEFAULT_DISTANCE_BUDGET, EXACT, CodeRecord, LinearCode,
-                    _column_reducer, _every_column_subset_independent,
-                    _is_int, _is_str)
+                    _every_column_subset_independent, _is_int, _is_str)
 from .errors import (
     BlockCountMismatch,
     ComponentNotLCD,
@@ -602,26 +601,15 @@ def _mds_subsets(ctx: gf.FieldCtx, rows: Sequence[Sequence[int]], k: int
     A A^T = I, so the rows outside S span the dual of the code of S, and
     the dual of an MDS code is MDS (MacWilliams and Sloane 1977, ch. 11):
     each S is decided on the side R with fewer rows, S when k <= n - k and
-    else its complement.  R spans an MDS code exactly when every |R| of
-    its columns are independent: an empty R (k = n) always, one row when
-    it has no zero, two rows when their n columns are nonzero and distinct
-    projective points (keyed -y/x from the shared pivot table, or q for
-    x = 0), and three or more by _every_column_subset_independent."""
-    n, q = len(rows), ctx.q
-    pivots = _column_reducer(ctx)[1]
+    else its complement, by _every_column_subset_independent: R spans an
+    MDS code exactly when every |R| of its columns are independent.  An
+    empty R (k = n) always does."""
+    n = len(rows)
     complement = k > n - k
     for subset in combinations(range(n), k):
         side = ([rows[i] for i in range(n) if i not in subset] if complement
                 else [rows[i] for i in subset])
-        r = len(side)
-        if r == 2:
-            keys = {pivots[x][y] if x else q if y else -1
-                    for x, y in zip(*side)}
-            yield subset, len(keys) == n and -1 not in keys
-        elif r > 2:
-            yield subset, _every_column_subset_independent(ctx, side)
-        else:
-            yield subset, not side or 0 not in side[0]
+        yield subset, not side or _every_column_subset_independent(ctx, side)
 
 
 def _trial_seed(seed: int, trial: int) -> int:

@@ -50,7 +50,7 @@ import random
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import gf
 from .errors import DimensionTooSmall, InvalidValue
@@ -489,8 +489,7 @@ def random_orthogonal(ctx: gf.FieldCtx, n: int, seed: int = 0,
     R(v) is a fixed isometry taking e_1 to v (_isometry), multiplied out
     row by row by _orthogonal_product.  Same seed, same matrix.  O(n^3)
     field operations through ctx.tables() and the field's _unit_tables,
-    which are lists only up to _UNIT_TABLE_MAX elements, so it works for
-    every q.
+    which compute their entries on lookup, so it works for every q.
 
     Row i of A needs only v_1..v_{i+1}, so the rows are built in order as
     the draws are made.  With min_weight > 0 the sample is None at the
@@ -505,7 +504,6 @@ def random_orthogonal(ctx: gf.FieldCtx, n: int, seed: int = 0,
 
 _BLOCK = 32                     # Mersenne Twister words per getrandbits call
 _UNPACK = struct.Struct(f"<{_BLOCK}I").unpack
-_UNIT_TABLE_MAX = 1 << 12       # _unit_tables are lists up to here
 
 
 def _words(rng: random.Random) -> Iterator[int]:
@@ -523,61 +521,36 @@ def _uniform_codes(rng: random.Random, q: int) -> Iterator[int]:
     CPython draws randrange(q) as _randbelow(q): w >> (32 -
     q.bit_length()) for the next 32-bit word w, drawn again while it is
     >= q.  Every draw shares q, so the stream is the shifted words of
-    _words(rng) less those >= q.  Below 2^8 the shifted word is its top
-    byte shifted, so a block's top bytes are mapped and filtered at once
-    by bytes.translate (_top_byte_codes).  Above 32 bits a draw reads more
-    than one word, and randrange itself is called."""
+    _words(rng) less those >= q.  Above 32 bits a draw reads more than one
+    word, and randrange itself is called."""
     shift = 32 - q.bit_length()
     if shift < 0:
         return iter(functools.partial(rng.randrange, q), None)
-    if shift >= 24:
-        table, delete = _top_byte_codes(q)
-
-        def block() -> bytes:
-            words = rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK,
-                                                          "little")
-            return words[3::4].translate(table, delete)
-        return itertools.chain.from_iterable(iter(block, None))
     return filter(q.__gt__, map(operator.rshift, _words(rng),
                                 itertools.repeat(shift)))
 
 
 @functools.lru_cache(maxsize=None)
-def _top_byte_codes(q: int) -> tuple[bytes, bytes]:
-    """(table, delete) for bytes.translate, for q < 2^8: a word's top byte
-    b maps to b >> (8 - q.bit_length()), its draw, and is deleted when
-    that draw is >= q."""
-    shift = 8 - q.bit_length()
-    return (bytes(b >> shift for b in range(256)),
-            bytes(b for b in range(256) if b >> shift >= q))
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_tables(ctx: gf.FieldCtx) -> tuple[Sequence, Sequence]:
-    """(squares, scales) for the draws over one field, built once per
-    field: squares[c] = c^2, and scales[s] the muls row of 1 / sqrt_min(s),
-    or None when s is 0 or a non-square.  Up to _UNIT_TABLE_MAX elements
-    they are lists, so a sample calls neither sqrt_min nor inv; above it
-    they compute every lookup and keep nothing."""
+def _unit_tables(ctx: gf.FieldCtx) -> tuple[dict, dict]:
+    """(squares, scales) for the draws over one field, shared by all its
+    samples: squares[c] = c^2, and scales[s] the muls row of 1 /
+    sqrt_min(s), or None when s is 0 or a non-square.  An entry is
+    computed on its first lookup and kept, so a sample calls sqrt_min and
+    inv only for a sum that no earlier sample over the field has met."""
     muls = ctx.tables()[1]
 
-    def scale(s: int):
-        r = ctx.sqrt_min(s) if s else None
-        return None if r is None else muls[ctx.inv(r)]
+    class Squares(dict):
+        def __missing__(self, c: int) -> int:
+            square = self[c] = muls[c][c]
+            return square
 
-    if ctx.q <= _UNIT_TABLE_MAX:
-        return [muls[c][c] for c in range(ctx.q)], list(map(scale,
-                                                            range(ctx.q)))
+    class Scales(dict):
+        def __missing__(self, s: int):
+            r = ctx.sqrt_min(s) if s else None
+            row = self[s] = None if r is None else muls[ctx.inv(r)]
+            return row
 
-    class Computed(dict):
-        def __init__(self, entry: Callable):
-            super().__init__()
-            self.entry = entry
-
-        def __missing__(self, key: int):
-            return self.entry(key)
-
-    return Computed(lambda c: muls[c][c]), Computed(scale)
+    return Squares(), Scales()
 
 
 def _unit_draws(ctx: gf.FieldCtx, n: int, rng: random.Random

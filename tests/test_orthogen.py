@@ -826,15 +826,32 @@ def test_draws_read_the_rng_as_randrange_would(field):
             assert draws == draw_oracle(ctx, n, seed)
 
 
+def _count_sqrt_min(monkeypatch) -> list:
+    """The arguments of every FieldCtx.sqrt_min call from here on."""
+    from lcdkit import gf
+    sqrt_min, calls = gf.FieldCtx.sqrt_min, []
+
+    def counted(self, a):
+        calls.append(a)
+        return sqrt_min(self, a)
+
+    monkeypatch.setattr(gf.FieldCtx, "sqrt_min", counted)
+    return calls
+
+
 @pytest.mark.parametrize("desc", ["2", "3", "4", "9", "16", "25", "1031"])
 def test_draws_share_one_unit_table_per_field(desc, monkeypatch):
     # 1031 lies above the tables() cap: its muls rows are computed on
-    # access, but its unit table is still a list
-    from lcdkit import gf, orthogen
+    # access, and its unit table is filled on lookup like any other
+    from lcdkit import orthogen
     ctx = parse_field(desc)
+    want = [_orthogonal_product(ctx, draw_oracle(ctx, 7, seed))
+            for seed in range(2)]
+    orthogen._unit_tables.cache_clear()
+    calls = _count_sqrt_min(monkeypatch)
     squares, scales = orthogen._unit_tables(ctx)
     assert orthogen._unit_tables(ctx)[1] is scales
-    assert len(squares) == len(scales) == ctx.q
+    assert len(squares) == len(scales) == 0
     for s in range(ctx.q):
         assert squares[s] == ctx.mul(s, s)
         r = ctx.sqrt_min(s) if s else None
@@ -845,37 +862,34 @@ def test_draws_share_one_unit_table_per_field(desc, monkeypatch):
             assert [scales[s][c] for c in range(0, ctx.q, 1 + ctx.q // 50)
                     ] == [ctx.mul(inverse, c)
                           for c in range(0, ctx.q, 1 + ctx.q // 50)]
-    want = [_orthogonal_product(ctx, draw_oracle(ctx, 7, seed))
-            for seed in range(2)]
-    sqrt_min, calls = gf.FieldCtx.sqrt_min, []
-
-    def counted(self, a):
-        calls.append(a)
-        return sqrt_min(self, a)
-
-    monkeypatch.setattr(gf.FieldCtx, "sqrt_min", counted)
-    orthogen._unit_tables.cache_clear()
+    assert len(squares) == len(scales) == ctx.q
+    # every entry is kept, so the samples only read
+    calls.clear()
     for seed in range(2):
-        calls.clear()
         assert random_orthogonal(ctx, 7, seed) == want[seed]
-    # the first sample may build the field's table; the second only reads
     assert calls == []
     assert ctx.sqrt_min(1) == 1 and calls == [1]        # the spy sees a call
 
 
-def test_unit_table_above_its_cap_keeps_nothing():
-    # 3^13 lies above _UNIT_TABLE_MAX: every lookup is computed
+def test_unit_table_keeps_what_a_large_field_sample_looked_up(monkeypatch):
+    # over 3^13 a sample fills only the entries it looks up; the same
+    # seed again meets the same sums and calls sqrt_min no more
     from lcdkit import orthogen
     ctx = parse_field("3^13")
+    want = _orthogonal_product(ctx, draw_oracle(ctx, 4, 5))
+    orthogen._unit_tables.cache_clear()
+    calls = _count_sqrt_min(monkeypatch)
     squares, scales = orthogen._unit_tables(ctx)
-    A = random_orthogonal(ctx, 4, 5)
-    assert A == _orthogonal_product(ctx, draw_oracle(ctx, 4, 5))
-    assert len(squares) == len(scales) == 0
-    for s in (0, 1, 2, 5, 12345):
+    assert random_orthogonal(ctx, 4, 5) == want
+    assert 0 < len(calls) == len(scales) - (0 in scales) <= len(squares)
+    assert len(squares) < ctx.q
+    for s, scale in scales.items():
         r = ctx.sqrt_min(s) if s else None
-        assert squares[s] == ctx.mul(s, s)
-        assert (scales[s] is None if r is None
-                else scales[s][7] == ctx.mul(ctx.inv(r), 7))
+        assert (scale is None if r is None
+                else scale[7] == ctx.mul(ctx.inv(r), 7))
+    calls.clear()
+    assert random_orthogonal(ctx, 4, 5) == want
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", ["2", "3", "4", "9", "16", "1031"])
