@@ -18,15 +18,17 @@ column-subset scan and the hull share one nullspace.  ``brute_hull``
 re-derives the hull by enumerating codewords, which is the oracle the
 fast path is tested against.
 
-Minimum distance has three exact strategies (``LinearCode.distance``):
+Minimum distance has four exact strategies (``LinearCode.distance``):
 message enumeration and the parity-check column-subset scan, priced
-against each other, and the Singleton certificate, run by rule.  A code
-is MDS, d = n - k + 1, exactly when every k columns of G are independent,
-or every n - k columns of H; the certificate tests that one size when
-the code can be MDS, and when it finds a dependent set the priced
-strategy answers.  A threshold call at t = n - k + 1, the MDS question,
-is answered by the certificate on G alone: a dependent set there proves
-d <= n - k < t.
+against each other; disjoint information sets (Brouwer and Zimmermann),
+which a plain call runs in place of enumeration when they are predicted
+to visit far fewer messages; and the Singleton certificate, run by rule.
+A code is MDS, d = n - k + 1, exactly when every k columns of G are
+independent, or every n - k columns of H; the certificate tests that one
+size when the code can be MDS, and when it finds a dependent set the
+strategy chosen by price answers.  A threshold call at t = n - k + 1,
+the MDS question, is answered by the certificate on G alone: a dependent
+set there proves d <= n - k < t.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 # DistanceResult.method: the strategy that answered
 ENUMERATION = "enumeration"
+INFORMATION_SETS = "information_sets"
 SUBSETS = "subsets"
 TRIVIAL = "trivial"
 SINGLETON = "singleton"
@@ -72,6 +75,10 @@ _ENUM_LEAF_NS = 600
 _SUBSETS_FIXED_NS = 110_000
 _SUBSETS_LEAF_ROW_NS = 75
 
+# a plain call that would enumerate runs the information sets instead when
+# they are predicted to visit fewer than 1 / _SETS_MARGIN of the messages
+_SETS_MARGIN = 2
+
 
 class DistanceResult(NamedTuple):
     value: int
@@ -80,10 +87,11 @@ class DistanceResult(NamedTuple):
     # upper: on a lower bound, d <= upper.  A threshold call stopped by
     # enumeration gives the weight of a codeword it found; one stopped by a
     # failed Singleton certificate the proven bound n - k, with no codeword.
-    # method: ENUMERATION, SUBSETS, SINGLETON or TRIVIAL, and work: messages
-    # visited, leaf subsets charged against the budget (never more than
-    # the budget), or the C(n, k) subsets the certificate tested; they
-    # follow the plan, while value, status and upper do not
+    # method: ENUMERATION, INFORMATION_SETS, SUBSETS, SINGLETON or TRIVIAL,
+    # and work: messages visited (by enumeration, or over every information
+    # set), leaf subsets charged against the budget (never more than the
+    # budget), or the C(n, k) subsets the certificate tested; they follow
+    # the plan, while value, status and upper do not
     method: Optional[str] = None
     work: int = 0
 
@@ -202,16 +210,22 @@ class LinearCode:
 
     def distance(self, budget: int = DEFAULT_DISTANCE_BUDGET,
                  at_least: int = 0) -> DistanceResult:
-        """Minimum distance by one of three exact strategies: message
-        enumeration, which visits (q^k - 1) / (q - 1) messages; the
+        """Minimum distance by one of four exact strategies: message
+        enumeration, which visits (q^k - 1) / (q - 1) messages; disjoint
+        information sets, which visit the messages by weight and stop when
+        their lower bound meets the lightest codeword seen; the
         parity-check column-subset scan; and the Singleton certificate,
         which proves d = n - k + 1 from the subsets of one size.
 
         Enumeration may run only when q^k <= budget.  Then its cost and
         the scan's are estimated first (``_plan``), and the scan runs
         instead only when it is estimated faster and its whole budget
-        charge fits, so its answer is exact too.  When q^k > budget the
-        scan runs, and a budget blow-up there degrades to a certified lower
+        charge fits, so its answer is exact too.  Where enumeration would
+        run on a plain call, the information sets run instead when they are
+        predicted to visit well under its messages
+        (``_distance_by_information_sets``, which hands back to enumeration
+        when the sets it finds predict more).  When q^k > budget the scan
+        runs, and a budget blow-up there degrades to a certified lower
         bound plus a generator-row upper bound.  A k = n code has d = 1.
 
         On a plain call (t = 0, or q^k > budget; below) the certificate is
@@ -243,9 +257,9 @@ class LinearCode:
         read: the subset scan's iterative deepening already stops at d.
 
         The result's ``method`` names the strategy that answered and
-        ``work`` its messages visited, leaf subsets charged, or, for
-        SINGLETON, the C(n, k) subsets tested.  A negative budget raises
-        InvalidValue."""
+        ``work`` its messages visited (over every information set, for
+        INFORMATION_SETS), leaf subsets charged, or, for SINGLETON, the
+        C(n, k) subsets tested.  A negative budget raises InvalidValue."""
         if budget < 0:
             raise InvalidValue(f"distance budget must be >= 0, got {budget}")
         if self.k == 0:
@@ -271,6 +285,10 @@ class LinearCode:
             if w < at_least:
                 return DistanceResult(1, LOWER_BOUND, w, ENUMERATION, seen)
             result = DistanceResult(w, EXACT, None, ENUMERATION, seen)
+        elif fallback == INFORMATION_SETS:
+            w, seen, method = _distance_by_information_sets(
+                self.G.rows(), self.ctx, n)
+            result = DistanceResult(w, EXACT, None, method, seen)
         else:
             value, exact, leaves = _distance_by_column_subsets(
                 self.dual().G, n, budget)
@@ -283,9 +301,10 @@ class LinearCode:
     def _plan(self, budget: int,
               at_least: int) -> tuple[Optional[str], Optional[str]]:
         """(the strategy that answers when the Singleton certificate does
-        not run or finds a dependent set, ENUMERATION or SUBSETS, or None
-        when a failed certificate answers by itself; the side the
-        certificate tests first, "G", "H" or None), for 0 < k < n.
+        not run or finds a dependent set, ENUMERATION, INFORMATION_SETS or
+        SUBSETS, or None when a failed certificate answers by itself; the
+        side the certificate tests first, "G", "H" or None), for
+        0 < k < n.
 
         A threshold call (t > 0) with q^k <= budget enumerates, unless
         t = n - k + 1 and the certificate on G, charged C(n, k) k^3, fits
@@ -298,7 +317,13 @@ class LinearCode:
         C(n, w) rows(H) w^2, and takes about the fixed cost plus rows(H)
         per leaf subset in that range.  Enumeration runs when q^k <= budget
         and the scan is not both estimated faster and sure to fit the
-        budget.  The certificate is not priced: it runs when the lightest
+        budget.  Such a plain call runs the information sets instead when
+        _SETS_MARGIN times their predicted messages is below enumeration's,
+        predicted by ``_information_set_messages`` with floor(n / k) sets
+        and the lightest generator row for d.  The sets found may be fewer
+        or their rows heavier; when they predict more messages than
+        enumeration visits, the run hands over to it.  The certificate is
+        not priced: it runs when the lightest
         generator row exceeds n - k, that strategy's answer is exact, and
         its charge C(n, r) r^3, the scan's rule for its C(n, r) subsets of
         size r, fits; on the side with fewer rows, G on a tie since it
@@ -322,6 +347,11 @@ class LinearCode:
         fallback = (ENUMERATION if enumerable and (scan_ns >= enum_ns
                                                    or charge > budget)
                     else SUBSETS)
+        if fallback == ENUMERATION and (
+                _SETS_MARGIN * _information_set_messages(q, k, n // k,
+                                                         lightest)
+                < messages):
+            fallback = INFORMATION_SETS
         r = min(k, rows_h)
         if (lightest <= rows_h or not (enumerable or charge <= budget)
                 or comb(n, r) * r ** 3 > budget):
@@ -418,21 +448,19 @@ def _words(ctx: gf.FieldCtx, n: int) -> tuple:
             (top_bit - 1) * coords, top_bit * coords)
 
 
-def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
-                             n: int, at_least: int = 0) -> tuple[int, int]:
-    """Minimum weight over one representative per scalar class: messages are
-    scanned with their first nonzero coefficient pinned to 1, and at each
-    leaf the last row's q - 1 multiples are tried in one loop.  Returns
-    (w, messages visited).  Stops at the first codeword of weight
-    w < at_least; any other w is the exact minimum, after all
-    (q^k - 1) / (q - 1) messages.
+def _word_ops(ctx: gf.FieldCtx, n: int) -> tuple:
+    """(pack, sums, scaled) on the packed words of ``_words(ctx, n)``:
+    pack(vec) is the word of a length-n vector, sums(xs, ys) the words
+    x + y for y in ys and x in xs, in that order, and scaled(row, negate)
+    the words c * s * row for c = 1 .. q - 1, s being -1 when negate is
+    true and 1 otherwise.
 
-    Codewords are packed into ints (``_words``).  A leaf's codeword
-    vec + c * last is zero exactly where vec equals -c * last, so the leaf
-    holds the last row's multiples negated, and each message costs one XOR
-    and one popcount."""
-    p, q, k = ctx.p, ctx.q, len(rows)
-    width, shift, spread, carry, top, low, high = _words(ctx, n)
+    Code c = d p^j + r (r < p^j) is the element d * beta_j + r, beta_j
+    being code p^j, so for each digit j the d * s * beta_j * row (0 < d < p)
+    come by doubling from one packed row and are added to the p^j
+    multiples built so far."""
+    p, muls = ctx.p, ctx.tables()[1]
+    width, shift, spread, carry, top = _words(ctx, n)[:5]
 
     if p == 2:
         def sums(xs: list[int], ys: list[int]) -> list[int]:
@@ -448,25 +476,45 @@ def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
             out = (out << width) | spread[x]
         return out
 
-    # multiples[i - 1][c - 1] = c * s * rows[i] for c = 1 .. q - 1, with
-    # s = -1 on the last row and 1 on the others (the lead row's
-    # coefficient is pinned to 1).  Code c = d p^j + r (r < p^j) is the
-    # element d * beta_j + r, beta_j being code p^j, so for each digit j
-    # the d * s * beta_j * rows[i] (0 < d < p) come by doubling from one
-    # packed row and are added to the p^j multiples built so far.
-    multiples = []
-    for i in range(1, k):
-        sign = p - 1 if i == k - 1 else 1
+    def scaled(row: Sequence[int], negate: bool) -> list[int]:
+        sign = p - 1 if negate else 1
         mults = [0]
         for j in range(ctx.m):
             beta = sign * p ** j
-            ds = [pack(rows[i] if beta == 1
-                       else [ctx.mul(beta, x) for x in rows[i]])]
+            if beta == 1:
+                ds = [pack(row)]
+            else:
+                mb = muls[beta]
+                ds = [pack([mb[x] for x in row])]
             while len(ds) < p - 1:
                 ds += sums([ds[-1]], ds)
             ds = ds[:p - 1]
             mults += sums(mults, ds) if j else ds
-        multiples.append(mults[1:])
+        return mults[1:]
+
+    return pack, sums, scaled
+
+
+def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
+                             n: int, at_least: int = 0) -> tuple[int, int]:
+    """Minimum weight over one representative per scalar class: messages are
+    scanned with their first nonzero coefficient pinned to 1, and at each
+    leaf the last row's q - 1 multiples are tried in one loop.  Returns
+    (w, messages visited).  Stops at the first codeword of weight
+    w < at_least; any other w is the exact minimum, after all
+    (q^k - 1) / (q - 1) messages.
+
+    Codewords are packed into ints (``_words``).  A leaf's codeword
+    vec + c * last is zero exactly where vec equals -c * last, so the leaf
+    holds the last row's multiples negated, and each message costs one XOR
+    and one popcount."""
+    q, k = ctx.q, len(rows)
+    low, high = _words(ctx, n)[5:]
+    pack, sums, scaled = _word_ops(ctx, n)
+    # multiples[i - 1][c - 1] = c * s * rows[i] for c = 1 .. q - 1, with
+    # s = -1 on the last row and 1 on the others (the lead row's
+    # coefficient is pinned to 1)
+    multiples = [scaled(rows[i], i == k - 1) for i in range(1, k)]
     best = n + 1
 
     def rec(i: int, vec: int):
@@ -508,6 +556,109 @@ def _distance_by_enumeration(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
     except _Below as below:
         seen += below.seen
     return best, seen
+
+
+def _information_set_messages(q: int, k: int, m: int, d: int) -> int:
+    """The messages m disjoint information sets visit when each runs every
+    weight w <= W and the lightest codeword seen weighs d: W is the least
+    w with m (w + 1) >= d, or k.  A set holds C(k, w) (q - 1)^(w - 1)
+    messages of weight w with the first nonzero coefficient 1.  The search
+    can stop sooner, at the first set of level W that lifts the bound to
+    d, so this is the price that _plan and the hand-over compare."""
+    total = 0
+    for w in range(1, k + 1):
+        total += comb(k, w) * (q - 1) ** (w - 1)
+        if m * (w + 1) >= d:
+            break
+    return m * total
+
+
+def _distance_by_information_sets(rows: Sequence[Sequence[int]],
+                                  ctx: gf.FieldCtx,
+                                  n: int) -> tuple[int, int, str]:
+    """Minimum weight by disjoint information sets, after Brouwer and
+    Zimmermann (Zimmermann 1996; Grassl 2006).  Returns (d, messages
+    visited, the strategy that answered): INFORMATION_SETS, or ENUMERATION
+    when the sets found would visit more messages than it does.
+
+    Each set is found by ``gf._rref_rows``: the first on the rows as given,
+    each later one on a copy whose columns in no set yet come first, kept
+    only when all k pivots fall among those columns (a set of lower rank
+    would add nothing to the bound without enumerating its own messages).
+    A set's reduced rows are a systematic generator, so a message of
+    weight w there gives a codeword of weight at least w on the set.  The
+    rows keep each copy's column order, which no weight depends on.
+
+    For w = 1, 2, ... and each set j of the m in turn, every message of
+    weight exactly w with its first nonzero coefficient 1 is visited, the
+    last position's q - 1 multiples at one leaf, by XOR and popcount as in
+    ``_distance_by_enumeration`` (c and -c range over the same units, so
+    the multiples serve negated).  Once set j has finished weight w, a
+    codeword not yet seen weighs at least w + 1 on sets 1 .. j and w on the
+    others: d >= m w + j, and the search stops when that reaches the
+    lightest codeword seen.  The first set's weight-k messages complete
+    every scalar class, so the answer is always exact."""
+    q, k = ctx.q, len(rows)
+    low, high = _words(ctx, n)[5:]
+    pack, sums, scaled = _word_ops(ctx, n)
+    sets, free = [], list(range(n))
+    while len(free) >= k:
+        taken = set(free)
+        order = free + [c for c in range(n) if c not in taken]
+        reduced = [[row[c] for c in order] for row in rows]
+        pivots = gf._rref_rows(ctx, reduced)[0]
+        if pivots[-1] >= len(free):
+            break
+        sets.append(reduced)
+        used = {order[c] for c in pivots}
+        free = [c for c in free if c not in used]
+    m, messages = len(sets), (q ** k - 1) // (q - 1)
+    # each set's lightest row: its messages of weight 1
+    first = [n - max(row.count(0) for row in reduced) for reduced in sets]
+    if _information_set_messages(q, k, m, min(first)) > messages:
+        return (*_distance_by_enumeration(rows, ctx, n), ENUMERATION)
+
+    def lightest_of_weight(mults: list[list[int]], tails: list[list[int]],
+                           w: int) -> int:
+        best = n + 1
+
+        def rec(vec: int, start: int, left: int):
+            nonlocal best
+            if left == 1:
+                x = min([(((vec ^ u) + low) & high).bit_count()
+                         for u in tails[start]])
+                if x < best:
+                    best = x
+                return
+            for i in range(start, k - left + 1):
+                for u in sums([vec], mults[i]):
+                    rec(u, i + 1, left - 1)
+
+        for lead in range(k - w + 1):
+            rec(mults[lead][0], lead + 1, w - 1)
+        return best
+
+    # built when set j reaches w = 2: mults[i][c - 1] = c * sets[j][i] (row
+    # 0 only leads, so only c = 1 there) and tails[i], the multiples of
+    # rows i .. k - 1, a leaf's choices
+    gens = [None] * m
+    best, seen = n + 1, 0
+    for w in range(1, k + 1):
+        for j in range(m):
+            if w == 1:
+                x = first[j]
+            else:
+                if gens[j] is None:
+                    mults = [[pack(sets[j][0])]] + [
+                        scaled(row, False) for row in sets[j][1:]]
+                    gens[j] = mults, [None] + [
+                        [u for us in mults[i:] for u in us]
+                        for i in range(1, k)]
+                x = lightest_of_weight(*gens[j], w)
+            best = min(best, x)
+            seen += comb(k, w) * (q - 1) ** (w - 1)
+            if m * w + j + 1 >= best or w == k:
+                return best, seen, INFORMATION_SETS
 
 
 @lru_cache(maxsize=None)

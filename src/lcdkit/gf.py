@@ -759,13 +759,20 @@ class FieldCtx:
 # rewrites the rows it is given and pivots on the first nonzero entry of
 # the column, which makes the reduced form canonical.
 
+def _minus_row(ctx: FieldCtx) -> Sequence[int]:
+    """The row read as row[a] = -a: the muls row of -1, or in
+    characteristic 2 the identity, so that a computed row above the table
+    cap does not pay a product per negation."""
+    return range(ctx.q) if ctx.p == 2 else ctx.tables()[1][ctx.neg(1)]
+
+
 def _rref_rows(ctx: FieldCtx, rows: list[list[int]]) -> tuple[list[int], int]:
     """Reduce rows in place to reduced row echelon form; the rows past the
     last pivot end up zero.  Returns the pivot columns and the product of
     the pivots met, negated once per row swap: for a square matrix that is
     the determinant when every column has a pivot."""
     adds, muls = ctx.tables()
-    inv, neg = ctx.inv, ctx.neg
+    inv, minus = ctx.inv, _minus_row(ctx)
     ncols = len(rows[0]) if rows else 0
     pivots, r, det = [], 0, 1
     for col in range(ncols):
@@ -774,7 +781,7 @@ def _rref_rows(ctx: FieldCtx, rows: list[list[int]]) -> tuple[list[int], int]:
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            det = neg(det)
+            det = minus[det]
         v = rows[r][col]
         det = muls[det][v]
         if v != 1:
@@ -784,7 +791,7 @@ def _rref_rows(ctx: FieldCtx, rows: list[list[int]]) -> tuple[list[int], int]:
         for i, row in enumerate(rows):
             f = row[col]
             if f and i != r:
-                m = muls[neg(f)]
+                m = muls[minus[f]]
                 rows[i] = [adds[a][m[b]] for a, b in zip(row, prow)]
         pivots.append(col)
         r += 1
@@ -799,6 +806,7 @@ def _nullspace_rows(ctx: FieldCtx, rows: list[list[int]],
     reduced rows, in column order, with a 1 there."""
     pivots, _ = _rref_rows(ctx, rows)
     pivot_set = set(pivots)
+    minus = _minus_row(ctx)
     out = []
     for f in range(ncols):
         if f in pivot_set:
@@ -806,7 +814,7 @@ def _nullspace_rows(ctx: FieldCtx, rows: list[list[int]],
         vec = [0] * ncols
         vec[f] = 1
         for row, p in zip(rows, pivots):
-            vec[p] = ctx.neg(row[f])
+            vec[p] = minus[row[f]]
         out.append(vec)
     return out
 

@@ -195,7 +195,8 @@ def test_distance_strategies_agree(rng):
 def _todays_rule(C, budget, d_enum, scan):
     """(value, status, upper) by the rule the chooser replaced: enumerate
     (whose answer, d_enum, no budget changes) exactly when q^k <= budget,
-    else scan column subsets."""
+    else scan column subsets.  The information sets, which run only when
+    q^k <= budget, must answer d_enum as well."""
     if C.k == C.n:
         return 1, EXACT, None
     if C.ctx.q ** C.k <= budget:
@@ -233,6 +234,7 @@ def test_distance_chooser_keeps_every_answer(monkeypatch):
     enumerate_ = codes._distance_by_enumeration
     scan = codes._distance_by_column_subsets
     certify = codes._every_column_subset_independent
+    sets = codes._distance_by_information_sets
     ran = []
 
     def spy(method, fn):
@@ -247,6 +249,8 @@ def test_distance_chooser_keeps_every_answer(monkeypatch):
                         spy("subsets", scan))
     monkeypatch.setattr(codes, "_every_column_subset_independent",
                         spy("singleton", certify))
+    monkeypatch.setattr(codes, "_distance_by_information_sets",
+                        spy("information_sets", sets))
     rng = random.Random("chooser")
     methods = set()
     shapes = [("2", 14, 11), ("2", 16, 12), ("2", 12, 6), ("3", 10, 7),
@@ -291,12 +295,16 @@ def test_distance_chooser_keeps_every_answer(monkeypatch):
                 assert min(G.row_weights()) > n - k
             if res.method == "singleton":
                 assert res.value == n - k + 1 and res.work == comb(n, k)
+            if "information_sets" in ran:
+                # only on a plain call that would otherwise enumerate
+                assert ctx.q ** k <= budget and res.status == EXACT
             if res.method == "subsets" and ctx.q ** k <= budget:
                 # chosen over enumeration only when the scan's whole
                 # charge fits, so the answer cannot be cut short
                 assert charge <= budget and res.status == EXACT
             methods.add(res.method)
-    assert methods == {"enumeration", "subsets", "trivial", "singleton"}
+    assert methods == {"enumeration", "subsets", "trivial", "singleton",
+                       "information_sets"}
 
 
 def test_negative_distance_budget_is_rejected(F7):
@@ -497,6 +505,96 @@ def test_enumeration_matches_codeword_oracle(desc, monkeypatch):
                 rows, t)
             assert w == d if d >= t else d <= w < t, (rows, t)
             assert seen <= (ctx.q ** k - 1) // (ctx.q - 1)
+
+
+def _information_set_cases(ctx, rng):
+    """Seeded full-rank generators over ctx with n <= 12, every k with
+    q^k <= 2^20: three drawn codes per k, and for k < n one with a zero
+    column, one with a repeated column and one holding a unit row (d = 1).
+    Every n < 2k leaves room for one information set only."""
+    k_max = 1
+    while k_max < 12 and ctx.q ** (k_max + 1) <= 1 << 20:
+        k_max += 1
+    cases = []
+    for k in range(1, k_max + 1):
+        for kind in (0, 0, 0, 1, 2, 3) if k < 12 else (0,):
+            n = rng.randrange(max(k, 2) if kind == 0 else k + 1, 13)
+            while True:
+                rows = [[rng.randrange(ctx.q) if rng.random() < 0.8 else 0
+                         for _ in range(n)] for _ in range(k)]
+                if kind == 1:
+                    zero = rng.randrange(n)
+                    for row in rows:
+                        row[zero] = 0
+                elif kind == 2:
+                    a, b = rng.sample(range(n), 2)
+                    for row in rows:
+                        row[b] = row[a]
+                elif kind == 3:
+                    unit = rng.randrange(n)
+                    rows[rng.randrange(k)] = [int(j == unit)
+                                              for j in range(n)]
+                if MatrixFq.from_rows(ctx, rows).rank() == k:
+                    break
+            cases.append(rows)
+    return cases
+
+
+@pytest.mark.parametrize("desc", ["2", "3", "4", "5", "7", "8", "9", "11",
+                                  "16", "25"])
+def test_information_sets_match_enumeration_and_subsets(desc):
+    from lcdkit import codes
+    ctx = parse_field(desc)
+    methods, most_sets, ds = set(), set(), set()
+    for rows in _information_set_cases(ctx, random.Random(f"sets:{desc}")):
+        k, n = len(rows), len(rows[0])
+        d, seen, method = codes._distance_by_information_sets(rows, ctx, n)
+        by_enum, messages = codes._distance_by_enumeration(rows, ctx, n)
+        H = LinearCode.from_basis(MatrixFq.from_rows(ctx, rows)).dual().G
+        assert (d, True) == codes._distance_by_column_subsets(
+            H, n, 1 << 62)[:2] == (by_enum, True), rows
+        # never more messages than the full enumeration, which answers
+        # whenever the sets found predict more
+        assert method in ("information_sets", "enumeration")
+        assert seen == messages if method == "enumeration" else (
+            0 < seen <= messages)
+        methods.add(method)
+        most_sets.add(min(n // k, 3))
+        ds.add(d)
+    assert methods == {"information_sets", "enumeration"}
+    # codes with room for one set only, for two, and for three or more
+    assert most_sets == {1, 2, 3} and 1 in ds
+
+
+def test_information_sets_on_a_mid_size_binary_code():
+    # a seeded [24,12]_F2: the plain call answers by information sets with
+    # enumeration's d, visiting a fraction of its 4095 messages
+    from lcdkit import codes
+    ctx = parse_field("2")
+    rng = random.Random(24)
+    C = random_code(ctx, 24, 12, rng)
+    res = C.distance()
+    d, messages = codes._distance_by_enumeration(C.G.rows(), ctx, 24)
+    assert res[:3] == (d, EXACT, None)
+    assert res.method == "information_sets" and res.work < messages // 4
+
+
+@pytest.mark.slow
+def test_information_sets_on_a_48_24_binary_code():
+    # a seeded [48,24]_F2: 2^24 - 1 messages for the full enumeration
+    # (about 8 s), while the information sets answer in well under one
+    from lcdkit import codes
+    ctx = parse_field("2")
+    rng = random.Random(48)
+    C = random_code(ctx, 48, 24, rng)
+    start = time.perf_counter()
+    res = C.distance()
+    took = time.perf_counter() - start
+    d, messages = codes._distance_by_enumeration(C.G.rows(), ctx, 48)
+    assert messages == (1 << 24) - 1
+    assert res[:3] == (d, EXACT, None)
+    assert res.method == "information_sets" and res.work < messages // 100
+    assert took < 2
 
 
 def _subsets_oracle(H, n, budget):

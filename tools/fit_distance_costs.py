@@ -1,7 +1,7 @@
 """Fit the cost constants that LinearCode.distance prices message
 enumeration and the column-subset scan with, on the benchmark's certify
-codes and the RS pipeline's, and time the Singleton certificate beside
-them.
+codes and the RS pipeline's, and time the information sets and the
+Singleton certificate beside them.
 
     PYTHONPATH=src python3 tools/fit_distance_costs.py [--seeds 42 1234]
 
@@ -9,7 +9,8 @@ For every code the certify workload builds from the given seeds (GRS,
 the product example, Hamming, random codes on the enumeration side and
 high-rate random codes on the subset side), and for the cyclic and
 derived codes of the build workload's ``rs-pipeline`` runs, it times
-message enumeration, the column-subset scan (the dual included) and,
+message enumeration and the information sets (a hand-over to
+enumeration included), the column-subset scan (the dual included) and,
 where the lightest generator row admits an MDS code, the Singleton
 certificate on the generator and on the parity-check matrix (the dual
 included), each on its own, best of a few runs.  It fits
@@ -21,10 +22,12 @@ by least squares on the relative error, prints the four constants next
 to the ones pinned in lcdkit.codes, and a table of each code's times,
 the strategy and side that LinearCode._plan chooses, and the fastest
 that answers (a certificate that finds a dependent set hands over to
-another strategy).  The certificate is not priced: _plan runs it by
-rule, and its columns show where that rule is slower than the
-alternative.  Standard library only; it reads the workload definitions
-under lcdbench/ and writes nothing.
+another strategy).  Neither the certificate nor the information sets is
+priced in time: _plan runs the certificate by rule and picks the
+information sets by their predicted message count, and their columns
+show where those rules are slower than the alternative.  Standard
+library only; it reads the workload definitions under lcdbench/ and
+writes nothing.
 """
 
 from __future__ import annotations
@@ -121,6 +124,9 @@ def main(argv=None) -> int:
                                                        code.ctx, n))
             enum_x.append((seen, seen // q + 1))
             enum_y.append(times["enumeration"] * 1e9)
+            times["information_sets"] = best_time(
+                lambda: codes._distance_by_information_sets(
+                    code.G.rows(), code.ctx, n))[0]
         times["subsets"], (_, exact, leaves) = best_time(
             lambda: codes._distance_by_column_subsets(build().dual().G, n,
                                                       budget))
@@ -152,7 +158,8 @@ def main(argv=None) -> int:
             ("_SUBSETS_LEAF_ROW_NS", codes._SUBSETS_LEAF_ROW_NS, e)):
         print(f"{label:<24} {pinned:>8} {fitted:>10.0f}")
     print()
-    columns = ("enumeration", "subsets", "singleton G", "singleton H")
+    columns = ("enumeration", "information_sets", "subsets", "singleton G",
+               "singleton H")
     print("| code | " + " | ".join(columns) + " | chosen | fastest |")
     print("|---" * (len(columns) + 3) + "|")
     for name, times, failed, chosen in rows:
