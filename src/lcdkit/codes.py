@@ -18,17 +18,18 @@ column-subset scan and the hull share one nullspace.  ``brute_hull``
 re-derives the hull by enumerating codewords, which is the oracle the
 fast path is tested against.
 
-Minimum distance has four exact strategies (``LinearCode.distance``):
-message enumeration and the parity-check column-subset scan, priced
-against each other; disjoint information sets (Brouwer and Zimmermann),
-which a plain call runs in place of enumeration when they are predicted
-to visit far fewer messages; and the Singleton certificate, run by rule.
+Minimum distance has four exact strategies (``LinearCode.distance``),
+chosen by rule and never by a price: disjoint information sets (Brouwer
+and Zimmermann) answer a plain call when q^k fits the budget, and hand
+over to message enumeration when the sets they find predict more
+messages than it visits; enumeration answers threshold calls; the
+parity-check column-subset scan answers when q^k exceeds the budget;
+and the Singleton certificate runs first when the code can be MDS.
 A code is MDS, d = n - k + 1, exactly when every k columns of G are
 independent, or every n - k columns of H; the certificate tests that one
-size when the code can be MDS, and when it finds a dependent set the
-strategy chosen by price answers.  A threshold call at t = n - k + 1,
-the MDS question, is answered by the certificate on G alone: a dependent
-set there proves d <= n - k < t.
+size, and when it finds a dependent set the strategy above answers.  A
+threshold call at t = n - k + 1, the MDS question, is answered by the
+certificate on G alone: a dependent set there proves d <= n - k < t.
 """
 
 from __future__ import annotations
@@ -64,21 +65,6 @@ SINGLETON = "singleton"
 DEFAULT_DISTANCE_BUDGET = 1 << 26
 DEFAULT_HULL_BUDGET = 1 << 16
 
-# The time per unit of work, in ns, of the two strategies that _plan
-# prices against each other, fitted on the benchmark's certify codes by
-# tools/fit_distance_costs.py: enumeration pays per message and per leaf
-# (q messages each), the column-subset scan a fixed part (the dual, the
-# set-up) plus one per leaf subset and parity-check row.  The Singleton
-# certificate is not priced.
-_ENUM_MESSAGE_NS = 85
-_ENUM_LEAF_NS = 600
-_SUBSETS_FIXED_NS = 110_000
-_SUBSETS_LEAF_ROW_NS = 75
-
-# a plain call that would enumerate runs the information sets instead when
-# they are predicted to visit fewer than 1 / _SETS_MARGIN of the messages
-_SETS_MARGIN = 2
-
 
 class DistanceResult(NamedTuple):
     value: int
@@ -91,7 +77,8 @@ class DistanceResult(NamedTuple):
     # and work: messages visited (by enumeration, or over every information
     # set), leaf subsets charged against the budget (never more than the
     # budget), or the C(n, k) subsets the certificate tested; they follow
-    # the plan, while value, status and upper do not
+    # the plan and the information sets' hand-over to enumeration, while
+    # value, status and upper do not
     method: Optional[str] = None
     work: int = 0
 
@@ -217,24 +204,20 @@ class LinearCode:
         parity-check column-subset scan; and the Singleton certificate,
         which proves d = n - k + 1 from the subsets of one size.
 
-        Enumeration may run only when q^k <= budget.  Then its cost and
-        the scan's are estimated first (``_plan``), and the scan runs
-        instead only when it is estimated faster and its whole budget
-        charge fits, so its answer is exact too.  Where enumeration would
-        run on a plain call, the information sets run instead when they are
-        predicted to visit well under its messages
-        (``_distance_by_information_sets``, which hands back to enumeration
-        when the sets it finds predict more).  When q^k > budget the scan
-        runs, and a budget blow-up there degrades to a certified lower
-        bound plus a generator-row upper bound.  A k = n code has d = 1.
+        A plain call (t = 0, or q^k > budget; below) is not priced: when
+        q^k <= budget the information sets answer
+        (``_distance_by_information_sets``), and they hand over to
+        enumeration by themselves when the sets they find predict more
+        messages than it visits.  When q^k > budget the scan runs, and a
+        budget blow-up there degrades to a certified lower bound plus a
+        generator-row upper bound.  A k = n code has d = 1.
 
         On a plain call (t = 0, or q^k > budget; below) the certificate is
-        tried first, by rule and not by price, on a code whose lightest
-        generator row weighs at least n - k + 1 (every MDS code passes),
-        when the strategy above would return an exact value anyway
-        (q^k <= budget, or the scan's whole charge fits) and its own charge
-        of C(n, r) r^3 fits.  It tests whether every r columns of M are
-        independent, M being the
+        tried first, by rule, on a code whose lightest generator row weighs
+        at least n - k + 1 (every MDS code passes), when the strategy above
+        would return an exact value anyway (q^k <= budget, or the scan's
+        whole charge fits) and its own charge of C(n, r) r^3 fits.  It
+        tests whether every r columns of M are independent, M being the
         generator (r = k) when k <= n - k and the parity-check matrix
         (r = n - k) otherwise (``_every_column_subset_independent``), with
         the last two columns of each subset compared as projective points.
@@ -308,53 +291,29 @@ class LinearCode:
 
         A threshold call (t > 0) with q^k <= budget enumerates, unless
         t = n - k + 1 and the certificate on G, charged C(n, k) k^3, fits
-        the budget: then it is (None, "G").  Enumeration visits
-        (q^k - 1) / (q - 1) messages and (q^k - 1) / (q (q - 1)) + 1 leaves.
+        the budget: then it is (None, "G").  Every other call runs the
+        information sets when q^k <= budget and the scan otherwise.
 
-        Otherwise the scan stops at d, which is at most u, the smaller of
-        n - k (it has no pass past rows(H) = n - k) and the lightest
-        generator row.  So it charges at most the sum over w <= u of
-        C(n, w) rows(H) w^2, and takes about the fixed cost plus rows(H)
-        per leaf subset in that range.  Enumeration runs when q^k <= budget
-        and the scan is not both estimated faster and sure to fit the
-        budget.  Such a plain call runs the information sets instead when
-        _SETS_MARGIN times their predicted messages is below enumeration's,
-        predicted by ``_information_set_messages`` with floor(n / k) sets
-        and the lightest generator row for d.  The sets found may be fewer
-        or their rows heavier; when they predict more messages than
-        enumeration visits, the run hands over to it.  The certificate is
-        not priced: it runs when the lightest
-        generator row exceeds n - k, that strategy's answer is exact, and
-        its charge C(n, r) r^3, the scan's rule for its C(n, r) subsets of
-        size r, fits; on the side with fewer rows, G on a tie since it
-        needs no dual."""
+        The certificate runs when the lightest generator row exceeds n - k,
+        that strategy's answer is exact, and its charge C(n, r) r^3, the
+        scan's rule for its C(n, r) subsets of size r, fits; on the side
+        with fewer rows, G on a tie since it needs no dual.  The
+        information sets are always exact.  The scan stops at d <= n - k
+        (it has no pass past rows(H) = n - k), so it is exact when the sum
+        over w <= n - k of C(n, w) rows(H) w^2 fits the budget."""
         q, n, k = self.ctx.q, self.n, self.k
-        enumerable = q ** k <= budget
-        if enumerable:
-            if at_least > 0:
-                mds = at_least == n - k + 1 and comb(n, k) * k ** 3 <= budget
-                return (None, "G") if mds else (ENUMERATION, None)
-            messages = (q ** k - 1) // (q - 1)
-            enum_ns = (_ENUM_MESSAGE_NS * messages
-                       + _ENUM_LEAF_NS * (messages // q + 1))
-        lightest = min(self.G.row_weights())
         rows_h = n - k
-        scan_ns, charge = _SUBSETS_FIXED_NS, 0
-        for w in range(1, min(rows_h, lightest) + 1):
-            leaves = comb(n, w)
-            scan_ns += _SUBSETS_LEAF_ROW_NS * rows_h * leaves
-            charge += leaves * rows_h * w * w
-        fallback = (ENUMERATION if enumerable and (scan_ns >= enum_ns
-                                                   or charge > budget)
-                    else SUBSETS)
-        if fallback == ENUMERATION and (
-                _SETS_MARGIN * _information_set_messages(q, k, n // k,
-                                                         lightest)
-                < messages):
-            fallback = INFORMATION_SETS
+        enumerable = q ** k <= budget
+        if enumerable and at_least > 0:
+            mds = at_least == rows_h + 1 and comb(n, k) * k ** 3 <= budget
+            return (None, "G") if mds else (ENUMERATION, None)
+        fallback = INFORMATION_SETS if enumerable else SUBSETS
         r = min(k, rows_h)
-        if (lightest <= rows_h or not (enumerable or charge <= budget)
-                or comb(n, r) * r ** 3 > budget):
+        if (min(self.G.row_weights()) <= rows_h
+                or comb(n, r) * r ** 3 > budget
+                or (not enumerable
+                    and sum(comb(n, w) * rows_h * w * w
+                            for w in range(1, rows_h + 1)) > budget)):
             return fallback, None
         return fallback, "G" if k <= rows_h else "H"
 
@@ -564,7 +523,10 @@ def _information_set_messages(q: int, k: int, m: int, d: int) -> int:
     w with m (w + 1) >= d, or k.  A set holds C(k, w) (q - 1)^(w - 1)
     messages of weight w with the first nonzero coefficient 1.  The search
     can stop sooner, at the first set of level W that lifts the bound to
-    d, so this is the price that _plan and the hand-over compare."""
+    d.  It serves only the hand-over of ``_distance_by_information_sets``
+    to enumeration, which compares it with enumeration's messages: once
+    with floor(n / k) sets as light as the first set found, and once with
+    the sets found."""
     total = 0
     for w in range(1, k + 1):
         total += comb(k, w) * (q - 1) ** (w - 1)
@@ -579,7 +541,10 @@ def _distance_by_information_sets(rows: Sequence[Sequence[int]],
     """Minimum weight by disjoint information sets, after Brouwer and
     Zimmermann (Zimmermann 1996; Grassl 2006).  Returns (d, messages
     visited, the strategy that answered): INFORMATION_SETS, or ENUMERATION
-    when the sets found would visit more messages than it does.
+    when the sets would visit more messages than it does.  That is checked
+    right after the first set is reduced, for floor(n / k) sets as light
+    as it (so a k = 1 code costs one elimination before it hands over), and
+    again once every set is found.
 
     Each set is found by ``gf._rref_rows``: the first on the rows as given,
     each later one on a copy whose columns in no set yet come first, kept
@@ -601,7 +566,9 @@ def _distance_by_information_sets(rows: Sequence[Sequence[int]],
     q, k = ctx.q, len(rows)
     low, high = _words(ctx, n)[5:]
     pack, sums, scaled = _word_ops(ctx, n)
-    sets, free = [], list(range(n))
+    messages = (q ** k - 1) // (q - 1)
+    # each set's reduced rows, and its lightest row: its messages of weight 1
+    sets, first, free = [], [], list(range(n))
     while len(free) >= k:
         taken = set(free)
         order = free + [c for c in range(n) if c not in taken]
@@ -610,11 +577,13 @@ def _distance_by_information_sets(rows: Sequence[Sequence[int]],
         if pivots[-1] >= len(free):
             break
         sets.append(reduced)
+        first.append(n - max(row.count(0) for row in reduced))
+        if len(sets) == 1 and _information_set_messages(
+                q, k, n // k, first[0]) > messages:
+            return (*_distance_by_enumeration(rows, ctx, n), ENUMERATION)
         used = {order[c] for c in pivots}
         free = [c for c in free if c not in used]
-    m, messages = len(sets), (q ** k - 1) // (q - 1)
-    # each set's lightest row: its messages of weight 1
-    first = [n - max(row.count(0) for row in reduced) for reduced in sets]
+    m = len(sets)
     if _information_set_messages(q, k, m, min(first)) > messages:
         return (*_distance_by_enumeration(rows, ctx, n), ENUMERATION)
 

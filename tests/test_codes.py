@@ -105,9 +105,10 @@ def test_hull_from_brute_force(F2, F3, rng):
         assert want is None or hull.r == want
 
 
-def test_dual_is_built_once(F3, monkeypatch):
+def test_dual_is_built_once(monkeypatch):
     from lcdkit import gf
-    C = hamming(F3, 3)
+    F4 = parse_field("4")
+    C = hamming(F4, 3)
     assert C.dual() is C.dual()
     calls = []
     original = gf._nullspace_rows
@@ -117,16 +118,17 @@ def test_dual_is_built_once(F3, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(gf, "_nullspace_rows", counted)
-    C = hamming(F3, 3)
+    C = hamming(F4, 3)
     calls.clear()
-    # the chooser sends this code to the subset scan, which needs the dual;
-    # the hull (2k > n) reads H H^T from the same dual
+    # [21,18]_F4: 4^18 messages lie past the default budget, so the subset
+    # scan answers, which needs the dual; the hull (2k > n) reads H H^T
+    # from the same dual
     d = C.distance()
     hull = C.hull_dim()
     assert len(calls) == 1
     assert d.method == "subsets"
-    fresh = hamming(F3, 3)
-    assert d == fresh.distance() and hull == fresh.hull_dim() == 3
+    fresh = hamming(F4, 3)
+    assert d == fresh.distance() and hull == fresh.hull_dim() == 2
 
 
 @pytest.mark.parametrize("desc", ["2", "3", "4", "5", "9"])
@@ -179,7 +181,8 @@ def test_distance_strategies_agree(rng):
         assert C.distance()[:3] == (by_enum, EXACT, None)
     assert (rec.n, rec.k, rec.d) == (8, 6, 3) == (C.n, C.k, by_enum)
     # the binary Hamming [31,26] code: q^k is the default budget, and its
-    # 2^26 - 1 messages took over 20 s; the scan certifies d = 3 instead
+    # 2^26 - 1 messages took over 20 s; the information sets find d = 3
+    # from 351 of them, and the scan certifies it too
     F2 = parse_field("2")
     H = MatrixFq.from_rows(F2, [[(j >> i) & 1 for j in range(1, 32)]
                                 for i in range(5)])
@@ -188,8 +191,10 @@ def test_distance_strategies_agree(rng):
     start = time.perf_counter()
     res = ham.distance()
     assert time.perf_counter() - start < 0.1
-    assert res[:3] == (3, EXACT, None) and res.method == "subsets"
-    assert 0 < res.work <= 31 + 465 + 4495
+    assert res == (3, EXACT, None, "information_sets", 351)
+    by_cols, exact, leaves = _distance_by_column_subsets(ham.dual().G, 31,
+                                                         1 << 26)
+    assert (by_cols, exact) == (3, True) and 0 < leaves <= 31 + 465 + 4495
 
 
 def _todays_rule(C, budget, d_enum, scan):
@@ -253,9 +258,12 @@ def test_distance_chooser_keeps_every_answer(monkeypatch):
                         spy("information_sets", sets))
     rng = random.Random("chooser")
     methods = set()
+    # ("5", 12, 1) reaches the information sets' hand-over to enumeration,
+    # and ("2", 15, 11) is a high rate the scan answered before
     shapes = [("2", 14, 11), ("2", 16, 12), ("2", 12, 6), ("3", 10, 7),
               ("3", 9, 4), ("4", 9, 6), ("5", 8, 3), ("7", 8, 6),
-              ("16", 7, 2), ("16", 8, 6), ("9", 6, 6), ("2", 20, 16)]
+              ("16", 7, 2), ("16", 8, 6), ("9", 6, 6), ("2", 20, 16),
+              ("5", 12, 1), ("2", 15, 11)]
     # MDS shapes, which reach the certificate
     grs_shapes = [("13", 12, 5), ("11", 10, 4), ("2^11", 7, 2),
                   ("16", 8, 5)]
@@ -281,12 +289,15 @@ def test_distance_chooser_keeps_every_answer(monkeypatch):
             assert res[:3] == _todays_rule(C, budget, d_enum, scan), (
                 desc, G, budget)
             # method names the strategy that answered; a certificate that
-            # finds a dependent set runs before it
+            # finds a dependent set runs before it, and on these plain calls
+            # only the information sets' hand-over enumerates
+            want = [] if k == n else [res.method]
+            if res.method == "enumeration":
+                want = ["information_sets", "enumeration"]
             if res.method != "singleton" and ran[:1] == ["singleton"]:
-                assert ran == ["singleton", res.method]
+                want = ["singleton"] + want
                 assert d_enum < n - k + 1
-            else:
-                assert ran == ([] if k == n else [res.method])
+            assert ran == want
             assert res.work <= budget
             if "singleton" in ran:
                 # tried only on an answer that is exact anyway, and only
@@ -295,13 +306,11 @@ def test_distance_chooser_keeps_every_answer(monkeypatch):
                 assert min(G.row_weights()) > n - k
             if res.method == "singleton":
                 assert res.value == n - k + 1 and res.work == comb(n, k)
-            if "information_sets" in ran:
-                # only on a plain call that would otherwise enumerate
-                assert ctx.q ** k <= budget and res.status == EXACT
-            if res.method == "subsets" and ctx.q ** k <= budget:
-                # chosen over enumeration only when the scan's whole
-                # charge fits, so the answer cannot be cut short
-                assert charge <= budget and res.status == EXACT
+            if k < n and res.method != "singleton":
+                # the information sets run exactly when q^k fits the budget,
+                # and the scan, which the budget may cut short, otherwise
+                assert ("information_sets" in ran) == (ctx.q ** k <= budget)
+                assert ("subsets" in ran) == (ctx.q ** k > budget)
             methods.add(res.method)
     assert methods == {"enumeration", "subsets", "trivial", "singleton",
                        "information_sets"}
@@ -579,6 +588,36 @@ def test_information_sets_on_a_mid_size_binary_code():
     assert res.method == "information_sets" and res.work < messages // 4
 
 
+def test_information_sets_hand_over_after_the_first_set(monkeypatch):
+    # floor(n / k) sets as light as the first predict more messages than
+    # enumeration's (q^k - 1) / (q - 1), so a plain call hands over to it
+    # after one elimination instead of reducing up to n one-column sets
+    from lcdkit import codes, gf
+    rng = random.Random("handover")
+    F5, F4 = parse_field("5"), parse_field("4")
+    row = [rng.randrange(1, 5) for _ in range(24)]
+    # a zero entry: the lightest row weighs n - k, so no certificate runs
+    row[rng.randrange(24)] = 0
+    line = LinearCode.from_basis(MatrixFq.from_rows(F5, [row]))
+    plane = random_code(F4, 24, 2, rng)
+    rref = gf._rref_rows
+    for C in (line, plane):
+        assert min(C.G.row_weights()) <= C.n - C.k
+        eliminations = []
+
+        def counted(*args):
+            eliminations.append(args)
+            return rref(*args)
+
+        monkeypatch.setattr(gf, "_rref_rows", counted)
+        res = C.distance()
+        monkeypatch.undo()
+        messages = (C.ctx.q ** C.k - 1) // (C.ctx.q - 1)
+        d = codes._distance_by_enumeration(C.G.rows(), C.ctx, C.n)[0]
+        assert res == (d, EXACT, None, "enumeration", messages)
+        assert len(eliminations) == 1
+
+
 @pytest.mark.slow
 def test_information_sets_on_a_48_24_binary_code():
     # a seeded [48,24]_F2: 2^24 - 1 messages for the full enumeration
@@ -715,16 +754,24 @@ def test_deep_column_subset_scans():
 
 
 def test_subset_scan_results_pinned():
-    # whole results, work included, of codes the chooser sends to the scan;
-    # 16^7 messages lie past the default budget, and the last budget stops
-    # the scan part-way through its fifth pass
-    from lcdkit.codes import DEFAULT_DISTANCE_BUDGET, DistanceResult
+    # whole results, work included: the scan on two Hamming codes, whose
+    # plain calls the information sets answer, then codes the chooser sends
+    # to the scan; 16^7 messages lie past the default budget, and the last
+    # budget stops the scan part-way through its fifth pass
+    from lcdkit.codes import (DEFAULT_DISTANCE_BUDGET, DistanceResult,
+                              _distance_by_column_subsets)
+    for build, leaves, want in (
+            (lambda: hamming(parse_field("2"), 4), 121,
+             DistanceResult(3, EXACT, None, "information_sets", 66)),
+            (lambda: hamming(parse_field("3"), 3), 92,
+             DistanceResult(3, EXACT, None, "information_sets", 100))):
+        C = build()
+        assert (_distance_by_column_subsets(C.dual().G, C.n,
+                                            DEFAULT_DISTANCE_BUDGET)
+                == (3, True, leaves))
+        assert build().distance() == want
     F16 = parse_field("16")
     for build, budget, want in (
-            (lambda: hamming(parse_field("2"), 4), DEFAULT_DISTANCE_BUDGET,
-             DistanceResult(3, EXACT, None, "subsets", 121)),
-            (lambda: hamming(parse_field("3"), 3), DEFAULT_DISTANCE_BUDGET,
-             DistanceResult(3, EXACT, None, "subsets", 92)),
             (lambda: random_code(F16, 14, 7, random.Random("pin:0")),
              DEFAULT_DISTANCE_BUDGET,
              DistanceResult(5, EXACT, None, "subsets", 2514)),

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under tools/."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -31,3 +32,13 @@ def test_search_funnel_totals_on_seed_42(capsys):
     total = [cell.strip() for cell in rows[-1].split("|")[1:-1]]
     assert total[:-1] == ["total", "1036", "2263", "1142", "9732", "13241",
                           "5412", "14534", "1021/3921", "1021"]
+
+
+def test_readme_layout_names_every_tool():
+    # the tools/ entry of README's Layout block names exactly the scripts
+    # under tools/, so adding or deleting one cannot leave it stale
+    readme = (TOOLS.parent / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    entry = re.search(r"^tools/.*?(?=^\S|\Z)", block, re.M | re.S).group()
+    assert (sorted(re.findall(r"(\w+\.py):", entry))
+            == sorted(path.name for path in TOOLS.glob("*.py")))
