@@ -398,7 +398,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"lcdkit: {exc}", file=sys.stderr)
         return 2
     try:
-        # a malformed store fails here, before the verb does any work
+        # a malformed store, or one in a missing directory, fails here,
+        # before the verb does any work
         store = getattr(args, "store", None)
         args.store = RecordStore(store) if store else None
         return VERBS[args.verb](args)

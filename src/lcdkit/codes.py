@@ -20,16 +20,13 @@ fast path is tested against.
 
 Minimum distance has four exact strategies (``LinearCode.distance``),
 chosen by rule and never by a price: disjoint information sets (Brouwer
-and Zimmermann) answer a plain call when q^k fits the budget, and hand
-over to message enumeration when the sets they find predict more
-messages than it visits; enumeration answers threshold calls; the
-parity-check column-subset scan answers when q^k exceeds the budget;
-and the Singleton certificate runs first when the code can be MDS.
-A code is MDS, d = n - k + 1, exactly when every k columns of G are
-independent, or every n - k columns of H; the certificate tests that one
-size, and when it finds a dependent set the strategy above answers.  A
-threshold call at t = n - k + 1, the MDS question, is answered by the
-certificate on G alone: a dependent set there proves d <= n - k < t.
+and Zimmermann) answer when q^k fits the budget, and hand over to
+message enumeration when the sets they find predict more messages than
+it visits; the parity-check column-subset scan answers when q^k exceeds
+the budget; and the Singleton certificate runs first when the code can
+be MDS.  A code is MDS, d = n - k + 1, exactly when every k columns of G
+are independent, or every n - k columns of H; the certificate tests that
+one size, and when it finds a dependent set the strategy above answers.
 """
 
 from __future__ import annotations
@@ -70,9 +67,8 @@ class DistanceResult(NamedTuple):
     value: int
     status: str
     upper: Optional[int] = None
-    # upper: on a lower bound, d <= upper.  A threshold call stopped by
-    # enumeration gives the weight of a codeword it found; one stopped by a
-    # failed Singleton certificate the proven bound n - k, with no codeword.
+    # upper: on a lower bound, which only a budget-cut scan gives, d <= upper,
+    # the weight of the lightest generator row.
     # method: ENUMERATION, INFORMATION_SETS, SUBSETS, SINGLETON or TRIVIAL,
     # and work: messages visited (by enumeration, or over every information
     # set), leaf subsets charged against the budget (never more than the
@@ -195,8 +191,8 @@ class LinearCode:
 
     # -- minimum distance --------------------------------------------------
 
-    def distance(self, budget: int = DEFAULT_DISTANCE_BUDGET,
-                 at_least: int = 0) -> DistanceResult:
+    def distance(self,
+                 budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
         """Minimum distance by one of four exact strategies: message
         enumeration, which visits (q^k - 1) / (q - 1) messages; disjoint
         information sets, which visit the messages by weight and stop when
@@ -204,40 +200,25 @@ class LinearCode:
         parity-check column-subset scan; and the Singleton certificate,
         which proves d = n - k + 1 from the subsets of one size.
 
-        A plain call (t = 0, or q^k > budget; below) is not priced: when
-        q^k <= budget the information sets answer
-        (``_distance_by_information_sets``), and they hand over to
+        No strategy is priced: when q^k <= budget the information sets
+        answer (``_distance_by_information_sets``), and they hand over to
         enumeration by themselves when the sets they find predict more
         messages than it visits.  When q^k > budget the scan runs, and a
         budget blow-up there degrades to a certified lower bound plus a
         generator-row upper bound.  A k = n code has d = 1.
 
-        On a plain call (t = 0, or q^k > budget; below) the certificate is
-        tried first, by rule, on a code whose lightest generator row weighs
-        at least n - k + 1 (every MDS code passes), when the strategy above
-        would return an exact value anyway (q^k <= budget, or the scan's
-        whole charge fits) and its own charge of C(n, r) r^3 fits.  It
-        tests whether every r columns of M are independent, M being the
-        generator (r = k) when k <= n - k and the parity-check matrix
-        (r = n - k) otherwise (``_every_column_subset_independent``), with
-        the last two columns of each subset compared as projective points.
-        When they are, d = n - k + 1; when some are not, the strategy above
-        runs as if the certificate had not.  So a plain call's value,
-        status and upper never depend on whether it ran.
-
-        ``at_least = t > 0`` asks only whether d >= t.  When q^k <= budget
-        it is answered without the plan above.  At t = n - k + 1 it is the
-        MDS question, and the certificate answers it on G alone whenever its
-        charge C(n, k) k^3 fits: d = n - k + 1, exact and cached, or else
-        some k columns of G are dependent, so a nonzero codeword vanishes
-        on them and d <= n - k < t, which returns (1, lower_bound, n - k)
-        uncached.
-        Otherwise it enumerates, stops at the first codeword of weight
-        w < t and returns (1, lower_bound, w), not cached; when d >= t the
-        enumeration runs to the end and the result is the exact d.  A
-        threshold code is often new for each call, as in search, so it never
-        builds the dual for the certificate.  When q^k > budget t is not
-        read: the subset scan's iterative deepening already stops at d.
+        The certificate is tried first, by rule, on a code whose lightest
+        generator row weighs at least n - k + 1 (every MDS code passes),
+        when the strategy above would return an exact value anyway
+        (q^k <= budget, or the scan's whole charge fits) and its own charge
+        of C(n, r) r^3 fits.  It tests whether every r columns of M are
+        independent, M being the generator (r = k) when k <= n - k and the
+        parity-check matrix (r = n - k) otherwise
+        (``_every_column_subset_independent``), with the last two columns
+        of each subset compared as projective points.  When they are,
+        d = n - k + 1; when some are not, the strategy above runs as if the
+        certificate had not.  So value, status and upper never depend on
+        whether it ran.
 
         The result's ``method`` names the strategy that answered and
         ``work`` its messages visited (over every information set, for
@@ -253,22 +234,12 @@ class LinearCode:
         if k == n:
             self._dist = DistanceResult(1, EXACT, method=TRIVIAL)
             return self._dist
-        fallback, side = self._plan(budget, at_least)
+        side = self._plan(budget)
         if side is not None and _every_column_subset_independent(
                 self.ctx, (self.G if side == "G" else self.dual().G).rows()):
             result = DistanceResult(n - k + 1, EXACT, None, SINGLETON,
                                     comb(n, k))
-        elif fallback is None:
-            # some k columns of G are dependent: d <= n - k < at_least
-            return DistanceResult(1, LOWER_BOUND, n - k, SINGLETON,
-                                  comb(n, k))
-        elif fallback == ENUMERATION:
-            w, seen = _distance_by_enumeration(self.G.rows(), self.ctx,
-                                               n, at_least)
-            if w < at_least:
-                return DistanceResult(1, LOWER_BOUND, w, ENUMERATION, seen)
-            result = DistanceResult(w, EXACT, None, ENUMERATION, seen)
-        elif fallback == INFORMATION_SETS:
+        elif self.ctx.q ** k <= budget:
             w, seen, method = _distance_by_information_sets(
                 self.G.rows(), self.ctx, n)
             result = DistanceResult(w, EXACT, None, method, seen)
@@ -281,41 +252,28 @@ class LinearCode:
         self._dist = result
         return result
 
-    def _plan(self, budget: int,
-              at_least: int) -> tuple[Optional[str], Optional[str]]:
-        """(the strategy that answers when the Singleton certificate does
-        not run or finds a dependent set, ENUMERATION, INFORMATION_SETS or
-        SUBSETS, or None when a failed certificate answers by itself; the
-        side the certificate tests first, "G", "H" or None), for
-        0 < k < n.
+    def _plan(self, budget: int) -> Optional[str]:
+        """The side the Singleton certificate tests, "G" or "H", or None
+        when it does not run, for 0 < k < n.
 
-        A threshold call (t > 0) with q^k <= budget enumerates, unless
-        t = n - k + 1 and the certificate on G, charged C(n, k) k^3, fits
-        the budget: then it is (None, "G").  Every other call runs the
-        information sets when q^k <= budget and the scan otherwise.
-
-        The certificate runs when the lightest generator row exceeds n - k,
-        that strategy's answer is exact, and its charge C(n, r) r^3, the
-        scan's rule for its C(n, r) subsets of size r, fits; on the side
-        with fewer rows, G on a tie since it needs no dual.  The
-        information sets are always exact.  The scan stops at d <= n - k
-        (it has no pass past rows(H) = n - k), so it is exact when the sum
-        over w <= n - k of C(n, w) rows(H) w^2 fits the budget."""
+        It runs when the lightest generator row exceeds n - k, the strategy
+        after it answers exactly, and its charge C(n, r) r^3, the scan's
+        rule for its C(n, r) subsets of size r, fits; on the side with
+        fewer rows, G on a tie since it needs no dual.  The information
+        sets (q^k <= budget) are always exact.  The scan stops at
+        d <= n - k (it has no pass past rows(H) = n - k), so it is exact
+        when the sum over w <= n - k of C(n, w) rows(H) w^2 fits the
+        budget."""
         q, n, k = self.ctx.q, self.n, self.k
         rows_h = n - k
-        enumerable = q ** k <= budget
-        if enumerable and at_least > 0:
-            mds = at_least == rows_h + 1 and comb(n, k) * k ** 3 <= budget
-            return (None, "G") if mds else (ENUMERATION, None)
-        fallback = INFORMATION_SETS if enumerable else SUBSETS
         r = min(k, rows_h)
         if (min(self.G.row_weights()) <= rows_h
                 or comb(n, r) * r ** 3 > budget
-                or (not enumerable
+                or (q ** k > budget
                     and sum(comb(n, w) * rows_h * w * w
                             for w in range(1, rows_h + 1)) > budget)):
-            return fallback, None
-        return fallback, "G" if k <= rows_h else "H"
+            return None
+        return "G" if k <= rows_h else "H"
 
     def classify(self) -> str:
         """Singleton classification; needs an exactly known distance."""
@@ -372,7 +330,7 @@ def _span_iter(rows: Sequence[Sequence[int]], ctx: gf.FieldCtx,
 
 
 class _Below(Exception):
-    """Raised inside the enumeration at a codeword lighter than at_least.
+    """Raised inside the enumeration at a codeword below its threshold.
     On its way out it counts the messages visited: ``seen`` starts as the
     stopping leaf's and each level adds its earlier children's, which it
     finds from ``vec``, the packed codeword of the child it came from."""
@@ -916,10 +874,15 @@ class RecordStore:
     ``save`` rewrites the whole file with keys sorted, so equal runs
     produce equal bytes.  It writes a sibling temp file and moves it over
     the store, so a write that fails part-way leaves the old file whole.
+    A store whose directory does not exist could never be saved, so it
+    is refused when opened.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        if not self.path.parent.is_dir():
+            raise FileNotFoundError(f"{path}: no directory "
+                                    f"{self.path.parent} to hold the store")
         self.records: dict[tuple[str, int, int], CodeRecord] = {}
         if self.path.exists():
             for line in read_text(self.path).splitlines():

@@ -32,6 +32,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import gf, orthogen
 from .codes import (DEFAULT_DISTANCE_BUDGET, EXACT, CodeRecord, LinearCode,
+                    _distance_by_enumeration,
                     _every_column_subset_independent, _is_int, _is_str)
 from .errors import (
     BlockCountMismatch,
@@ -507,12 +508,16 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
     (min_weight=target_d): the trial ends at its first lighter row, before
     the rest of the matrix is drawn.
 
-    An MDS target, target_d = n - k + 1 with q^k <= DEFAULT_DISTANCE_BUDGET
-    (where distance(at_least=target_d) is always exact), is decided by
-    _mds_subsets on the sample's rows, with no LinearCode per subset;
-    only its hit goes through LinearCode.distance, which certifies the
-    record's d and raises AssertionError should it disagree.  Any other
-    target asks distance(at_least=target_d) of every subset.
+    Each subset is decided by one of three kernels, picked by whether the
+    target is MDS and whether q^k <= DEFAULT_DISTANCE_BUDGET.  An MDS
+    target, target_d = n - k + 1 with q^k within the budget, is decided by
+    _mds_subsets on the sample's rows, with no LinearCode per subset; only
+    its hit goes through LinearCode.distance, which certifies the record's
+    d and raises AssertionError should it disagree.  Any other target with
+    q^k within the budget enumerates each subset's messages, stopping at
+    the first codeword lighter than target_d
+    (codes._distance_by_enumeration); above the budget each subset asks
+    LinearCode.distance.
 
     The first hit is decorated by a seeded scaling/rotation twist (which
     cannot change the code's parameters, only the recorded generator) and
@@ -527,7 +532,8 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
         raise InvalidValue(f"k = {k} is outside 1..n = {n}")
     if target_d > n - k + 1:
         return None
-    mds = target_d == n - k + 1 and ctx.q ** k <= DEFAULT_DISTANCE_BUDGET
+    enumerable = ctx.q ** k <= DEFAULT_DISTANCE_BUDGET
+    mds = target_d == n - k + 1 and enumerable
     for trial in range(budget):
         trial_seed = _trial_seed(seed, trial)
         A = orthogen.random_orthogonal(ctx, n, trial_seed,
@@ -535,7 +541,7 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
         if A is None:
             continue
         hit = (_certified_mds_hit(A, k) if mds
-               else _first_hit_by_distance(A, k, target_d))
+               else _first_hit_by_distance(A, k, target_d, enumerable))
         if hit is None:
             continue
         subset, d = hit
@@ -557,15 +563,26 @@ def search_random_lcd(ctx: gf.FieldCtx, n: int, k: int, target_d: int,
     return None
 
 
-def _first_hit_by_distance(A: MatrixFq, k: int, target_d: int
+def _first_hit_by_distance(A: MatrixFq, k: int, target_d: int,
+                           enumerable: bool
                            ) -> Optional[tuple[tuple[int, ...], int]]:
     """(the first k-subset of A's rows whose code has exact d >= target_d,
-    d), asking distance(at_least=target_d) of each subset; or None."""
+    d), or None.  When enumerable (q^k within the distance budget) each
+    subset's messages are enumerated until a codeword lighter than
+    target_d; otherwise each subset asks LinearCode.distance."""
+    rows = A.rows()
     for subset in combinations(range(A.r), k):
-        code = LinearCode.from_basis(A.take_rows(subset), verify_rank=False)
-        dist = code.distance(at_least=target_d)
-        if dist.status == EXACT and dist.value >= target_d:
-            return subset, dist.value
+        if enumerable:
+            d, _ = _distance_by_enumeration([rows[i] for i in subset], A.ctx,
+                                            A.c, target_d)
+        else:
+            dist = LinearCode.from_basis(A.take_rows(subset),
+                                         verify_rank=False).distance()
+            if dist.status != EXACT:
+                continue
+            d = dist.value
+        if d >= target_d:
+            return subset, d
     return None
 
 
@@ -573,20 +590,20 @@ def _certified_mds_hit(A: MatrixFq, k: int
                        ) -> Optional[tuple[tuple[int, ...], int]]:
     """(the first k-subset S of the orthogonal A's rows that _mds_subsets
     passes, n - k + 1), or None.  The hit is certified by one distance
-    call on the side the kernel tested: the complement of S at t = k + 1
-    when n > k > n - k, else S itself at t = n - k + 1."""
+    call on the side the kernel tested, the complement of S when
+    n > k > n - k and else S itself: its code is MDS too, so distance()
+    runs the same Singleton certificate on the same rows, and the search
+    raises unless it reads d = n - |side| + 1."""
     n = A.r
     subset = next((S for S, mds in _mds_subsets(A.ctx, A.rows(), k) if mds),
                   None)
     if subset is None:
         return None
-    if n > k > n - k:
-        side, t = [i for i in range(n) if i not in subset], k + 1
-    else:
-        side, t = subset, n - k + 1
+    side = ([i for i in range(n) if i not in subset] if n > k > n - k
+            else subset)
     dist = LinearCode.from_basis(A.take_rows(side),
-                                 verify_rank=False).distance(at_least=t)
-    if dist.status != EXACT or dist.value < t:
+                                 verify_rank=False).distance()
+    if dist[:2] != (n - len(side) + 1, EXACT):
         raise AssertionError(f"rows {subset} passed the MDS kernel, but "
                              f"distance() reads {dist}")
     return subset, n - k + 1

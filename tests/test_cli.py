@@ -278,20 +278,30 @@ def test_search_writes_store(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["search", "--field", "7", "--n", "6", "--k", "2", "--target-d", "5"],
-    ["tables", "2"],
-    ["rs-pipeline", "--field", "16", "--n", "15", "--k", "7"],
+    ["search", "--field", "7", "--n", "6", "--k", "2", "--target-d", "5",
+     "bad.jsonl"],
+    ["tables", "2", "bad.jsonl"],
+    ["rs-pipeline", "--field", "16", "--n", "15", "--k", "7", "bad.jsonl"],
+    # a store in a directory that does not exist
+    ["search", "--field", "7", "--n", "6", "--k", "2", "--target-d", "5",
+     "nodir/x.jsonl"],
 ])
 def test_search_malformed_store_exits_1(tmp_path, capsys, argv):
-    # the store is read before the verb runs: no result reaches stdout
-    store = tmp_path / "bad.jsonl"
-    store.write_text("5\n")
-    assert main(argv + ["--store", str(store)]) == 1
+    # the store, argv's last entry, is read before the verb runs: no result
+    # reaches stdout
+    store = tmp_path / argv[-1]
+    if store.parent.is_dir():
+        store.write_text("5\n")
+    assert main(argv[:-1] + ["--store", str(store)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("lcdkit: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert store.read_text() == "5\n"
+    if store.parent.is_dir():
+        assert store.read_text() == "5\n"
+    else:
+        # the message names the store given, not the file save would write
+        assert f"lcdkit: {store}: " in err and ".tmp" not in err
 
 
 def test_search_miss_exits_1(capsys):

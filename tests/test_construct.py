@@ -538,8 +538,10 @@ def _reference_search(ctx, n, k, target_d, budget, seed):
 
 @pytest.mark.parametrize("desc,n,k,d", SEARCH_SHAPES)
 def test_search_matches_enumerating_reference(desc, n, k, d, monkeypatch):
-    # the MDS question answered by the Singleton certificate picks the same
-    # subsets, so the same records, as enumerating every subset's messages
+    # the MDS kernel, and the enumeration stopped below target_d, pick the
+    # same subsets, so the same records, as enumerating every subset's
+    # messages; distance() only certifies the MDS kernel's hits, by the
+    # Singleton certificate
     distance, methods = LinearCode.distance, set()
 
     def spy(code, *args, **kwargs):
@@ -554,7 +556,7 @@ def test_search_matches_enumerating_reference(desc, n, k, d, monkeypatch):
         assert rec is not None
         assert rec.to_json() == _reference_search(
             ctx, n, k, d, 100_000, seed).to_json()
-    assert methods == ({"singleton"} if d == n - k + 1 else {"enumeration"})
+    assert methods == ({"singleton"} if d == n - k + 1 else set())
 
 
 KERNEL_FIELDS = ["2", "3", "4", "5", "7", "8", "9", "11", "13", "16", "25",
@@ -595,8 +597,8 @@ def test_mds_kernel_matches_enumeration():
 
 
 def _distance_reference_search(ctx, n, k, target_d, budget, seed):
-    """search_random_lcd as it was before its kernel: every subset's code
-    asked distance(at_least=target_d), d the value of the first hit."""
+    """search_random_lcd as it was before its kernels: every subset's code
+    asked distance(), d the value of the first exact hit."""
     from lcdkit import construct
     for trial in range(budget):
         trial_seed = construct._trial_seed(seed, trial)
@@ -605,8 +607,7 @@ def _distance_reference_search(ctx, n, k, target_d, budget, seed):
             continue
         for subset in combinations(range(n), k):
             G = A.take_rows(subset)
-            dist = LinearCode.from_basis(G, verify_rank=False).distance(
-                at_least=target_d)
+            dist = LinearCode.from_basis(G, verify_rank=False).distance()
             if dist.status != EXACT or dist.value < target_d:
                 continue
             rng = random.Random(trial_seed * 2 + 1)

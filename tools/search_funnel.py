@@ -12,13 +12,16 @@ workload calls it, and counts per target:
     rows        rows built (one unit-vector draw each)
     whole       rows that building every sample in full would take
     subsets     k-row subsets scanned: decided by the MDS kernel
-                (construct._mds_subsets) on an MDS target, by one
-                distance call each otherwise
-    messages    messages the distance calls that enumerated visited
-    certified   subsets the kernel or the Singleton certificate decided,
-                as passed/failed: d = n - k + 1, or some k columns of
-                the subset dependent, so d < target_d
-    checks      distance calls that certify a hit of the kernel
+                (construct._mds_subsets) on an MDS target, by enumerating
+                their messages (construct._distance_by_enumeration)
+                otherwise, since every target's q^k fits the distance
+                budget
+    messages    messages those enumerations visited
+    certified   subsets the kernel decided, as passed/failed:
+                d = n - k + 1, or some k columns of the subset dependent,
+                so d < target_d
+    checks      LinearCode.distance calls, each certifying a hit of the
+                kernel
 
 The counts are deterministic: they follow from the seeds alone.  rows
 against whole is the work the row gate saves.  Standard library only; it
@@ -46,18 +49,18 @@ COLUMNS = ("jobs", "trials", "light", "rows", "whole", "subsets",
 
 
 class Funnel:
-    """Wraps the sampler, its draws, the MDS kernel and the distance while
-    installed, and counts into the Counter of the current target."""
+    """Wraps the sampler, its draws, the search kernels and the distance
+    while installed, and counts into the Counter of the current target."""
 
     def __init__(self):
         self.counts: Counter = Counter()
         self.stops: Counter = Counter()     # light samples by stopping row
-        self.checking = False               # the next distance call checks
 
     @contextlib.contextmanager
     def installed(self):
         draws, sample = orthogen._unit_draws, orthogen.random_orthogonal
         kernel = construct._mds_subsets
+        enumeration = construct._distance_by_enumeration
         distance = codes.LinearCode.distance
 
         def counted_draws(ctx, n, rng):
@@ -79,26 +82,23 @@ class Funnel:
             for subset, mds in kernel(ctx, rows, k):
                 self.counts["subsets"] += 1
                 self.counts["passed" if mds else "failed"] += 1
-                self.checking = mds
                 yield subset, mds
 
-        def counted_distance(code, *args, **kwargs):
-            result = distance(code, *args, **kwargs)
-            if self.checking:
-                self.checking = False
-                self.counts["checks"] += 1
-                return result
+        def counted_enumeration(*args):
+            w, seen = enumeration(*args)
             self.counts["subsets"] += 1
-            if result.method == codes.SINGLETON:
-                self.counts["passed" if result.status == codes.EXACT
-                            else "failed"] += 1
-            else:
-                self.counts["messages"] += result.work
-            return result
+            self.counts["messages"] += seen
+            return w, seen
+
+        def counted_distance(code, *args, **kwargs):
+            self.counts["checks"] += 1
+            return distance(code, *args, **kwargs)
 
         patches = [(orthogen, "_unit_draws", draws, counted_draws),
                    (orthogen, "random_orthogonal", sample, counted_sample),
                    (construct, "_mds_subsets", kernel, counted_kernel),
+                   (construct, "_distance_by_enumeration", enumeration,
+                    counted_enumeration),
                    (codes.LinearCode, "distance", distance, counted_distance)]
         for owner, name, _, wrapper in patches:
             setattr(owner, name, wrapper)
